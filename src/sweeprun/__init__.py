@@ -1,11 +1,13 @@
 """sweeprun: parallel parameter sweeps over any external computational model.
 
-The pipeline: a sweep definition expands into an ordered list of parameter
-sets; each set gets a simulation ID; configuration templates are rendered
-and written per simulation; one job per set is dispatched (bounded local
-parallelism, generated batch-scheduler scripts, or a dry run); and a
-mapping from parameter sets to simulation IDs is written for
-post-processing.
+The pipeline: a sweep definition (built in code, or loaded from a JSON
+sweep-spec file with ``load_sweep_spec``) expands into an ordered list of
+parameter sets via ``sweep.generate()``; a ``SequentialNamer`` gives each
+set a simulation ID; ``render`` fills configuration templates per
+simulation; ``dispatch_all`` runs one job per set (bounded local
+parallelism, generated batch-scheduler scripts, or a dry run); and
+``build_mapping`` records which parameter set each simulation ID ran, for
+post-processing with ``collect_scalars``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from .mapping import (
     deserialize,
     read_mapping,
     serialize,
-    write_mapping,
 )
-from .naming import NamerConfig, SequentialNamer, make_namer
+from .naming import NamerConfig, SequentialNamer
+from .spec import load_sweep_spec
 from .sweeps import (
     CartesianSweep,
     Choice,
@@ -44,18 +46,15 @@ from .sweeps import (
     RandomSweep,
     SetSweep,
     Uniform,
-    generate,
     linspace,
-    sweep_length,
 )
-from .templates import Template, extract_placeholders, format_value, render
+from .templates import extract_placeholders, format_value, render
 
 __all__ = [
     "__version__",
     "errors",
+    "load_sweep_spec",
     "linspace",
-    "generate",
-    "sweep_length",
     "CartesianSweep",
     "FilteredCartesianSweep",
     "SetSweep",
@@ -68,13 +67,11 @@ __all__ = [
     "parse_filter",
     "evaluate_filter",
     "free_variables",
-    "Template",
     "extract_placeholders",
     "render",
     "format_value",
     "NamerConfig",
     "SequentialNamer",
-    "make_namer",
     "JobSpec",
     "JobRecord",
     "DispatcherConfig",
@@ -86,7 +83,6 @@ __all__ = [
     "serialize",
     "deserialize",
     "read_mapping",
-    "write_mapping",
     "CollectIssue",
     "CollectedScalars",
     "collect_scalars",

@@ -34,20 +34,8 @@ from .errors import (
     UnfilledPlaceholderError,
 )
 from .mapping import build_mapping, read_mapping, serialize
-from .naming import NamerConfig, make_namer
-from .sweeps import (
-    CartesianSweep,
-    Choice,
-    FilteredCartesianSweep,
-    IntegerUniform,
-    LogUniform,
-    Normal,
-    RandomSweep,
-    SetSweep,
-    Sweep,
-    Uniform,
-    linspace,
-)
+from .naming import NamerConfig, SequentialNamer
+from .spec import load_sweep_spec
 from .templates import extract_placeholders, format_value, render, unused_parameters
 
 SUMMARY_SCHEMA = "sweep-summary/1"
@@ -66,115 +54,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# sweep-spec file
-
-
-def _spec_error(message: str) -> ValueError:
-    return ValueError(f"sweep spec: {message}")
-
-
-def _values_from_spec(name: str, spec) -> list:
-    if isinstance(spec, list):
-        return spec
-    if isinstance(spec, dict):
-        if "linspace" in spec:
-            args = spec["linspace"]
-            if not (isinstance(args, list) and len(args) == 3):
-                raise _spec_error(f"parameter {name!r}: linspace needs [start, stop, count]")
-            start, stop, count = args
-            if isinstance(count, float) and count.is_integer():
-                count = int(count)
-            return linspace(start, stop, count)
-        if "values" in spec:
-            values = spec["values"]
-            if not isinstance(values, list):
-                raise _spec_error(f"parameter {name!r}: values must be a list")
-            return values
-        raise _spec_error(f"parameter {name!r}: expected a value list, 'values', or 'linspace'")
-    raise _spec_error(f"parameter {name!r}: expected a value list, 'values', or 'linspace'")
-
-
-_DISTRIBUTION_BUILDERS = {
-    "uniform": (Uniform, 2, "[low, high]"),
-    "log_uniform": (LogUniform, 2, "[low, high]"),
-    "normal": (Normal, 2, "[mean, stddev]"),
-    "int_uniform": (IntegerUniform, 2, "[low, high]"),
-}
-
-
-def _distribution_from_spec(name: str, spec):
-    if not (isinstance(spec, dict) and len(spec) == 1):
-        raise _spec_error(
-            f"parameter {name!r}: a distribution is a one-key object like "
-            '{"uniform": [0, 1]}'
-        )
-    tag, args = next(iter(spec.items()))
-    if tag == "choice":
-        if not (isinstance(args, list) and args):
-            raise _spec_error(f"parameter {name!r}: choice needs a non-empty option list")
-        return Choice(args)
-    if tag not in _DISTRIBUTION_BUILDERS:
-        known = ", ".join(sorted([*_DISTRIBUTION_BUILDERS, "choice"]))
-        raise _spec_error(f"parameter {name!r}: unknown distribution {tag!r} (known: {known})")
-    builder, arity, shape = _DISTRIBUTION_BUILDERS[tag]
-    if not (isinstance(args, list) and len(args) == arity):
-        raise _spec_error(f"parameter {name!r}: {tag} needs {shape}")
-    return builder(*args)
-
-
-def load_sweep_spec(path: Path | str, seed_override: int | None = None) -> Sweep:
-    """Build a sweep from a JSON sweep-spec file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise _spec_error(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise _spec_error("top level must be an object")
-    sweep_type = doc.get("type")
-
-    if sweep_type in ("cartesian", "filtered_cartesian", "filtered-cartesian"):
-        parameters = doc.get("parameters")
-        if not isinstance(parameters, dict) or not parameters:
-            raise _spec_error("cartesian sweeps need a non-empty 'parameters' object")
-        values = {name: _values_from_spec(name, spec) for name, spec in parameters.items()}
-        filter_source = doc.get("filter")
-        if sweep_type != "cartesian" and filter_source is None:
-            raise _spec_error(f"{sweep_type} sweeps need a 'filter'")
-        if filter_source is None:
-            return CartesianSweep(values)
-        if not isinstance(filter_source, str):
-            raise _spec_error("'filter' must be text")
-        return FilteredCartesianSweep(values, filter=filter_source)
-
-    if sweep_type == "set":
-        sets = doc.get("sets")
-        if not isinstance(sets, list) or not sets:
-            raise _spec_error("set sweeps need a non-empty 'sets' list")
-        for i, entry in enumerate(sets):
-            if not isinstance(entry, dict):
-                raise _spec_error(f"sets[{i}] must be an object of name: value pairs")
-        return SetSweep(sets)
-
-    if sweep_type == "random":
-        count = doc.get("count")
-        distributions = doc.get("distributions")
-        if not isinstance(distributions, dict) or not distributions:
-            raise _spec_error("random sweeps need a non-empty 'distributions' object")
-        seed = seed_override if seed_override is not None else doc.get("seed")
-        if seed is None:
-            raise _spec_error("random sweeps need a 'seed' (or pass --seed)")
-        dists = {
-            name: _distribution_from_spec(name, spec) for name, spec in distributions.items()
-        }
-        return RandomSweep(count=count, distributions=dists, seed=seed)
-
-    raise _spec_error(
-        f"unknown sweep type {sweep_type!r} (expected cartesian, set, or random)"
-    )
-
-
-# ---------------------------------------------------------------------------
 # run
+
+
+def _plan(args):
+    """The sweep, its ordered parameter sets, and one simulation ID per set."""
+    sweep = load_sweep_spec(args.sweep_file, seed_override=args.seed)
+    sets = sweep.generate()
+    return sweep, sets, list(SequentialNamer(NamerConfig(), len(sets)))
 
 
 def _require_sim_id(pattern: str, what: str):
@@ -209,16 +96,12 @@ def _cmd_run(args) -> int:
     for pattern in args.config:
         _require_sim_id(pattern, "--config")
 
-    sweep = load_sweep_spec(args.sweep_file, seed_override=args.seed)
+    sweep, sets, ids = _plan(args)
+    names = list(sets[0])
     template_sources = [
         Path(t).read_text(encoding="utf-8") for t in args.template
     ]
     template_placeholders = [extract_placeholders(s) for s in template_sources]
-
-    sets = sweep.generate()
-    names = list(sets[0])
-    namer = make_namer(NamerConfig(), total=len(sets))
-    ids = list(namer)
 
     # every placeholder anywhere must be fillable, before anything is written
     allowed = set(names) | {"sim_id"}
@@ -238,15 +121,14 @@ def _cmd_run(args) -> int:
             raise SweepRunError(message)
         print(f"warning: {message}", file=sys.stderr)
 
-    # two-phase: render everything in memory, check conflicts, then write
-    rendered: list[tuple[Path, str]] = []
-    for params, sim_id in zip(sets, ids):
-        for pattern, source in zip(args.config, template_sources):
-            config_path = Path(render(pattern, params, sim_id))
-            rendered.append((config_path, render(source, params, sim_id)))
-
+    # the checks above prove every render succeeds, so conflicts are checked
+    # on the paths alone and each config is rendered as it is written
+    config_paths = [
+        [Path(render(pattern, params, sim_id)) for pattern in args.config]
+        for params, sim_id in zip(sets, ids)
+    ]
     mapping_path = Path(args.mapping_out) if args.mapping_out else Path(f"{args.name}_mapping.json")
-    targets = [path for path, _text in rendered] + [mapping_path]
+    targets = [path for paths in config_paths for path in paths] + [mapping_path]
     if args.dispatcher in ("slurm", "pbs"):
         targets += [batch_script_path(Path.cwd(), args.name, sim_id) for sim_id in ids]
     if not args.overwrite:
@@ -254,13 +136,14 @@ def _cmd_run(args) -> int:
         if existing:
             raise OutputConflictError(existing)
 
-    for path, text in rendered:
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    for params, sim_id, paths in zip(sets, ids, config_paths):
+        for path, source in zip(paths, template_sources):
+            if path.parent != Path("."):
+                path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(render(source, params, sim_id), encoding="utf-8")
     mapping = build_mapping(sweep, sets, ids, sweep_name=args.name)
     mapping_path.write_text(serialize(mapping), encoding="utf-8")
-    print(f"wrote {len(rendered)} config file(s) and mapping {mapping_path}")
+    print(f"wrote {len(sets) * len(args.config)} config file(s) and mapping {mapping_path}")
 
     workdir = Path.cwd()
     jobs = [
@@ -306,14 +189,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preview(args) -> int:
-    sweep = load_sweep_spec(args.sweep_file, seed_override=args.seed)
-    sets = sweep.generate()
+    sweep, sets, ids = _plan(args)
     names = list(sets[0])
-    namer = make_namer(NamerConfig(), total=len(sets))
-    ids = list(namer)
     print(f"{sweep.kind}, {len(names)} parameter(s) ({', '.join(names)}), {len(sets)} simulation(s)")
     shown = min(args.limit, len(sets))
-    for sim_id, params in list(zip(ids, sets))[:shown]:
+    for sim_id, params in zip(ids[:shown], sets):
         rendered = ", ".join(f"{k}={format_value(v)}" for k, v in params.items())
         print(f"  {sim_id}: {rendered}")
     if shown < len(sets):
@@ -385,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sweep-file", required=True, metavar="FILE", help="JSON sweep spec")
     run.add_argument("--name", default="sweep", help="sweep name used in output filenames")
     run.add_argument("--dispatcher", choices=DISPATCHER_KINDS, default="local")
-    run.add_argument("--max-parallel", type=int, metavar="N", help="local pool size (default: CPU count)")
+    run.add_argument("--max-parallel", type=int, metavar="N", help="local pool size (default: usable CPUs)")
     run.add_argument("--seed", type=int, help="override the sweep file's random seed")
     run.add_argument("--strict", action="store_true", help="unused parameters become errors")
     run.add_argument("--overwrite", action="store_true", help="replace files from a previous sweep")
@@ -426,21 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SchedulerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SweepRunError, ValueError, OSError) as exc:
+    except (_UsageError, SweepRunError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,14 +4,16 @@ Each simulation is expected to leave one output file whose first
 whitespace-delimited token is a number (the output pattern names the file,
 e.g. ``results_{sim_id}.txt``). Harvesting keys values by simulation ID, so
 results are identical no matter what order the files were written in.
-Missing or unparseable outputs become explicit gaps plus a report entry
-instead of aborting; a long sweep with one dead job stays salvageable.
+Missing, unparseable or non-finite (``nan``, ``inf``) outputs become
+explicit gaps plus a report entry instead of aborting; a long sweep with
+one dead or diverged job stays salvageable.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +35,7 @@ class CollectedScalars:
     """Harvested values with the same shape/keys as the source mapping.
 
     `values` maps sim_id to the parsed number, or None where the output was
-    missing or unreadable (those IDs also appear in `issues`).
+    missing, unreadable or not finite (those IDs also appear in `issues`).
     """
 
     mapping: Mapping
@@ -85,9 +87,14 @@ def collect_scalars(mapping: Mapping, output_pattern: str) -> CollectedScalars:
             record_issue(sim_id, path, "output file is empty")
             continue
         try:
-            values[sim_id] = float(tokens[0])
+            value = float(tokens[0])
         except ValueError:
             record_issue(sim_id, path, f"first token {tokens[0]!r} is not a number")
+            continue
+        if math.isfinite(value):
+            values[sim_id] = value
+        else:
+            record_issue(sim_id, path, f"first token {tokens[0]!r} is not a finite number")
     return CollectedScalars(mapping=mapping, values=values, issues=tuple(issues))
 
 

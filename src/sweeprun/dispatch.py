@@ -49,7 +49,6 @@ class JobSpec:
     sim_id: str
     command: str
     workdir: Path
-    script_path: Path | None = None
 
     def __post_init__(self):
         if not self.command:
@@ -104,9 +103,8 @@ class JobRecord:
 @dataclass(frozen=True)
 class DispatcherConfig:
     kind: str = "local"
-    max_parallel: int | None = None  # local; defaults to the logical CPU count
+    max_parallel: int | None = None  # local; defaults to the CPUs this process may use
     submit_command: str | None = None  # default sbatch (slurm) / qsub (pbs)
-    submit_only: bool = True  # submission never waits in this version
     scheduler_directives: tuple[str, ...] = ()
     overwrite: bool = False
     sweep_name: str = "sweep"
@@ -122,7 +120,11 @@ class DispatcherConfig:
 
     @property
     def resolved_max_parallel(self) -> int:
-        return self.max_parallel if self.max_parallel is not None else (os.cpu_count() or 1)
+        if self.max_parallel is not None:
+            return self.max_parallel
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
     @property
     def resolved_submit_command(self) -> str:
@@ -131,9 +133,9 @@ class DispatcherConfig:
         return {"slurm": "sbatch", "pbs": "qsub"}.get(self.kind, "")
 
 
-def render_batch_script(job: JobSpec, config: DispatcherConfig, sweep_name: str) -> str:
+def render_batch_script(job: JobSpec, config: DispatcherConfig) -> str:
     """Batch script text for one job (slurm or pbs), deterministic."""
-    tag = f"{sweep_name}_{job.sim_id}"
+    tag = f"{config.sweep_name}_{job.sim_id}"
     if config.kind == "slurm":
         header = [f"#SBATCH --job-name={tag}", f"#SBATCH --output={tag}.out"]
         header += [f"#SBATCH {d}" for d in config.scheduler_directives]
@@ -187,10 +189,6 @@ def _run_local_job(job: JobSpec, config: DispatcherConfig) -> JobRecord:
     )
 
 
-def _dry_records(jobs: Sequence[JobSpec]) -> list[JobRecord]:
-    return [JobRecord(sim_id=j.sim_id, command=j.command, status="dry_run") for j in jobs]
-
-
 def _parse_scheduler_job_id(stdout: str) -> str | None:
     for token in stdout.split():
         if any(ch.isdigit() for ch in token):
@@ -202,12 +200,10 @@ def _dispatch_scheduler(jobs: Sequence[JobSpec], config: DispatcherConfig) -> li
     records: list[JobRecord] = []
     submit = config.resolved_submit_command
     for job in jobs:
-        script_path = job.script_path or batch_script_path(
-            job.workdir, config.sweep_name, job.sim_id
-        )
+        script_path = batch_script_path(job.workdir, config.sweep_name, job.sim_id)
         if script_path.exists() and not config.overwrite:
             raise OutputConflictError([script_path])
-        script_path.write_text(render_batch_script(job, config, config.sweep_name), encoding="utf-8")
+        script_path.write_text(render_batch_script(job, config), encoding="utf-8")
         if config.dry_run:
             records.append(JobRecord(sim_id=job.sim_id, command=job.command, status="dry_run"))
             continue
@@ -253,12 +249,10 @@ def dispatch_all(jobs: Sequence[JobSpec], config: DispatcherConfig) -> list[JobR
     ids = [j.sim_id for j in jobs]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate sim_ids in job list")
-    if config.kind == "dry":
-        return _dry_records(jobs)
     if config.kind in ("slurm", "pbs"):
         return _dispatch_scheduler(jobs, config)
-    if config.dry_run:
-        return _dry_records(jobs)
+    if config.kind == "dry" or config.dry_run:
+        return [JobRecord(sim_id=j.sim_id, command=j.command, status="dry_run") for j in jobs]
     with ThreadPoolExecutor(max_workers=config.resolved_max_parallel) as pool:
         futures = [pool.submit(_run_local_job, job, config) for job in jobs]
         return [f.result() for f in futures]

@@ -14,6 +14,11 @@ real when mixed; ``/`` is real division. Comparisons order numbers
 numerically and text by byte order; ``==``/``!=`` work between two numbers
 (``2 == 2.0`` is true) or two texts, never across. ``and``/``or``
 short-circuit left to right and require boolean operands.
+
+Depth: the syntax tree may be at most MAX_DEPTH levels deep (a leaf is one
+level, each operator above it one more), and parentheses may nest at most
+MAX_DEPTH levels; deeper filters are syntax errors, so parsing and
+evaluation stay within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ class Binary:
 
 FilterExpr = Union[NumberLit, TextLit, Var, Unary, Binary]
 
+MAX_DEPTH = 64
+
 _KEYWORDS = frozenset({"and", "or", "not"})
 _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -92,7 +99,7 @@ class _Token:
 
 
 def _byte_offset(source: str, pos: int) -> int:
-    return len(source[:pos].encode("utf-8"))
+    return len(source[:pos].encode("utf-8", "surrogatepass"))
 
 
 def _syntax_error(source: str, pos: int, message: str) -> FilterSyntaxError:
@@ -139,11 +146,20 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
+def _height(expr: FilterExpr) -> int:
+    if isinstance(expr, Unary):
+        return 1 + _height(expr.operand)
+    if isinstance(expr, Binary):
+        return 1 + max(_height(expr.left), _height(expr.right))
+    return 1
+
+
 class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.parens = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -157,6 +173,15 @@ class _Parser:
         found = "end of input" if token.kind == "end" else repr(token.text)
         return _syntax_error(self.source, token.pos, f"expected {expected}, found {found}")
 
+    def too_deep(self, token: _Token) -> FilterSyntaxError:
+        return _syntax_error(self.source, token.pos, f"filter nests deeper than {MAX_DEPTH} levels")
+
+    def node(self, token: _Token, expr: FilterExpr) -> FilterExpr:
+        """`expr`, built at operator `token`, unless it is deeper than MAX_DEPTH."""
+        if _height(expr) > MAX_DEPTH:
+            raise self.too_deep(token)
+        return expr
+
     def parse(self) -> FilterExpr:
         expr = self.parse_or()
         token = self.peek()
@@ -167,22 +192,25 @@ class _Parser:
     def parse_or(self) -> FilterExpr:
         expr = self.parse_and()
         while self.peek().kind == "ident" and self.peek().text == "or":
-            self.advance()
-            expr = Binary("or", expr, self.parse_and())
+            token = self.advance()
+            expr = self.node(token, Binary("or", expr, self.parse_and()))
         return expr
 
     def parse_and(self) -> FilterExpr:
         expr = self.parse_not()
         while self.peek().kind == "ident" and self.peek().text == "and":
-            self.advance()
-            expr = Binary("and", expr, self.parse_not())
+            token = self.advance()
+            expr = self.node(token, Binary("and", expr, self.parse_not()))
         return expr
 
     def parse_not(self) -> FilterExpr:
-        if self.peek().kind == "ident" and self.peek().text == "not":
-            self.advance()
-            return Unary("not", self.parse_not())
-        return self.parse_comparison()
+        nots = []
+        while self.peek().kind == "ident" and self.peek().text == "not":
+            nots.append(self.advance())
+        expr = self.parse_comparison()
+        for token in reversed(nots):
+            expr = self.node(token, Unary("not", expr))
+        return expr
 
     def parse_comparison(self) -> FilterExpr:
         left = self.parse_additive()
@@ -195,29 +223,31 @@ class _Parser:
                 raise _syntax_error(
                     self.source, again.pos, "chained comparisons are not supported"
                 )
-            return Binary(_CMP_OPS[token.text], left, right)
+            return self.node(token, Binary(_CMP_OPS[token.text], left, right))
         return left
 
     def parse_additive(self) -> FilterExpr:
         expr = self.parse_multiplicative()
         while self.peek().kind == "op" and self.peek().text in _ADD_OPS:
-            op = self.advance().text
-            expr = Binary(_ADD_OPS[op], expr, self.parse_multiplicative())
+            token = self.advance()
+            expr = self.node(token, Binary(_ADD_OPS[token.text], expr, self.parse_multiplicative()))
         return expr
 
     def parse_multiplicative(self) -> FilterExpr:
         expr = self.parse_unary()
         while self.peek().kind == "op" and self.peek().text in _MUL_OPS:
-            op = self.advance().text
-            expr = Binary(_MUL_OPS[op], expr, self.parse_unary())
+            token = self.advance()
+            expr = self.node(token, Binary(_MUL_OPS[token.text], expr, self.parse_unary()))
         return expr
 
     def parse_unary(self) -> FilterExpr:
-        token = self.peek()
-        if token.kind == "op" and token.text == "-":
-            self.advance()
-            return Unary("neg", self.parse_unary())
-        return self.parse_atom()
+        minuses = []
+        while self.peek().kind == "op" and self.peek().text == "-":
+            minuses.append(self.advance())
+        expr = self.parse_atom()
+        for token in reversed(minuses):
+            expr = self.node(token, Unary("neg", expr))
+        return expr
 
     def parse_atom(self) -> FilterExpr:
         token = self.advance()
@@ -225,7 +255,10 @@ class _Parser:
             text = token.text
             if "." in text or "e" in text or "E" in text:
                 return NumberLit(float(text))
-            return NumberLit(int(text))
+            try:
+                return NumberLit(int(text))
+            except ValueError:  # longer than Python's integer-to-text limit
+                raise _syntax_error(self.source, token.pos, "integer literal is too long") from None
         if token.kind == "text":
             return TextLit(token.text)
         if token.kind == "ident":
@@ -233,7 +266,11 @@ class _Parser:
                 raise self.error(token, "a value")
             return Var(token.text)
         if token.kind == "op" and token.text == "(":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise self.too_deep(token)
             expr = self.parse_or()
+            self.parens -= 1
             closing = self.advance()
             if not (closing.kind == "op" and closing.text == ")"):
                 raise self.error(closing, "')'")
@@ -352,14 +389,17 @@ def _eval(node: FilterExpr, env: Mapping[str, int | float | str]):
     # arithmetic
     if not (_is_number(left) and _is_number(right)):
         raise FilterTypeError(f"cannot apply arithmetic to {_kind_name(left)} and {_kind_name(right)}")
-    if op == "add":
-        return left + right
-    if op == "sub":
-        return left - right
-    if op == "mul":
-        return left * right
-    if op == "div":
-        if right == 0:
-            raise FilterArithmeticError("division by zero")
-        return left / right
+    try:
+        if op == "add":
+            return left + right
+        if op == "sub":
+            return left - right
+        if op == "mul":
+            return left * right
+        if op == "div":
+            if right == 0:
+                raise FilterArithmeticError("division by zero")
+            return left / right
+    except OverflowError as exc:  # an integer too large to mix with reals
+        raise FilterArithmeticError(str(exc)) from None
     raise AssertionError(f"unknown operator {op!r}")

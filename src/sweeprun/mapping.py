@@ -39,7 +39,6 @@ __all__ = [
     "build_mapping",
     "serialize",
     "deserialize",
-    "write_mapping",
     "read_mapping",
 ]
 
@@ -340,10 +339,6 @@ def deserialize(text: str) -> Mapping:
             raise MappingFormatError(str(exc)) from exc
 
     raise MappingFormatError(f"unknown mapping kind {kind!r}")
-
-
-def write_mapping(mapping: Mapping, path: Path | str) -> None:
-    Path(path).write_text(serialize(mapping), encoding="utf-8")
 
 
 def read_mapping(path: Path | str) -> Mapping:

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .errors import NamerExhaustedError
 
-__all__ = ["NamerConfig", "SequentialNamer", "make_namer"]
+__all__ = ["NamerConfig", "SequentialNamer"]
 
 _PREFIX_RE = re.compile(r"[A-Za-z0-9_.-]*\Z")
 
@@ -61,7 +61,3 @@ class SequentialNamer:
     def __iter__(self) -> Iterator[str]:
         while self._emitted < self.total:
             yield self.next_id()
-
-
-def make_namer(config: NamerConfig, total: int) -> SequentialNamer:
-    return SequentialNamer(config, total)

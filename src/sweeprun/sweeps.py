@@ -54,8 +54,6 @@ __all__ = [
     "SetSweep",
     "RandomSweep",
     "Sweep",
-    "generate",
-    "sweep_length",
 ]
 
 ParamValue = Union[int, float, str]
@@ -418,13 +416,3 @@ class RandomSweep:
 
 
 Sweep = Union[CartesianSweep, FilteredCartesianSweep, SetSweep, RandomSweep]
-
-
-def generate(sweep: Sweep) -> list[ParameterSet]:
-    """Ordered parameter sets for a sweep (see each sweep type for its order)."""
-    return sweep.generate()
-
-
-def sweep_length(sweep: Sweep) -> int:
-    """Number of simulations the sweep will run (0 is possible for filtered sweeps)."""
-    return sweep.length()

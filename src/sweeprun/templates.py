@@ -15,10 +15,10 @@ verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import TemplateSyntaxError, UnfilledPlaceholderError
+from .filters import _byte_offset
 from .sweeps import ParamValue, _IDENTIFIER_RE
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "extract_placeholders",
     "render",
     "unused_parameters",
-    "Template",
 ]
 
 
@@ -42,10 +41,6 @@ def format_value(value: ParamValue) -> str:
     if isinstance(value, str):
         return value
     raise ValueError(f"unsupported value type {type(value).__name__}")
-
-
-def _byte_offset(source: str, pos: int) -> int:
-    return len(source[:pos].encode("utf-8"))
 
 
 def _scan(source: str) -> Iterator[tuple[str, str | None]]:
@@ -118,18 +113,3 @@ def unused_parameters(sources: Iterable[str], names: Iterable[str]) -> list[str]
     for source in sources:
         used.update(extract_placeholders(source))
     return [name for name in names if name not in used]
-
-
-@dataclass(frozen=True)
-class Template:
-    """Template source plus its extracted placeholder list."""
-
-    source: str
-    placeholders: tuple[str, ...]
-
-    @classmethod
-    def from_source(cls, source: str) -> "Template":
-        return cls(source, tuple(extract_placeholders(source)))
-
-    def render(self, params: Mapping[str, ParamValue], sim_id: str) -> str:
-        return render(self.source, params, sim_id)

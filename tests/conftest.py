@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sweeprun.stubmodel import stub_command, write_stub_model
+from stubmodel import stub_command, write_stub_model
 
 # namelist-style template plus its hard-coded original, used by golden tests
 NAMELIST_TEMPLATE = "&params\nbeta = {beta},\nsigma = {sigma},\nrho = {rho}\n/\n"

@@ -42,7 +42,7 @@ if [ ! -f "$cfg" ]; then
 fi
 
 lock() {
-    while ! mkdir "$STUB_COUNTER_DIR/lock" 2>/dev/null; do :; done
+    while ! mkdir "$STUB_COUNTER_DIR/lock" 2>/dev/null; do sleep 0.01; done
 }
 unlock() {
     rmdir "$STUB_COUNTER_DIR/lock"

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import NAMELIST_ORIGINAL, NAMELIST_TEMPLATE, REFERENCE_GRID_SPEC
+from stubmodel import read_high_water, stub_command, write_stub_model
 from sweeprun.cli import main
 from sweeprun.dispatch import DispatcherConfig, JobSpec, dispatch_all
 from sweeprun.errors import EmptySweepError
@@ -25,7 +26,7 @@ from sweeprun.mapping import (
     read_mapping,
     serialize,
 )
-from sweeprun.naming import NamerConfig, make_namer
+from sweeprun.naming import NamerConfig, SequentialNamer
 from sweeprun.sweeps import (
     CartesianSweep,
     Choice,
@@ -39,7 +40,6 @@ from sweeprun.sweeps import (
     linspace,
     values_equal,
 )
-from sweeprun.stubmodel import read_high_water, stub_command, write_stub_model
 from sweeprun.templates import render
 
 
@@ -241,7 +241,7 @@ def test_criterion_5_mapping_bijection_and_round_trip():
     for _ in range(100):
         sweep = _random_sweep(rng)
         sets = sweep.generate()
-        ids = list(make_namer(NamerConfig(), len(sets)))
+        ids = list(SequentialNamer(NamerConfig(), len(sets)))
         mapping = build_mapping(sweep, sets, ids, sweep_name="prop")
         for params in sets:
             round_tripped = mapping.lookup_by_id(mapping.lookup_by_params(params))
@@ -323,7 +323,7 @@ def test_criterion_7_random_sweep_statistics():
             seed=20_26,
         )
         sets = sweep.generate()
-        ids = list(make_namer(NamerConfig(), len(sets)))
+        ids = list(SequentialNamer(NamerConfig(), len(sets)))
         return serialize(build_mapping(sweep, sets, ids, sweep_name="replay"))
 
     assert run_once().encode("utf-8") == run_once().encode("utf-8")

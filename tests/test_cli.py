@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from conftest import NAMELIST_TEMPLATE, REFERENCE_GRID_SPEC
-from sweeprun.cli import load_sweep_spec, main
+from sweeprun.cli import main
+from sweeprun.spec import load_sweep_spec
 from sweeprun.sweeps import Choice, IntegerUniform, LogUniform, Normal, RandomSweep, Uniform
 
 
@@ -117,6 +118,8 @@ class TestSweepSpecLoading:
             {"type": "set", "sets": []},
             {"type": "random", "count": 1, "seed": 0, "distributions": {"x": {"gamma": [1]}}},
             {"type": "random", "count": 1, "seed": 0, "distributions": {"x": {"uniform": [1]}}},
+            {"type": "filtered_cartesian", "parameters": {"x": [1, 2]}, "filter": "x > 1"},
+            {"type": "filtered-cartesian", "parameters": {"x": [1, 2]}, "filter": "x > 1"},
         ],
     )
     def test_bad_specs_rejected(self, workdir, doc):
@@ -197,6 +200,16 @@ class TestRunValidation:
         assert "syntax" in capsys.readouterr().err
         assert not list(workdir.glob("conf_*"))
 
+    def test_too_deep_filter_is_a_clean_error(self, workdir, tiny_setup, capsys):
+        write_json(
+            workdir / "sweep.json",
+            {"type": "cartesian", "parameters": {"a": [1], "b": [1]}, "filter": "not " * 2000 + "a > 0"},
+        )
+        assert main(tiny_setup) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "deeper than 64" in err
+        assert "Traceback" not in err
+
     def test_empty_filtered_sweep_is_an_error(self, workdir, tiny_setup, capsys):
         write_json(
             workdir / "sweep.json",
@@ -268,6 +281,13 @@ class TestRunPipeline:
         assert not (workdir / "tiny_mapping.json").exists()
         assert main(tiny_setup + ["--overwrite"]) == 0
         assert (workdir / "conf_0.txt").read_text() == "a=1 b=10 id=0\n"
+
+    def test_conflict_on_a_later_config_blocks_every_write(self, workdir, tiny_setup):
+        (workdir / "conf_1.txt").write_text("old", encoding="utf-8")
+        assert main(tiny_setup) == 1
+        assert not (workdir / "conf_0.txt").exists()
+        assert (workdir / "conf_1.txt").read_text() == "old"
+        assert not (workdir / "tiny_mapping.json").exists()
 
     def test_failing_job_gives_exit_three_with_all_records(self, workdir):
         write_json(
@@ -389,6 +409,17 @@ class TestCollectCommand:
         assert csv_text == "a,b,value\n1,10,11.0\n2,10,\n"
         report = json.loads((workdir / "tiny_collect_report.json").read_text())
         assert [m["sim_id"] for m in report["missing"]] == ["1"]
+
+    def test_nan_output_exits_four_with_csv_and_report(self, workdir, tiny_setup, stub, capsys):
+        self._run_tiny(workdir, tiny_setup, stub)
+        (workdir / "results_1.txt").write_text("nan\n", encoding="utf-8")
+        assert main(["collect", "tiny_mapping.json"]) == 4
+        csv_text = (workdir / "tiny_results.csv").read_text()
+        assert csv_text == "a,b,value\n1,10,11.0\n2,10,\n"
+        report = json.loads((workdir / "tiny_collect_report.json").read_text())
+        assert report["collected"] == 1
+        assert [m["sim_id"] for m in report["missing"]] == ["1"]
+        assert "1: first token 'nan' is not a finite number" in capsys.readouterr().err
 
     def test_unknown_schema_exits_one(self, workdir, capsys):
         (workdir / "bad.json").write_text('{"schema": "other/1"}', encoding="utf-8")

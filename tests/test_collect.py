@@ -9,7 +9,7 @@ import pytest
 from sweeprun.collect import collect_scalars, export_csv
 from sweeprun.dispatch import DispatcherConfig, JobSpec, dispatch_all
 from sweeprun.mapping import AssociationMapping, CartesianMapping, build_mapping
-from sweeprun.naming import NamerConfig, make_namer
+from sweeprun.naming import NamerConfig, SequentialNamer
 from sweeprun.sweeps import (
     CartesianSweep,
     FilteredCartesianSweep,
@@ -24,7 +24,7 @@ from sweeprun.templates import render
 def grid_mapping(workdir):
     sweep = CartesianSweep({"a": [1, 2], "b": [10]})
     sets = sweep.generate()
-    ids = list(make_namer(NamerConfig(), len(sets)))
+    ids = list(SequentialNamer(NamerConfig(), len(sets)))
     return build_mapping(sweep, sets, ids, sweep_name="demo")
 
 
@@ -63,6 +63,17 @@ def test_unparseable_token_reported(workdir, grid_mapping):
     assert any("empty" in r for r in reasons)
 
 
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_token_reported(workdir, grid_mapping, token):
+    (workdir / "results_0.txt").write_text(f"{token}\n", encoding="utf-8")
+    (workdir / "results_1.txt").write_text("0.5\n", encoding="utf-8")
+    collected = collect_scalars(grid_mapping, "results_{sim_id}.txt")
+    assert collected.values == {"0": None, "1": 0.5}
+    assert [issue.sim_id for issue in collected.issues] == ["0"]
+    assert "not a finite number" in collected.issues[0].reason
+    assert export_csv(collected) == "a,b,value\n1,10,\n2,10,0.5\n"
+
 def test_order_independence(workdir, grid_mapping):
     # values keyed by ID: writing files in any order changes nothing
     for order in ([0, 1], [1, 0]):
@@ -75,7 +86,7 @@ def test_order_independence(workdir, grid_mapping):
 def test_value_at_grid_indexing(workdir):
     sweep = CartesianSweep({"a": [1, 2, 3], "b": [10, 20]})
     sets = sweep.generate()
-    ids = list(make_namer(NamerConfig(), len(sets)))
+    ids = list(SequentialNamer(NamerConfig(), len(sets)))
     mapping = build_mapping(sweep, sets, ids, sweep_name="demo")
     rng = random.Random(1)
     expected = {}
@@ -124,7 +135,7 @@ def test_stub_end_to_end_identity_for_every_sweep_type(workdir, stub, sweep_fact
     _script, command = stub
     sweep = sweep_factory()
     sets = sweep.generate()
-    ids = list(make_namer(NamerConfig(), len(sets)))
+    ids = list(SequentialNamer(NamerConfig(), len(sets)))
     mapping = build_mapping(sweep, sets, ids, sweep_name="e2e")
     for params, sim_id in zip(sets, ids):
         (workdir / f"params_{sim_id}.nml").write_text(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 
 import pytest
 
+from stubmodel import read_high_water
 from sweeprun.dispatch import (
     DispatcherConfig,
     JobRecord,
@@ -16,7 +18,6 @@ from sweeprun.dispatch import (
     render_batch_script,
 )
 from sweeprun.errors import OutputConflictError, SchedulerError
-from sweeprun.stubmodel import read_high_water
 
 
 def _job(sim_id, command, workdir):
@@ -26,7 +27,7 @@ def _job(sim_id, command, workdir):
 class TestBatchScripts:
     def test_slurm_script_bytes(self):
         job = _job("000", "./ocean 000", Path("."))
-        script = render_batch_script(job, DispatcherConfig(kind="slurm"), "ocean")
+        script = render_batch_script(job, DispatcherConfig(kind="slurm", sweep_name="ocean"))
         assert script == (
             "#!/bin/sh\n"
             "#SBATCH --job-name=ocean_000\n"
@@ -37,7 +38,7 @@ class TestBatchScripts:
 
     def test_pbs_script_bytes(self):
         job = _job("000", "./ocean 000", Path("."))
-        script = render_batch_script(job, DispatcherConfig(kind="pbs"), "ocean")
+        script = render_batch_script(job, DispatcherConfig(kind="pbs", sweep_name="ocean"))
         assert script == (
             "#!/bin/sh\n"
             "#PBS -N ocean_000\n"
@@ -48,8 +49,8 @@ class TestBatchScripts:
 
     def test_extra_directive_after_output_line(self):
         job = _job("000", "./ocean 000", Path("."))
-        config = DispatcherConfig(kind="slurm", scheduler_directives=("--time=00:10:00",))
-        script = render_batch_script(job, config, "ocean")
+        config = DispatcherConfig(kind="slurm", scheduler_directives=("--time=00:10:00",), sweep_name="ocean")
+        script = render_batch_script(job, config)
         lines = script.splitlines()
         assert lines[2] == "#SBATCH --output=ocean_000.out"
         assert lines[3] == "#SBATCH --time=00:10:00"
@@ -58,6 +59,22 @@ class TestBatchScripts:
     def test_script_path_convention(self):
         assert batch_script_path(Path("/w"), "ocean", "007") == Path("/w/ocean_007.sh")
 
+
+class TestDefaultParallelism:
+    def test_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert DispatcherConfig().resolved_max_parallel == 1
+
+    @pytest.mark.parametrize("count, expected", [(5, 5), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert DispatcherConfig().resolved_max_parallel == expected
+
+    def test_explicit_value_wins(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert DispatcherConfig(max_parallel=3).resolved_max_parallel == 3
 
 class TestLocalDispatch:
     def test_exit_code_passthrough(self, workdir):

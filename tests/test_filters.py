@@ -57,7 +57,7 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "source",
-        ["x > (", "(x > 1", "x ==", "* 2", "x > 1)", "1 @ 2", "'open", "x AND y", "not"],
+        ["x > (", "(x > 1", "x ==", "* 2", "x > 1)", "1 @ 2", "'open", "x AND y", "not", "'\ud800' @"],
     )
     def test_malformed_sources_rejected(self, source):
         with pytest.raises(FilterSyntaxError):
@@ -93,6 +93,44 @@ class TestParse:
             Binary("gt", Var("a"), NumberLit(0)),
             Binary("and", Binary("gt", Var("b"), NumberLit(0)), Binary("gt", Var("c"), NumberLit(0))),
         )
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(" * 130 + "x" + ")" * 130 + " > 1",
+            "-" * 2000 + "x > 1",
+            "not " * 2000 + "x > 1",
+            " + ".join(["x"] * 1000) + " > 1",
+        ],
+        ids=["parentheses", "minus", "not", "chain"],
+    )
+    def test_deep_filter_is_a_syntax_error(self, source):
+        with pytest.raises(FilterSyntaxError, match="deeper than 64"):
+            parse(source)
+
+    def test_filters_at_the_limit_parse_and_evaluate(self):
+        nested = "(" * 64 + "x > 1" + ")" * 64
+        chain = " + ".join(["x"] * 63) + " > 1"  # 62 additions, a comparison and a leaf
+        for source in (nested, chain):
+            assert evaluate(parse(source), {"x": 2}) is True
+
+    def test_one_level_past_the_limit_is_rejected(self):
+        for source in ("(" * 65 + "x > 1" + ")" * 65, " + ".join(["x"] * 64) + " > 1"):
+            with pytest.raises(FilterSyntaxError, match="deeper than 64"):
+                parse(source)
+
+
+class TestNumericLimits:
+    def test_overlong_integer_literal_is_a_syntax_error(self):
+        with pytest.raises(FilterSyntaxError):
+            parse("1" * 5000 + " > 1")
+
+    @pytest.mark.parametrize("source", ["x / 3 > 1", "x + 0.5 > 1"])
+    def test_integer_too_large_for_a_real_is_an_arithmetic_error(self, source):
+        with pytest.raises(FilterArithmeticError):
+            evaluate(parse(source), {"x": 10**400})
 
 
 class TestFreeVariables:

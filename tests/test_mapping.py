@@ -15,7 +15,7 @@ from sweeprun.mapping import (
     deserialize,
     serialize,
 )
-from sweeprun.naming import NamerConfig, make_namer
+from sweeprun.naming import NamerConfig, SequentialNamer
 from sweeprun.sweeps import (
     CartesianSweep,
     Choice,
@@ -33,7 +33,7 @@ from sweeprun.sweeps import (
 
 def _mapping_for(sweep, name="sweep"):
     sets = sweep.generate()
-    ids = list(make_namer(NamerConfig(), len(sets)))
+    ids = list(SequentialNamer(NamerConfig(), len(sets)))
     return build_mapping(sweep, sets, ids, sweep_name=name), sets, ids
 
 
@@ -258,7 +258,7 @@ def test_bijection_and_round_trip_over_randomized_sweeps():
     for _ in range(100):
         sweep = _random_sweep(rng)
         sets = sweep.generate()
-        ids = list(make_namer(NamerConfig(), len(sets)))
+        ids = list(SequentialNamer(NamerConfig(), len(sets)))
         mapping = build_mapping(sweep, sets, ids, sweep_name="prop")
         for params, sim_id in zip(sets, ids):
             found_id = mapping.lookup_by_params(params)

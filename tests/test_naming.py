@@ -8,13 +8,13 @@ import re
 import pytest
 
 from sweeprun.errors import NamerExhaustedError
-from sweeprun.naming import NamerConfig, SequentialNamer, make_namer
+from sweeprun.naming import NamerConfig, SequentialNamer
 
 ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
 
 def test_three_hundred_ids_are_three_digits():
-    ids = list(make_namer(NamerConfig(), 300))
+    ids = list(SequentialNamer(NamerConfig(), 300))
     assert ids[0] == "000"
     assert ids[1] == "001"
     assert ids[-1] == "299"
@@ -22,25 +22,25 @@ def test_three_hundred_ids_are_three_digits():
 
 
 def test_ten_ids_are_single_digits():
-    assert list(make_namer(NamerConfig(), 10)) == [str(i) for i in range(10)]
+    assert list(SequentialNamer(NamerConfig(), 10)) == [str(i) for i in range(10)]
 
 
 def test_prefix():
-    assert list(make_namer(NamerConfig(prefix="run_"), 2)) == ["run_0", "run_1"]
+    assert list(SequentialNamer(NamerConfig(prefix="run_"), 2)) == ["run_0", "run_1"]
 
 
 def test_start_index_widens_padding():
-    ids = list(make_namer(NamerConfig(start_index=95), 10))
+    ids = list(SequentialNamer(NamerConfig(start_index=95), 10))
     assert ids[0] == "095"
     assert ids[-1] == "104"
 
 
 def test_min_width_floor():
-    assert list(make_namer(NamerConfig(min_width=4), 2)) == ["0000", "0001"]
+    assert list(SequentialNamer(NamerConfig(min_width=4), 2)) == ["0000", "0001"]
 
 
 def test_next_id_past_total_raises():
-    namer = make_namer(NamerConfig(), 2)
+    namer = SequentialNamer(NamerConfig(), 2)
     namer.next_id()
     namer.next_id()
     with pytest.raises(NamerExhaustedError):
@@ -48,7 +48,7 @@ def test_next_id_past_total_raises():
 
 
 def test_iteration_stops_at_total():
-    assert len(list(make_namer(NamerConfig(), 7))) == 7
+    assert len(list(SequentialNamer(NamerConfig(), 7))) == 7
 
 
 def test_uniqueness_equal_length_and_charset():
@@ -69,7 +69,7 @@ def test_uniqueness_equal_length_and_charset():
 
 def test_determinism():
     config = NamerConfig(start_index=7, min_width=2, prefix="s")
-    assert list(make_namer(config, 20)) == list(make_namer(config, 20))
+    assert list(SequentialNamer(config, 20)) == list(SequentialNamer(config, 20))
 
 
 @pytest.mark.parametrize(
@@ -83,4 +83,4 @@ def test_invalid_config_rejected(kwargs):
 
 def test_total_must_be_positive():
     with pytest.raises(ValueError):
-        make_namer(NamerConfig(), 0)
+        SequentialNamer(NamerConfig(), 0)

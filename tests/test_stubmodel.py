@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from sweeprun.stubmodel import read_high_water, stub_command, write_stub_model
+from stubmodel import read_high_water, stub_command, write_stub_model
 
 
 def _run(command, sim_id, **kwargs):

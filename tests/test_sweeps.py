@@ -19,9 +19,7 @@ from sweeprun.sweeps import (
     SetSweep,
     Uniform,
     check_parameter_value,
-    generate,
     linspace,
-    sweep_length,
     validate_parameter_set,
     values_equal,
 )
@@ -90,20 +88,20 @@ class TestParameterValues:
 class TestCartesian:
     def test_two_by_one(self):
         sweep = CartesianSweep({"a": [1, 2], "b": [10]})
-        assert generate(sweep) == [{"a": 1, "b": 10}, {"a": 2, "b": 10}]
+        assert sweep.generate() == [{"a": 1, "b": 10}, {"a": 2, "b": 10}]
 
     def test_reference_grid_count_and_first_set(self):
         sweep = CartesianSweep(
             {"beta": linspace(2, 4, 3), "sigma": linspace(2, 20, 10), "rho": linspace(2, 30, 10)}
         )
-        assert sweep_length(sweep) == 300
-        sets = generate(sweep)
+        assert sweep.length() == 300
+        sets = sweep.generate()
         assert len(sets) == 300
         assert sets[0] == {"beta": 2.0, "sigma": 2.0, "rho": 2.0}
 
     def test_last_parameter_varies_fastest(self):
         sweep = CartesianSweep({"a": [1, 2], "b": ["x", "y", "z"]})
-        sets = generate(sweep)
+        sets = sweep.generate()
         assert [s["b"] for s in sets[:3]] == ["x", "y", "z"]
         assert [s["a"] for s in sets] == [1, 1, 1, 2, 2, 2]
 
@@ -115,7 +113,7 @@ class TestCartesian:
             for b in grids["b"]:
                 for c in grids["c"]:
                     expected.append({"a": a, "b": b, "c": c})
-        assert generate(CartesianSweep(grids)) == expected
+        assert CartesianSweep(grids).generate() == expected
 
     def test_every_combination_appears_exactly_once(self):
         rng = random.Random(7)
@@ -124,20 +122,20 @@ class TestCartesian:
                 name: rng.sample(range(100), rng.randint(1, 5))
                 for name in ["p", "q", "r"][: rng.randint(1, 3)]
             }
-            sets = generate(CartesianSweep(grids))
+            sets = CartesianSweep(grids).generate()
             assert len(sets) == math.prod(len(v) for v in grids.values())
             seen = {tuple(s.items()) for s in sets}
             assert len(seen) == len(sets)
 
     def test_name_order_matches_declaration(self):
         sweep = CartesianSweep({"z": [1], "a": [2], "m": [3]})
-        assert list(generate(sweep)[0]) == ["z", "a", "m"]
+        assert list(sweep.generate()[0]) == ["z", "a", "m"]
 
     def test_repeated_calls_identical_and_input_unmutated(self):
         values = {"a": [1, 2], "b": [3]}
         sweep = CartesianSweep(values)
-        first = generate(sweep)
-        assert generate(sweep) == first
+        first = sweep.generate()
+        assert sweep.generate() == first
         assert values == {"a": [1, 2], "b": [3]}
 
     def test_empty_parameter_map_rejected(self):
@@ -152,23 +150,23 @@ class TestCartesian:
 class TestFilteredCartesian:
     def test_single_survivor(self):
         sweep = FilteredCartesianSweep({"x": [1, 2], "y": [1, 2]}, filter="x > y")
-        assert sweep_length(sweep) == 1
-        assert generate(sweep) == [{"x": 2, "y": 1}]
+        assert sweep.length() == 1
+        assert sweep.generate() == [{"x": 2, "y": 1}]
 
     def test_equals_enumerate_then_filter(self):
         grid = {"x": [1, 2, 3], "y": [1, 2, 3]}
         sweep = FilteredCartesianSweep(grid, filter="x + y > 3")
         from sweeprun.filters import evaluate, parse
 
-        everything = generate(CartesianSweep(grid))
+        everything = CartesianSweep(grid).generate()
         expected = [s for s in everything if evaluate(parse("x + y > 3"), s)]
-        assert generate(sweep) == expected
+        assert sweep.generate() == expected
 
     def test_all_rejected_is_an_error(self):
         sweep = FilteredCartesianSweep({"x": [1, 2]}, filter="x > 99")
-        assert sweep_length(sweep) == 0
+        assert sweep.length() == 0
         with pytest.raises(EmptySweepError):
-            generate(sweep)
+            sweep.generate()
 
     def test_undeclared_filter_variable_rejected(self):
         with pytest.raises(ValueError, match="undeclared"):
@@ -179,11 +177,11 @@ class TestSetSweep:
     def test_sets_verbatim_in_order(self):
         sets = [{"x": 2, "y": 1}, {"x": 1, "y": 2}]
         sweep = SetSweep(sets)
-        assert sweep_length(sweep) == 2
-        assert generate(sweep) == sets
+        assert sweep.length() == 2
+        assert sweep.generate() == sets
 
     def test_singleton(self):
-        assert sweep_length(SetSweep([{"x": 1}])) == 1
+        assert SetSweep([{"x": 1}]).length() == 1
 
     def test_heterogeneous_names_rejected(self):
         with pytest.raises(ValueError, match="name sequence"):
@@ -199,7 +197,7 @@ class TestSetSweep:
 class TestRandomSweep:
     def test_uniform_bounds(self):
         sweep = RandomSweep(count=5, distributions={"x": Uniform(0, 1)}, seed=42)
-        sets = generate(sweep)
+        sets = sweep.generate()
         assert len(sets) == 5
         assert all(0 <= s["x"] < 1 for s in sets)
 
@@ -217,8 +215,8 @@ class TestRandomSweep:
                 seed=20260809,
             )
 
-        first = generate(build())
-        second = generate(build())
+        first = build().generate()
+        second = build().generate()
         assert first == second
         for a, b in zip(first, second):
             for name in a:
@@ -228,13 +226,13 @@ class TestRandomSweep:
         outputs = []
         for seed in (1, 2, 3):
             sweep = RandomSweep(count=10, distributions={"x": Uniform(0, 1)}, seed=seed)
-            outputs.append(tuple(s["x"] for s in generate(sweep)))
+            outputs.append(tuple(s["x"] for s in sweep.generate()))
         assert len(set(outputs)) == 3
 
     def test_log_uniform_bounds_and_log_uniformity(self):
         low, high = 0.001, 10.0
         sweep = RandomSweep(count=10_000, distributions={"x": LogUniform(low, high)}, seed=99)
-        samples = [s["x"] for s in generate(sweep)]
+        samples = [s["x"] for s in sweep.generate()]
         assert all(low <= x < high for x in samples)
         # KS statistic of log(samples) against the uniform CDF on [log low, log high)
         logs = sorted(math.log(x) for x in samples)
@@ -248,19 +246,19 @@ class TestRandomSweep:
 
     def test_integer_uniform_bounds(self):
         sweep = RandomSweep(count=2000, distributions={"n": IntegerUniform(-3, 4)}, seed=5)
-        samples = [s["n"] for s in generate(sweep)]
+        samples = [s["n"] for s in sweep.generate()]
         assert all(isinstance(v, int) and -3 <= v <= 4 for v in samples)
         assert set(samples) == set(range(-3, 5))  # every value reachable at this size
 
     def test_choice_members_only(self):
         options = ["fast", 3, 2.5]
         sweep = RandomSweep(count=500, distributions={"c": Choice(options)}, seed=8)
-        samples = [s["c"] for s in generate(sweep)]
+        samples = [s["c"] for s in sweep.generate()]
         assert all(any(values_equal(v, o) for o in options) for v in samples)
 
     def test_normal_stays_near_mean(self):
         sweep = RandomSweep(count=10_000, distributions={"g": Normal(5, 2)}, seed=11)
-        samples = [s["g"] for s in generate(sweep)]
+        samples = [s["g"] for s in sweep.generate()]
         mean = sum(samples) / len(samples)
         assert abs(mean - 5) < 5 * 2 / math.sqrt(len(samples))
 
@@ -268,7 +266,7 @@ class TestRandomSweep:
         sweep = RandomSweep(
             count=1, distributions={"b": Uniform(0, 1), "a": Uniform(0, 1)}, seed=1
         )
-        assert list(generate(sweep)[0]) == ["b", "a"]
+        assert list(sweep.generate()[0]) == ["b", "a"]
 
     @pytest.mark.parametrize(
         "bad",
@@ -300,4 +298,4 @@ class TestRandomSweep:
 
     def test_int_uniform_single_value_span(self):
         sweep = RandomSweep(count=20, distributions={"n": IntegerUniform(7, 7)}, seed=3)
-        assert all(s["n"] == 7 for s in generate(sweep))
+        assert all(s["n"] == 7 for s in sweep.generate())

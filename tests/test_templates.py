@@ -9,7 +9,6 @@ import pytest
 from conftest import NAMELIST_ORIGINAL, NAMELIST_TEMPLATE
 from sweeprun.errors import TemplateSyntaxError, UnfilledPlaceholderError
 from sweeprun.templates import (
-    Template,
     extract_placeholders,
     format_value,
     render,
@@ -80,11 +79,6 @@ class TestRender:
         source = "id={sim_id}"
         outputs = {render(source, {}, sid) for sid in ("000", "001", "002")}
         assert len(outputs) == 3
-
-    def test_template_class_round_trip(self):
-        template = Template.from_source(NAMELIST_TEMPLATE)
-        assert template.placeholders == ("beta", "sigma", "rho")
-        assert template.render({"beta": 2.67, "sigma": 10, "rho": 28}, "x") == NAMELIST_ORIGINAL
 
 
 class TestFormatValue:
