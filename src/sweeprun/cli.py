@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -51,6 +53,28 @@ class _ArgumentParser(argparse.ArgumentParser):
     # failures, so surface usage problems as exit 1 instead.
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _write_atomic(path: Path, text: str):
+    """Write `text` to a new temporary sibling, then rename it onto `path`, so
+    a process that fails or dies halfway leaves the previous document (or
+    none), never a truncated one. Nothing is fsynced, so an OS crash can still
+    lose the write. A symlink or a special file (such as /dev/stdout) is
+    written in place, as the rename would replace the link or fail. The
+    temporary name ends with the final name."""
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        path.write_text(text, encoding="utf-8")
+        return
+    temporary = path.with_name(f".tmp.{os.urandom(4).hex()}.{path.name}")
+    os.close(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        if path.exists():
+            shutil.copymode(path, temporary)
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +166,7 @@ def _cmd_run(args) -> int:
                 path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(render(source, params, sim_id), encoding="utf-8")
     mapping = build_mapping(sweep, sets, ids, sweep_name=args.name)
-    mapping_path.write_text(serialize(mapping), encoding="utf-8")
+    _write_atomic(mapping_path, serialize(mapping))
     print(f"wrote {len(sets) * len(args.config)} config file(s) and mapping {mapping_path}")
 
     workdir = Path.cwd()
@@ -164,7 +188,7 @@ def _cmd_run(args) -> int:
 
     summary = _build_summary(args.name, args.dispatcher, records)
     summary_path = Path(f"{args.name}_summary.json")
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
 
     counts = summary["counts"]
     if counts["dry_run"]:
@@ -209,7 +233,7 @@ def _cmd_collect(args) -> int:
     mapping = read_mapping(args.mapping_file)
     collected = collect_scalars(mapping, args.output_pattern)
     csv_path = Path(args.csv_out) if args.csv_out else Path(f"{mapping.sweep_name}_results.csv")
-    csv_path.write_text(export_csv(collected), encoding="utf-8")
+    _write_atomic(csv_path, export_csv(collected))
     report = {
         "schema": REPORT_SCHEMA,
         "sweep_name": mapping.sweep_name,
@@ -223,7 +247,7 @@ def _cmd_collect(args) -> int:
     report_path = (
         Path(args.report_out) if args.report_out else Path(f"{mapping.sweep_name}_collect_report.json")
     )
-    report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    _write_atomic(report_path, json.dumps(report, indent=2) + "\n")
     print(f"collected {report['collected']}/{report['total']} value(s) into {csv_path}")
     if collected.issues:
         for issue in collected.issues:

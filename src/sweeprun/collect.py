@@ -59,6 +59,17 @@ class CollectedScalars:
         return self.values[self.mapping.sim_ids[flat]]
 
 
+def _number(token: str) -> float | None:
+    """`token` read as an ASCII decimal number (or nan/inf), else None; float()
+    alone also accepts digit separators (``1_000``) and non-ASCII digits."""
+    if not token.isascii() or "_" in token:
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
 def collect_scalars(mapping: Mapping, output_pattern: str) -> CollectedScalars:
     """Read one scalar per simulation from files named by `output_pattern`.
 
@@ -86,15 +97,15 @@ def collect_scalars(mapping: Mapping, output_pattern: str) -> CollectedScalars:
         if not tokens:
             record_issue(sim_id, path, "output file is empty")
             continue
-        try:
-            value = float(tokens[0])
-        except ValueError:
-            record_issue(sim_id, path, f"first token {tokens[0]!r} is not a number")
+        token = tokens[0]
+        value = _number(token)
+        if value is None:
+            record_issue(sim_id, path, f"first token {token!r} is not a number")
             continue
         if math.isfinite(value):
             values[sim_id] = value
         else:
-            record_issue(sim_id, path, f"first token {tokens[0]!r} is not a finite number")
+            record_issue(sim_id, path, f"first token {token!r} is not a finite number")
     return CollectedScalars(mapping=mapping, values=values, issues=tuple(issues))
 
 

@@ -81,7 +81,7 @@ FilterExpr = Union[NumberLit, TextLit, Var, Unary, Binary]
 MAX_DEPTH = 64
 
 _KEYWORDS = frozenset({"and", "or", "not"})
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
 _ONE_CHAR_OPS = "<>+-*/()"

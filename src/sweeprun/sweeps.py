@@ -261,7 +261,8 @@ class CartesianSweep:
 
     Enumeration is row-major over declaration order: the last declared
     parameter varies fastest. Each generated set's name order equals the
-    declaration order.
+    declaration order. A value list may not repeat a value (compared by
+    kind, so 1 and 1.0 may both appear): every generated set is distinct.
     """
 
     kind = "cartesian"
@@ -275,9 +276,14 @@ class CartesianSweep:
             values = tuple(values)
             if not values:
                 raise ValueError(f"parameter {name!r} has an empty value list")
-            validated[name] = tuple(
-                check_parameter_value(v, where=f"parameter {name!r}") for v in values
-            )
+            seen: set[tuple[type, ParamValue]] = set()
+            for v in values:
+                check_parameter_value(v, where=f"parameter {name!r}")
+                # by kind, as values_equal compares: 1 and 1.0 are distinct values
+                if (type(v), v) in seen:
+                    raise ValueError(f"parameter {name!r} lists {v!r} more than once")
+                seen.add((type(v), v))
+            validated[name] = values
         self.parameters = validated
 
     def __repr__(self):

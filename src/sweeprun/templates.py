@@ -3,7 +3,8 @@
 Placeholders are written ``{name}``; literal braces are escaped as ``{{``
 and ``}}``. Rendering substitutes each placeholder with the formatted
 parameter value (or the simulation ID for ``{sim_id}``) and leaves every
-other byte untouched.
+other byte untouched. Each distinct source is scanned once per process
+into (literal, name) chunks; rendering is one substitution pass over them.
 
 Value formatting: integers print in base 10 with no decimal point; reals
 print as the shortest decimal string that round-trips to the same 64-bit
@@ -14,7 +15,9 @@ verbatim.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from typing import Iterable, Iterator, Mapping
 
 from .errors import TemplateSyntaxError, UnfilledPlaceholderError
@@ -27,6 +30,11 @@ __all__ = [
     "render",
     "unused_parameters",
 ]
+
+# distinct template sources kept compiled; a run uses its templates, the
+# command and the config patterns
+_COMPILED_TEMPLATES = 64
+_BRACE_RE = re.compile(r"[{}]")
 
 
 def format_value(value: ParamValue) -> str:
@@ -45,43 +53,43 @@ def format_value(value: ParamValue) -> str:
 
 def _scan(source: str) -> Iterator[tuple[str, str | None]]:
     """Yield (literal_text, placeholder_name) chunks; name is None for the tail."""
-    i = 0
-    n = len(source)
     literal: list[str] = []
-    while i < n:
-        c = source[i]
-        if c == "{":
-            if source.startswith("{{", i):
-                literal.append("{")
-                i += 2
-                continue
-            j = source.find("}", i + 1)
-            if j == -1:
-                raise TemplateSyntaxError("unclosed placeholder", _byte_offset(source, i))
-            name = source[i + 1 : j]
-            if not _IDENTIFIER_RE.match(name):
-                raise TemplateSyntaxError(
-                    f"invalid placeholder name {name!r}", _byte_offset(source, i)
-                )
-            yield "".join(literal), name
-            literal = []
-            i = j + 1
-        elif c == "}":
-            if source.startswith("}}", i):
-                literal.append("}")
-                i += 2
-                continue
-            raise TemplateSyntaxError("unescaped '}'", _byte_offset(source, i))
-        else:
-            literal.append(c)
-            i += 1
+    i = 0
+    while (m := _BRACE_RE.search(source, i)) is not None:
+        k = m.start()
+        literal.append(source[i:k])
+        brace = source[k]
+        if source.startswith(brace * 2, k):
+            literal.append(brace)
+            i = k + 2
+            continue
+        if brace == "}":
+            raise TemplateSyntaxError("unescaped '}'", _byte_offset(source, k))
+        j = source.find("}", k + 1)
+        if j == -1:
+            raise TemplateSyntaxError("unclosed placeholder", _byte_offset(source, k))
+        name = source[k + 1 : j]
+        if not _IDENTIFIER_RE.match(name):
+            raise TemplateSyntaxError(
+                f"invalid placeholder name {name!r}", _byte_offset(source, k)
+            )
+        yield "".join(literal), name
+        literal = []
+        i = j + 1
+    literal.append(source[i:])
     yield "".join(literal), None
+
+
+@functools.lru_cache(maxsize=_COMPILED_TEMPLATES)
+def _compile(source: str) -> tuple[tuple[str, str | None], ...]:
+    """The chunks of `source`, scanned once per distinct source."""
+    return tuple(_scan(source))
 
 
 def extract_placeholders(source: str) -> list[str]:
     """Placeholder names in first-occurrence order, duplicates collapsed."""
     seen: dict[str, None] = {}
-    for _literal, name in _scan(source):
+    for _literal, name in _compile(source):
         if name is not None and name not in seen:
             seen[name] = None
     return list(seen)
@@ -95,8 +103,13 @@ def render(source: str, params: Mapping[str, ParamValue], sim_id: str) -> str:
     """
     values = {name: format_value(value) for name, value in params.items()}
     values["sim_id"] = sim_id
+    try:
+        chunks: Iterable[tuple[str, str | None]] = _compile(source)
+    except TemplateSyntaxError:
+        # a placeholder with no value before the malformed brace is reported first
+        chunks = _scan(source)
     parts: list[str] = []
-    for literal, name in _scan(source):
+    for literal, name in chunks:
         parts.append(literal)
         if name is None:
             continue

@@ -127,6 +127,15 @@ def _enumerate_grid(names, value_lists):
     return out
 
 
+def _without_repeats(values):
+    """The first of each value, compared by kind: Cartesian value lists may
+    not repeat a value."""
+    kept = {}
+    for value in values:
+        kept.setdefault((type(value), value), value)
+    return list(kept.values())
+
+
 def _random_filter_source(rng: random.Random, names):
     """Random boolean expression in the + - * comparison and/or/not subset.
 
@@ -165,14 +174,21 @@ def test_criterion_3_filtered_oracle_equivalence():
     while checked < 30:
         n_params = rng.randint(1, 3)
         names = ["x", "y", "z"][:n_params]
-        grid = {
+        drawn = {
             name: [
                 rng.choice([rng.randint(-5, 5), round(rng.uniform(-5, 5), 2)])
                 for _ in range(rng.randint(1, 5))
             ]
             for name in names
         }
+        grid = {name: _without_repeats(values) for name, values in drawn.items()}
         source = _random_filter_source(rng, names)
+        repeated = [name for name in names if len(grid[name]) < len(drawn[name])]
+        if repeated:
+            # a drawn repeat is rejected, naming the first such parameter;
+            # the grid without repeats is then checked like any other
+            with pytest.raises(ValueError, match=f"parameter '{repeated[0]}' lists"):
+                FilteredCartesianSweep(drawn, filter=source)
         everything = _enumerate_grid(names, [grid[n] for n in names])
         expected = [s for s in everything if eval(source, {"__builtins__": {}}, dict(s))]
         sweep = FilteredCartesianSweep(grid, filter=source)

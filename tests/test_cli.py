@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -209,6 +211,13 @@ class TestRunValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "deeper than 64" in err
         assert "Traceback" not in err
+
+    def test_duplicate_cartesian_value_is_an_error(self, workdir, tiny_setup, capsys):
+        write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": {"a": [1, 2], "b": [3, 7, 3]}})
+        assert main(tiny_setup) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'b'" in err and "3" in err and "more than once" in err
+        assert sorted(p.name for p in workdir.iterdir()) == sorted(["sweep.json", "template.txt"])
 
     def test_empty_filtered_sweep_is_an_error(self, workdir, tiny_setup, capsys):
         write_json(
@@ -440,6 +449,90 @@ class TestCollectCommand:
         )
         assert (workdir / "out.csv").exists()
         assert (workdir / "report.json").exists()
+
+
+class TestAtomicWrites:
+    """A write that dies halfway leaves the previous complete document, or none."""
+
+    @pytest.fixture
+    def fail_halfway(self, monkeypatch):
+        real_write_text = Path.write_text
+
+        def arm(suffix):
+            def write_text(path, data, *args, **kwargs):
+                if path.name.endswith(suffix):
+                    real_write_text(path, data[: len(data) // 2], *args, **kwargs)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return real_write_text(path, data, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "write_text", write_text)
+
+        return arm
+
+    @pytest.mark.parametrize("suffix", ["_mapping.json", "_summary.json"])
+    def test_run_outputs(self, workdir, tiny_setup, fail_halfway, suffix, capsys):
+        target = workdir / f"tiny{suffix}"
+        fail_halfway(suffix)
+        assert main(tiny_setup) == 1
+        assert not target.exists()
+        fail_halfway("no file has this name")
+        assert main([*tiny_setup, "--overwrite"]) == 0
+        previous = target.read_text(encoding="utf-8")
+        fail_halfway(suffix)
+        assert main([*tiny_setup, "--overwrite"]) == 1
+        assert target.read_text(encoding="utf-8") == previous
+        json.loads(previous)
+        assert not list(workdir.glob(".tmp.*"))
+
+    @pytest.mark.parametrize("suffix", ["_results.csv", "_collect_report.json"])
+    def test_collect_outputs(self, workdir, tiny_setup, fail_halfway, suffix, capsys):
+        assert main(tiny_setup) == 0
+        target = workdir / f"tiny{suffix}"
+        fail_halfway(suffix)
+        assert main(["collect", "tiny_mapping.json"]) == 1
+        assert not target.exists()
+        fail_halfway("no file has this name")
+        assert main(["collect", "tiny_mapping.json"]) == 4
+        previous = target.read_text(encoding="utf-8")
+        fail_halfway(suffix)
+        assert main(["collect", "tiny_mapping.json"]) == 1
+        assert target.read_text(encoding="utf-8") == previous
+        assert not list(workdir.glob(".tmp.*"))
+
+    def test_symlinked_output_is_written_through_the_link(self, workdir, tiny_setup, capsys):
+        assert main(tiny_setup) == 0
+        real = workdir / "kept" / "real.csv"
+        real.parent.mkdir()
+        real.write_text("old\n", encoding="utf-8")
+        real.chmod(0o640)
+        (workdir / "link.csv").symlink_to(real)
+        assert main(["collect", "tiny_mapping.json", "--csv-out", "link.csv"]) == 4
+        assert (workdir / "link.csv").is_symlink()
+        assert real.read_text(encoding="utf-8").startswith("a,b,value\n")
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert not list(real.parent.glob(".tmp.*"))
+
+    def test_special_file_is_written_in_place(self, workdir, tiny_setup, capsys):
+        assert main(tiny_setup) == 0
+        assert main(["collect", "tiny_mapping.json", "--report-out", os.devnull]) == 4
+        assert not list(workdir.glob(".tmp.*"))
+
+    def test_existing_temporary_looking_file_is_left_alone(self, workdir, tiny_setup, capsys):
+        bystander = workdir / ".tmp.tiny_mapping.json"
+        bystander.write_text("mine\n", encoding="utf-8")
+        assert main(tiny_setup) == 0
+        assert bystander.read_text(encoding="utf-8") == "mine\n"
+        json.loads((workdir / "tiny_mapping.json").read_text(encoding="utf-8"))
+
+    def test_existing_file_keeps_its_mode(self, workdir, tiny_setup, capsys):
+        assert main(tiny_setup) == 0
+        csv = workdir / "tiny_results.csv"
+        csv.write_text("old\n", encoding="utf-8")
+        csv.chmod(0o640)
+        assert main(["collect", "tiny_mapping.json"]) == 4
+        assert csv.read_text(encoding="utf-8").startswith("a,b,value\n")
+        assert csv.stat().st_mode & 0o777 == 0o640
+        assert not list(workdir.glob(".tmp.*"))
 
 
 class TestUsage:

@@ -74,6 +74,17 @@ def test_non_finite_token_reported(workdir, grid_mapping, token):
     assert "not a finite number" in collected.issues[0].reason
     assert export_csv(collected) == "a,b,value\n1,10,\n2,10,0.5\n"
 
+@pytest.mark.parametrize("token", ["1_000", "\u0663", "\uff11.5", "1_0.5e1_0"])
+def test_only_ascii_decimal_tokens_are_numbers(workdir, grid_mapping, token):
+    # float() reads digit separators and non-ASCII digits; a collected value must not
+    (workdir / "results_0.txt").write_text(f"{token}\n", encoding="utf-8")
+    (workdir / "results_1.txt").write_text("+1.5e3\n", encoding="utf-8")
+    collected = collect_scalars(grid_mapping, "results_{sim_id}.txt")
+    assert collected.values == {"0": None, "1": 1500.0}
+    assert [issue.sim_id for issue in collected.issues] == ["0"]
+    assert "is not a number" in collected.issues[0].reason
+
+
 def test_order_independence(workdir, grid_mapping):
     # values keyed by ID: writing files in any order changes nothing
     for order in ([0, 1], [1, 0]):

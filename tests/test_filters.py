@@ -57,7 +57,10 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "source",
-        ["x > (", "(x > 1", "x ==", "* 2", "x > 1)", "1 @ 2", "'open", "x AND y", "not", "'\ud800' @"],
+        [
+            "x > (", "(x > 1", "x ==", "* 2", "x > 1)", "1 @ 2", "'open", "x AND y", "not",
+            "'\ud800' @", "x == \u0663", "x > 1\u0663", "x == \uff12.5",
+        ],
     )
     def test_malformed_sources_rejected(self, source):
         with pytest.raises(FilterSyntaxError):

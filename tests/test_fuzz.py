@@ -1,14 +1,17 @@
 """Fuzzing: the filter language and the template scanner reject any input
-with sweeprun's own errors, never with a Python exception."""
+with sweeprun's own errors, never with a Python exception; the compiled
+template renderer agrees with a character-by-character reference."""
 
 from __future__ import annotations
+
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweeprun.errors import SweepRunError
+from sweeprun.errors import SweepRunError, TemplateSyntaxError, UnfilledPlaceholderError
 from sweeprun.filters import evaluate, parse
-from sweeprun.templates import extract_placeholders, render
+from sweeprun.templates import extract_placeholders, format_value, render
 
 BIG = "1" + "0" * 400  # an integer literal too large for a 64-bit real
 FILTER_TOKENS = [
@@ -46,3 +49,101 @@ def test_template_scanning_any_text(source):
         render(source, {"a": 1, "b": 2.5}, "007")
     except SweepRunError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# reference renderer: one character at a time, scanning lazily as it renders
+
+_REFERENCE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+
+def _reference_offset(source, i):
+    return len(source[:i].encode("utf-8", "surrogatepass"))
+
+
+def _reference_scan(source):
+    i = 0
+    n = len(source)
+    literal = []
+    while i < n:
+        c = source[i]
+        if c == "{":
+            if source.startswith("{{", i):
+                literal.append("{")
+                i += 2
+                continue
+            j = source.find("}", i + 1)
+            if j == -1:
+                raise TemplateSyntaxError("unclosed placeholder", _reference_offset(source, i))
+            name = source[i + 1 : j]
+            if not _REFERENCE_NAME_RE.match(name):
+                raise TemplateSyntaxError(
+                    f"invalid placeholder name {name!r}", _reference_offset(source, i)
+                )
+            yield "".join(literal), name
+            literal = []
+            i = j + 1
+        elif c == "}":
+            if source.startswith("}}", i):
+                literal.append("}")
+                i += 2
+                continue
+            raise TemplateSyntaxError("unescaped '}'", _reference_offset(source, i))
+        else:
+            literal.append(c)
+            i += 1
+    yield "".join(literal), None
+
+
+def _reference_placeholders(source):
+    seen = {}
+    for _literal, name in _reference_scan(source):
+        if name is not None and name not in seen:
+            seen[name] = None
+    return list(seen)
+
+
+def _reference_render(source, params, sim_id):
+    values = {name: format_value(value) for name, value in params.items()}
+    values["sim_id"] = sim_id
+    parts = []
+    for literal, name in _reference_scan(source):
+        parts.append(literal)
+        if name is None:
+            continue
+        try:
+            parts.append(values[name])
+        except KeyError:
+            raise UnfilledPlaceholderError(name) from None
+    return "".join(parts)
+
+
+def _outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except SweepRunError as exc:
+        return type(exc), getattr(exc, "offset", None), str(exc)
+
+
+TEMPLATE_PIECES = [
+    "{a}", "{b}", "{sim_id}", "{c}", "{{", "}}", "{", "}", "{ a}", "{1x}", "{a{b}",
+    "x", " ", "\n", "é", "\ud800", "= ",
+]
+templates_text = st.one_of(
+    st.text(max_size=80),
+    st.text(alphabet="{}ab_c1 é\n", max_size=80),
+    st.lists(st.sampled_from(TEMPLATE_PIECES), max_size=30).map("".join),
+)
+PARAMS = {"a": 1, "b": 2.5, "unused": "text"}
+
+
+@fuzz
+@given(templates_text)
+def test_render_agrees_with_reference(source):
+    assert _outcome(render, source, PARAMS, "042") == _outcome(_reference_render, source, PARAMS, "042")
+
+
+@fuzz
+@given(templates_text)
+def test_extract_placeholders_agrees_with_reference(source):
+    assert _outcome(extract_placeholders, source) == _outcome(_reference_placeholders, source)

@@ -106,6 +106,19 @@ class TestLookups:
         with pytest.raises(KeyError):
             mapping.lookup_by_params({"a": 2})
 
+    def test_association_lookup_by_params_is_kind_aware(self):
+        mapping = AssociationMapping("demo", {"0": {"a": 2, "b": "x"}, "1": {"a": 2.0, "b": "x"}})
+        assert mapping.lookup_by_params({"a": 2, "b": "x"}) == "0"
+        assert mapping.lookup_by_params({"b": "x", "a": 2.0}) == "1"
+        for missing in ({"a": "2", "b": "x"}, {"a": 3, "b": "x"}, {"a": [2], "b": "x"}):
+            with pytest.raises(KeyError):
+                mapping.lookup_by_params(missing)
+
+    def test_association_lookup_by_params_returns_first_of_equal_sets(self):
+        mapping = AssociationMapping("demo", {"7": {"a": 1}, "3": {"a": 1}, "5": {"a": 0.0}})
+        assert mapping.lookup_by_params({"a": 1}) == "7"
+        assert mapping.lookup_by_params({"a": -0.0}) == "5"
+
     def test_cartesian_agrees_with_generation(self):
         # oracle: regenerate the grid with independent index arithmetic
         sweep = CartesianSweep({"p": [1, 2, 3], "q": [0.5, 1.5], "r": ["u", "v"]})

@@ -146,6 +146,17 @@ class TestCartesian:
         with pytest.raises(ValueError):
             CartesianSweep({"a": []})
 
+    @pytest.mark.parametrize("values", [[1, 1, 2], [0.5, "x", 0.5], ["a", "a"], [0.0, -0.0]])
+    def test_duplicate_values_rejected(self, values):
+        # two identical sets would break the one-to-one mapping to simulation IDs
+        with pytest.raises(ValueError, match=r"parameter 'b' lists .* more than once"):
+            CartesianSweep({"a": [1], "b": values})
+        with pytest.raises(ValueError, match="more than once"):
+            FilteredCartesianSweep({"a": [1], "b": values}, filter="a > 0")
+
+    def test_same_number_of_another_kind_is_not_a_duplicate(self):
+        assert CartesianSweep({"a": [1, 1.0, "1"]}).generate() == [{"a": 1}, {"a": 1.0}, {"a": "1"}]
+
 
 class TestFilteredCartesian:
     def test_single_survivor(self):

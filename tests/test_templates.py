@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import sweeprun.templates
 from conftest import NAMELIST_ORIGINAL, NAMELIST_TEMPLATE
 from sweeprun.errors import TemplateSyntaxError, UnfilledPlaceholderError
 from sweeprun.templates import (
@@ -120,3 +121,34 @@ class TestUnusedParameters:
 
     def test_all_used(self):
         assert unused_parameters(["{a}{b}"], ["a", "b"]) == []
+
+
+class TestCompileOnce:
+    def test_one_scan_per_distinct_source(self, monkeypatch):
+        scans = []
+        real_scan = sweeprun.templates._scan
+
+        def counting_scan(source):
+            scans.append(source)
+            return real_scan(source)
+
+        monkeypatch.setattr(sweeprun.templates, "_scan", counting_scan)
+        sweeprun.templates._compile.cache_clear()
+        for i in range(100):
+            text = render(NAMELIST_TEMPLATE, {"beta": i, "sigma": 10.0, "rho": 28}, "00")
+            assert text.startswith(f"&params\nbeta = {i},")
+            assert extract_placeholders(NAMELIST_TEMPLATE) == ["beta", "sigma", "rho"]
+            assert render("out_{sim_id}.txt", {}, f"{i:03d}") == f"out_{i:03d}.txt"
+        assert scans == [NAMELIST_TEMPLATE, "out_{sim_id}.txt"]
+
+    def test_unfilled_placeholder_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(UnfilledPlaceholderError) as exc_info:
+                render("a={a} b={b}", {"a": 1}, "0")
+            assert exc_info.value.name == "b"
+
+    def test_every_value_is_still_formatted(self):
+        # a value the template never uses is still checked
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                render("a={a}", {"a": 1, "unused": True}, "0")
