@@ -42,6 +42,7 @@ from .templates import extract_placeholders, format_value, render, unused_parame
 
 SUMMARY_SCHEMA = "sweep-summary/1"
 REPORT_SCHEMA = "sweep-collect-report/1"
+STDERR_ISSUE_LIMIT = 5  # collect lists this many issues on stderr; the report lists all
 
 
 class _UsageError(Exception):
@@ -93,7 +94,7 @@ def _require_sim_id(pattern: str, what: str):
         raise _UsageError(f"{what} must contain the {{sim_id}} placeholder: {pattern!r}")
 
 
-def _build_summary(name: str, kind: str, records) -> dict:
+def _write_summary(name: str, kind: str, records) -> tuple[dict, Path]:
     counts = {
         "total": len(records),
         "succeeded": sum(r.succeeded for r in records),
@@ -101,13 +102,16 @@ def _build_summary(name: str, kind: str, records) -> dict:
         "submitted": sum(r.status == "submitted" for r in records),
         "dry_run": sum(r.status == "dry_run" for r in records),
     }
-    return {
+    summary = {
         "schema": SUMMARY_SCHEMA,
         "sweep_name": name,
         "dispatcher": kind,
         "counts": counts,
         "jobs": [r.to_dict() for r in records],
     }
+    path = Path(f"{name}_summary.json")
+    _write_atomic(path, json.dumps(summary, indent=2) + "\n")
+    return summary, path
 
 
 def _cmd_run(args) -> int:
@@ -184,11 +188,16 @@ def _cmd_run(args) -> int:
         capture=args.capture,
         dry_run=args.dry_run,
     )
-    records = dispatch_all(jobs, config)
-
-    summary = _build_summary(args.name, args.dispatcher, records)
-    summary_path = Path(f"{args.name}_summary.json")
-    _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
+    try:
+        records = dispatch_all(jobs, config)
+    except SchedulerError as exc:
+        _summary, summary_path = _write_summary(args.name, args.dispatcher, exc.records)
+        print(
+            f"summary of {len(exc.records)} submitted job(s) written to {summary_path}",
+            file=sys.stderr,
+        )
+        raise
+    summary, summary_path = _write_summary(args.name, args.dispatcher, records)
 
     counts = summary["counts"]
     if counts["dry_run"]:
@@ -250,8 +259,11 @@ def _cmd_collect(args) -> int:
     _write_atomic(report_path, json.dumps(report, indent=2) + "\n")
     print(f"collected {report['collected']}/{report['total']} value(s) into {csv_path}")
     if collected.issues:
-        for issue in collected.issues:
+        for issue in collected.issues[:STDERR_ISSUE_LIMIT]:
             print(f"  missing {issue.sim_id}: {issue.reason} ({issue.path})", file=sys.stderr)
+        more = len(collected.issues) - STDERR_ISSUE_LIMIT
+        if more > 0:
+            print(f"  ... and {more} more, see {report_path}", file=sys.stderr)
         print(f"report written to {report_path}", file=sys.stderr)
         return 4
     print(f"report written to {report_path}")

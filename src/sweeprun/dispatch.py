@@ -3,7 +3,8 @@
 Commands run through the platform shell, so the sweep author's command
 string is honored verbatim (including pipes and redirections). A job that
 exits non-zero is recorded and the sweep continues; only a failing submit
-command (scheduler modes) aborts the whole dispatch. Note that under a
+command (scheduler modes) aborts the whole dispatch; the SchedulerError
+carries the records of the jobs submitted before it. Note that under a
 shell, "command not found" surfaces as a completed record with exit code
 127 rather than a spawn failure; spawn_failed is reserved for OS-level
 failures to start the shell itself.
@@ -53,10 +54,6 @@ class JobSpec:
     def __post_init__(self):
         if not self.command:
             raise ValueError(f"job {self.sim_id!r}: command is empty")
-        if "{sim_id}" in self.command:
-            raise ValueError(
-                f"job {self.sim_id!r}: command still contains a {{sim_id}} placeholder"
-            )
 
 
 @dataclass(frozen=True)
@@ -218,11 +215,11 @@ def _dispatch_scheduler(jobs: Sequence[JobSpec], config: DispatcherConfig) -> li
                 text=True,
             )
         except OSError as exc:
-            raise SchedulerError(job.sim_id, f"could not run {submit!r}: {exc}") from exc
+            raise SchedulerError(job.sim_id, f"could not run {submit!r}: {exc}", records) from exc
         if proc.returncode != 0:
             detail = proc.stderr.strip() or proc.stdout.strip() or "no output"
             raise SchedulerError(
-                job.sim_id, f"{submit!r} exited with {proc.returncode}: {detail}"
+                job.sim_id, f"{submit!r} exited with {proc.returncode}: {detail}", records
             )
         job_id = _parse_scheduler_job_id(proc.stdout) or "unknown"
         records.append(

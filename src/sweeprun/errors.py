@@ -64,11 +64,13 @@ class NamerExhaustedError(SweepRunError):
 
 
 class SchedulerError(SweepRunError):
-    """A batch-scheduler submit command failed; the sweep cannot continue."""
+    """A batch-scheduler submit command failed; the sweep cannot continue.
+    `records` holds the records of the jobs submitted before the failure."""
 
-    def __init__(self, sim_id: str, message: str):
+    def __init__(self, sim_id: str, message: str, records=()):
         super().__init__(f"submission failed for simulation {sim_id!r}: {message}")
         self.sim_id = sim_id
+        self.records = tuple(records)
 
 
 class OutputConflictError(SweepRunError):

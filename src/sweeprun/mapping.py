@@ -4,7 +4,9 @@ Cartesian sweeps map naturally onto a labeled n-dimensional array: the
 dimensions are the swept parameter names, the coordinates are the value
 lists, and the cells hold simulation IDs in row-major order (last dimension
 fastest). Every other sweep type uses a flat association table from
-simulation ID to parameter set.
+simulation ID to parameter set. The sweep types own the rules for names and
+values: a Cartesian mapping's coords must form a valid `CartesianSweep` and
+an association mapping's sets a valid `SetSweep` (which may repeat a set).
 
 Both kinds serialize to a JSON document tagged ``sweep-mapping/1``. Key
 order is fixed so files are diffable; integers and reals stay distinct
@@ -14,7 +16,6 @@ through a round-trip (reals use shortest round-trip printing).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Union
@@ -25,9 +26,8 @@ from .sweeps import (
     FilteredCartesianSweep,
     ParamValue,
     ParameterSet,
+    SetSweep,
     Sweep,
-    check_parameter_value,
-    validate_parameter_set,
     values_equal,
 )
 
@@ -50,36 +50,29 @@ class CartesianMapping:
     sweep_name: str
     dims: tuple[str, ...]
     coords: dict[str, tuple[ParamValue, ...]]
-    shape: tuple[int, ...]
     sim_ids: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "shape", tuple(self.shape))
         object.__setattr__(self, "sim_ids", tuple(self.sim_ids))
-        object.__setattr__(self, "coords", {d: tuple(v) for d, v in self.coords.items()})
-        if not self.dims:
-            raise ValueError("mapping needs at least one dimension")
-        if len(set(self.dims)) != len(self.dims):
-            raise ValueError("duplicate dimension names")
-        if set(self.coords) != set(self.dims):
-            raise ValueError("coords keys do not match dims")
-        if len(self.shape) != len(self.dims):
-            raise ValueError("shape length does not match dims")
-        for i, dim in enumerate(self.dims):
-            if self.shape[i] < 1 or self.shape[i] != len(self.coords[dim]):
-                raise ValueError(
-                    f"shape[{i}] = {self.shape[i]} does not match the "
-                    f"{len(self.coords[dim])} coordinate values of {dim!r}"
-                )
-        if math.prod(self.shape) != len(self.sim_ids):
+        if len(self.dims) != len(self.coords) or set(self.dims) != set(self.coords):
+            raise ValueError(f"dims {list(self.dims)} do not match coords keys {list(self.coords)}")
+        grid = CartesianSweep({d: self.coords[d] for d in self.dims})
+        object.__setattr__(self, "coords", grid.parameters)
+        # kept, not derived per call: multi_index reads it once per simulation
+        object.__setattr__(self, "_shape", tuple(len(v) for v in grid.parameters.values()))
+        if grid.length() != len(self.sim_ids):
             raise ValueError(
                 f"{len(self.sim_ids)} sim_ids do not fill shape {list(self.shape)} "
-                f"({math.prod(self.shape)} cells)"
+                f"({grid.length()} cells)"
             )
         if len(set(self.sim_ids)) != len(self.sim_ids):
             raise ValueError("duplicate sim_ids")
         object.__setattr__(self, "_index", {sid: i for i, sid in enumerate(self.sim_ids)})
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return getattr(self, "_shape")
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
@@ -146,26 +139,12 @@ class AssociationMapping:
     assignments: dict[str, ParameterSet]
 
     def __post_init__(self):
-        if not self.assignments:
-            raise ValueError("mapping has no assignments")
-        validated: dict[str, ParameterSet] = {}
-        names: list[str] | None = None
-        for sim_id, params in self.assignments.items():
+        for sim_id in self.assignments:
             if not isinstance(sim_id, str):
                 raise ValueError(f"sim_id {sim_id!r} is not text")
-            params = validate_parameter_set(params)
-            if names is None:
-                names = list(params)
-                if not names:
-                    raise ValueError("parameter sets must not be empty")
-            elif list(params) != names:
-                raise ValueError(
-                    f"simulation {sim_id!r} has names {list(params)}, expected {names}: "
-                    "all parameter sets must share one name sequence"
-                )
-            validated[sim_id] = params
-        object.__setattr__(self, "assignments", validated)
-        object.__setattr__(self, "_names", tuple(names or ()))
+        sets = SetSweep(list(self.assignments.values()))
+        object.__setattr__(self, "assignments", dict(zip(self.assignments, sets.sets)))
+        object.__setattr__(self, "_names", sets.parameter_names)
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
@@ -216,16 +195,8 @@ def build_mapping(
             f"internal consistency: {len(sets)} parameter sets but {len(ids)} sim_ids"
         )
     if isinstance(sweep, CartesianSweep) and not isinstance(sweep, FilteredCartesianSweep):
-        dims = tuple(sweep.parameters)
-        coords = {d: tuple(v) for d, v in sweep.parameters.items()}
-        shape = tuple(len(coords[d]) for d in dims)
-        if math.prod(shape) != len(ids):
-            raise ValueError(
-                f"internal consistency: {len(ids)} sim_ids for a grid of {math.prod(shape)}"
-            )
-        return CartesianMapping(
-            sweep_name=sweep_name, dims=dims, coords=coords, shape=shape, sim_ids=tuple(ids)
-        )
+        grid = sweep.parameters
+        return CartesianMapping(sweep_name=sweep_name, dims=tuple(grid), coords=grid, sim_ids=ids)
     return AssociationMapping(
         sweep_name=sweep_name,
         assignments={sim_id: dict(params) for sim_id, params in zip(ids, sets)},
@@ -266,18 +237,24 @@ def _require(condition: bool, message: str):
         raise MappingFormatError(message)
 
 
+def _construct(cls, **fields) -> Mapping:
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise MappingFormatError(str(exc)) from exc
+
+
 def deserialize(text: str) -> Mapping:
-    """Parse a mapping document, validating the schema and all invariants."""
+    """Parse a mapping document. The mapping classes apply the sweep rules to
+    its contents; this checks the document: schema, kind, field types, and
+    the redundant `shape` and `parameter_names` against what they restate."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise MappingFormatError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     schema = doc.get("schema")
-    _require(
-        schema == SCHEMA_TAG,
-        f"unknown schema {schema!r}, expected {SCHEMA_TAG!r}",
-    )
+    _require(schema == SCHEMA_TAG, f"unknown schema {schema!r}, expected {SCHEMA_TAG!r}")
     kind = doc.get("kind")
     sweep_name = doc.get("sweep_name")
     _require(isinstance(sweep_name, str), "sweep_name must be text")
@@ -291,7 +268,10 @@ def deserialize(text: str) -> Mapping:
             isinstance(dims, list) and all(isinstance(d, str) for d in dims),
             "dims must be a list of names",
         )
-        _require(isinstance(coords, dict), "coords must be an object")
+        _require(
+            isinstance(coords, dict) and all(isinstance(v, list) for v in coords.values()),
+            "coords must be an object of value lists",
+        )
         _require(
             isinstance(shape, list)
             and all(isinstance(n, int) and not isinstance(n, bool) for n in shape),
@@ -301,23 +281,14 @@ def deserialize(text: str) -> Mapping:
             isinstance(sim_ids, list) and all(isinstance(s, str) for s in sim_ids),
             "sim_ids must be a list of text IDs",
         )
-        for dim, values in coords.items():
-            _require(isinstance(values, list), f"coords[{dim!r}] must be a list")
-            for v in values:
-                try:
-                    check_parameter_value(v, where=f"coords[{dim!r}]")
-                except ValueError as exc:
-                    raise MappingFormatError(str(exc)) from exc
-        try:
-            return CartesianMapping(
-                sweep_name=sweep_name,
-                dims=tuple(dims),
-                coords={d: tuple(v) for d, v in coords.items()},
-                shape=tuple(shape),
-                sim_ids=tuple(sim_ids),
-            )
-        except ValueError as exc:
-            raise MappingFormatError(str(exc)) from exc
+        mapping = _construct(
+            CartesianMapping, sweep_name=sweep_name, dims=dims, coords=coords, sim_ids=sim_ids
+        )
+        _require(
+            shape == list(mapping.shape),
+            f"shape {shape} does not match the coords, which give {list(mapping.shape)}",
+        )
+        return mapping
 
     if kind == "association":
         names = doc.get("parameter_names")
@@ -326,17 +297,11 @@ def deserialize(text: str) -> Mapping:
             isinstance(names, list) and all(isinstance(n, str) for n in names),
             "parameter_names must be a list of names",
         )
-        _require(isinstance(assignments, dict) and assignments, "assignments must be a non-empty object")
-        for sim_id, params in assignments.items():
-            _require(isinstance(params, dict), f"assignment {sim_id!r} must be an object")
-            _require(
-                list(params) == list(names),
-                f"assignment {sim_id!r} has names {list(params)}, expected {list(names)}",
-            )
-        try:
-            return AssociationMapping(sweep_name=sweep_name, assignments=dict(assignments))
-        except ValueError as exc:
-            raise MappingFormatError(str(exc)) from exc
+        _require(isinstance(assignments, dict), "assignments must be an object")
+        mapping = _construct(AssociationMapping, sweep_name=sweep_name, assignments=assignments)
+        found = list(mapping.parameter_names)
+        _require(names == found, f"parameter_names {names} do not match the assignments' {found}")
+        return mapping
 
     raise MappingFormatError(f"unknown mapping kind {kind!r}")
 

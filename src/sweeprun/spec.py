@@ -102,9 +102,6 @@ def load_sweep_spec(path: Path | str, seed_override: int | None = None) -> Sweep
         sets = doc.get("sets")
         if not isinstance(sets, list) or not sets:
             raise _spec_error("set sweeps need a non-empty 'sets' list")
-        for i, entry in enumerate(sets):
-            if not isinstance(entry, dict):
-                raise _spec_error(f"sets[{i}] must be an object of name: value pairs")
         return SetSweep(sets)
 
     if sweep_type == "random":

@@ -353,6 +353,9 @@ class SetSweep:
         sets = list(sets)
         if not sets:
             raise ValueError("a set sweep needs at least one parameter set")
+        for i, s in enumerate(sets):
+            if not isinstance(s, Mapping):
+                raise ValueError(f"set {i} must be an object of name: value pairs")
         validated = [validate_parameter_set(s) for s in sets]
         names = list(validated[0])
         if not names:

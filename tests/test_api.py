@@ -1,14 +1,16 @@
-"""The public API: every exported name resolves, and the README imports only
-what the package exports."""
+"""The public API: every exported name resolves, the README imports only
+what the package exports, and no module imports a name it does not use."""
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
 import sweeprun
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(sweeprun.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
@@ -23,3 +25,63 @@ def test_readme_imports_are_exported():
     names = [name for name in names if name]
     assert names
     assert [name for name in names if name not in sweeprun.__all__] == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by imports (not ``from __future__``) that the module never
+    reads, lists in ``__all__`` or names in a string annotation."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            every = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]
+            every += [a for a in (arguments.vararg, arguments.kwarg) if a]
+            annotations = [a.annotation for a in every] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used.update(
+                        n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
+                        if isinstance(n, ast.Name)
+                    )
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_has_an_unused_import():
+    unused = {
+        path.name: _unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_unused_import_check_sees_what_it_must():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from typing import Iterator, Optional\n"
+        "from .sweeps import Sweep, values_equal as equal\n"
+        "__all__ = ['Sweep']\n"
+        "def f(x: 'Optional[int]') -> Iterator[int]:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert _unused_imports(source) == ["line 2: math", "line 5: equal"]

@@ -353,6 +353,37 @@ class TestRunPipeline:
         assert {j["scheduler_job_id"] for j in summary["jobs"]} == {"99"}
         assert (workdir / "tiny_0.sh").exists() and (workdir / "tiny_1.sh").exists()
 
+    def test_partial_submission_keeps_its_summary(self, workdir, tiny_setup, capsys):
+        spec = {"type": "cartesian", "parameters": {"a": [1, 2, 3, 4], "b": [10]}}
+        write_json(workdir / "sweep.json", spec)
+        fake = workdir / "fake_sbatch.sh"
+        fake.write_text(
+            "#!/bin/sh\n"
+            "n=$(( $(cat calls 2>/dev/null || echo 0) + 1 ))\n"
+            "echo $n > calls\n"
+            'if [ $n -ge 3 ]; then echo "queue full" >&2; exit 1; fi\n'
+            'echo "Submitted batch job 10$n"\n',
+            encoding="utf-8",
+        )
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "./model {sim_id}"
+        assert main(argv + ["--dispatcher", "slurm", "--submit-command", f"sh {fake}"]) == 2
+        assert "queue full" in capsys.readouterr().err
+        summary = json.loads((workdir / "tiny_summary.json").read_text())
+        assert summary["counts"]["submitted"] == 2
+        assert [(j["sim_id"], j["status"], j["scheduler_job_id"]) for j in summary["jobs"]] == [
+            ("0", "submitted", "101"),
+            ("1", "submitted", "102"),
+        ]
+
+    def test_escaped_braces_in_command(self, workdir, tiny_setup):
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "echo {{sim_id}} {sim_id}"
+        assert main(argv) == 0
+        summary = json.loads((workdir / "tiny_summary.json").read_text())
+        assert summary["jobs"][0]["command"] == "echo {sim_id} 0"
+        assert summary["counts"]["succeeded"] == 2
+
     def test_capture_flag(self, workdir, tiny_setup):
         argv = list(tiny_setup)
         argv[argv.index("--command") + 1] = "echo ran {sim_id}"
@@ -433,6 +464,42 @@ class TestCollectCommand:
     def test_unknown_schema_exits_one(self, workdir, capsys):
         (workdir / "bad.json").write_text('{"schema": "other/1"}', encoding="utf-8")
         assert main(["collect", "bad.json"]) == 1
+
+    def test_stderr_lists_only_the_first_issues(self, workdir, capsys):
+        write_json(workdir / "s.json", {"type": "cartesian", "parameters": {"a": list(range(8))}})
+        (workdir / "t.txt").write_text("{a}\n", encoding="utf-8")
+        argv = ["run", "--command", "true {sim_id}", "--config", "c{sim_id}.txt", "--template"]
+        assert main(argv + ["t.txt", "--sweep-file", "s.json", "--dispatcher", "dry"]) == 0
+        capsys.readouterr()
+        assert main(["collect", "sweep_mapping.json"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err[:5]] == [f"  missing {i}" for i in range(5)]
+        assert err[5:] == [
+            "  ... and 3 more, see sweep_collect_report.json",
+            "report written to sweep_collect_report.json",
+        ]
+        report = json.loads((workdir / "sweep_collect_report.json").read_text())
+        assert [m["sim_id"] for m in report["missing"]] == [str(i) for i in range(8)]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"coords": {"a": [1, 1], "b": [10]}},
+            {"dims": ["sim_id", "b"], "coords": {"sim_id": [1, 2], "b": [10]}},
+            {"shape": [1, 2]},
+        ],
+        ids=["repeated-coords", "sim_id-dim", "wrong-shape"],
+    )
+    def test_mapping_no_sweep_could_produce_exits_one(self, workdir, tiny_setup, change, capsys):
+        assert main(tiny_setup) == 0
+        doc = json.loads((workdir / "tiny_mapping.json").read_text())
+        write_json(workdir / "tiny_mapping.json", {**doc, **change})
+        capsys.readouterr()
+        assert main(["collect", "tiny_mapping.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (workdir / "tiny_results.csv").exists()
 
     def test_custom_paths(self, workdir, tiny_setup, stub):
         self._run_tiny(workdir, tiny_setup, stub)

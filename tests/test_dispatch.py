@@ -179,8 +179,25 @@ class TestSchedulerDispatch:
     def test_failing_submit_aborts(self, workdir):
         jobs = [_job("000", "./model", workdir)]
         config = DispatcherConfig(kind="slurm", submit_command="exit 9", sweep_name="demo")
-        with pytest.raises(SchedulerError, match="000"):
+        with pytest.raises(SchedulerError, match="000") as failure:
             dispatch_all(jobs, config)
+        assert failure.value.records == ()
+
+    def test_failing_submit_carries_the_records_already_submitted(self, workdir):
+        fake = workdir / "fake_sbatch.sh"
+        fake.write_text(
+            '#!/bin/sh\ncase "$1" in *_002.sh) exit 1;; esac\necho "Submitted batch job 4242"\n',
+            encoding="utf-8",
+        )
+        jobs = [_job(f"{i:03d}", f"./model {i:03d}", workdir) for i in range(4)]
+        config = DispatcherConfig(kind="slurm", submit_command=f"sh {fake}", sweep_name="demo")
+        with pytest.raises(SchedulerError, match="002") as failure:
+            dispatch_all(jobs, config)
+        assert [(r.sim_id, r.status) for r in failure.value.records] == [
+            ("000", "submitted"),
+            ("001", "submitted"),
+        ]
+        assert not (workdir / "demo_003.sh").exists()
 
     def test_dry_run_writes_scripts_but_never_submits(self, workdir, fake_scheduler):
         submit, log = fake_scheduler

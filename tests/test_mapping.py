@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -228,6 +229,56 @@ class TestSerialization:
         sweep = CartesianSweep({"a": [1, 2], "b": [10]})
         mapping, _sets, _ids = _mapping_for(sweep)
         assert serialize(mapping) == serialize(mapping)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"coords": {"a": [1, 1], "b": [10]}}, "more than once"),
+            ({"dims": ["sim_id", "b"], "coords": {"sim_id": [1, 2], "b": [10]}}, "reserved"),
+            ({"dims": ["a b", "b"], "coords": {"a b": [1, 2], "b": [10]}}, "invalid parameter"),
+            ({"shape": [1, 2]}, "shape"),
+            (
+                {
+                    "kind": "association",
+                    "parameter_names": ["a"],
+                    "assignments": {"0": {"a": 1}, "1": [1]},
+                },
+                "object of name: value pairs",
+            ),
+        ],
+        ids=["repeated-coords", "sim_id-dim", "non-identifier", "wrong-shape", "set-not-object"],
+    )
+    def test_documents_no_sweep_could_produce_rejected(self, change, message):
+        sweep = CartesianSweep({"a": [1, 2], "b": [10]})
+        mapping, _sets, _ids = _mapping_for(sweep)
+        doc = {**json.loads(serialize(mapping)), **change}
+        with pytest.raises(MappingFormatError, match=message):
+            deserialize(json.dumps(doc))
+
+    def test_parameter_names_must_match_assignments(self):
+        mapping, _sets, _ids = _mapping_for(SetSweep([{"x": 1, "y": 2}]))
+        doc = json.loads(serialize(mapping))
+        doc["parameter_names"] = ["y", "x"]
+        with pytest.raises(MappingFormatError, match="parameter_names"):
+            deserialize(json.dumps(doc))
+
+    def test_repeated_random_sets_round_trip(self):
+        sweep = RandomSweep(count=20, distributions={"c": Choice(["p", "q"])}, seed=3)
+        mapping, sets, _ids = _mapping_for(sweep)
+        assert len({s["c"] for s in sets}) < len(sets)
+        text = serialize(mapping)
+        assert deserialize(text) == mapping
+        assert serialize(deserialize(text)) == text
+
+
+def test_cartesian_mapping_shape_is_derived_from_coords():
+    coords = {"a": [1, 2, 3], "b": ["x", "y"]}
+    mapping = CartesianMapping("demo", ("a", "b"), coords, [str(i) for i in range(6)])
+    assert [f.name for f in dataclasses.fields(CartesianMapping)] == [
+        "sweep_name", "dims", "coords", "sim_ids",
+    ]
+    assert mapping.shape == (3, 2)
+    assert mapping.coords == {"a": (1, 2, 3), "b": ("x", "y")}
 
 
 def _random_sweep(rng: random.Random):

@@ -204,6 +204,11 @@ class TestSetSweep:
         with pytest.raises(ValueError):
             SetSweep([])
 
+    @pytest.mark.parametrize("entry", [[1, 2], "x", 3, None])
+    def test_set_that_is_not_an_object_rejected(self, entry):
+        with pytest.raises(ValueError, match="set 1 must be an object of name: value pairs"):
+            SetSweep([{"x": 1}, entry])
+
 
 class TestRandomSweep:
     def test_uniform_bounds(self):
