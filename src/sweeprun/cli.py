@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import shutil
 import sys
 from pathlib import Path
@@ -87,6 +88,11 @@ def _plan(args):
     sweep = load_sweep_spec(args.sweep_file, seed_override=args.seed)
     sets = sweep.generate()
     return sweep, sets, list(SequentialNamer(NamerConfig(), len(sets)))
+
+
+def _shell_words(params) -> dict[str, str]:
+    """Each value quoted to reach the shell as one word (sim_id is safe as it is)."""
+    return {name: shlex.quote(format_value(value)) for name, value in params.items()}
 
 
 def _require_sim_id(pattern: str, what: str):
@@ -175,7 +181,7 @@ def _cmd_run(args) -> int:
 
     workdir = Path.cwd()
     jobs = [
-        JobSpec(sim_id=sim_id, command=render(args.command, params, sim_id), workdir=workdir)
+        JobSpec(sim_id=sim_id, command=render(args.command, _shell_words(params), sim_id), workdir=workdir)
         for params, sim_id in zip(sets, ids)
     ]
     config = DispatcherConfig(

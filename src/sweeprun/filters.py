@@ -2,7 +2,8 @@
 
 A filter is a boolean expression over the swept parameters, e.g.
 ``x > y and not (mode == 'fast')``. This module provides the lexer, a
-recursive-descent parser producing an immutable AST, and an evaluator.
+recursive-descent parser producing an immutable AST, and an evaluator
+that compiles each AST once into a tree of closures.
 
 Precedence, lowest to highest: ``or`` < ``and`` < ``not`` < comparisons
 (``< <= > >= == !=``, non-associative) < ``+ -`` < ``* /`` < unary minus.
@@ -23,9 +24,11 @@ evaluation stay within Python's recursion limit.
 
 from __future__ import annotations
 
+import operator
 import re
+import threading
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import (
     FilterArithmeticError,
@@ -319,87 +322,136 @@ def evaluate(expr: FilterExpr, env: Mapping[str, int | float | str]) -> bool:
     """Evaluate a filter against one parameter set.
 
     The expression's root must yield a boolean; a numeric result
-    (e.g. the expression ``x + 1``) raises FilterTypeError.
+    (e.g. the expression ``x + 1``) raises FilterTypeError. Each filter is
+    compiled once, on its first evaluation.
     """
-    value = _eval(expr, env)
-    if not isinstance(value, bool):
-        raise FilterTypeError(f"filter must evaluate to a boolean, got {_kind_name(value)}")
-    return value
+    entry = _programs.get(id(expr))
+    if entry is None:
+        entry = _cache_program(expr)
+    value = entry[1](env)
+    if value is True or value is False:
+        return value
+    raise FilterTypeError(f"filter must evaluate to a boolean, got {_kind_name(value)}")
 
 
-def _eval(node: FilterExpr, env: Mapping[str, int | float | str]):
+# filters kept compiled, keyed by the identity of their AST: hashing a frozen
+# dataclass walks its whole tree. Each entry also holds the AST, so its id
+# cannot be reused while it is cached.
+_COMPILED_FILTERS = 64
+_programs: dict[int, tuple[FilterExpr, Callable[[Mapping], object]]] = {}
+_programs_lock = threading.Lock()
+
+
+def _cache_program(expr: FilterExpr) -> tuple[FilterExpr, Callable[[Mapping], object]]:
+    entry = (expr, _compile(expr))
+    with _programs_lock:
+        if len(_programs) >= _COMPILED_FILTERS:
+            del _programs[next(iter(_programs))]  # the oldest
+        _programs[id(expr)] = entry
+    return entry
+
+
+# exact types that pass _is_number; subclasses take the full check
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def _numbers(a: object, b: object) -> bool:
+    return (type(a) in _PLAIN_NUMBERS and type(b) in _PLAIN_NUMBERS) or (
+        _is_number(a) and _is_number(b)
+    )
+
+
+def _boolean(op: str, value: object) -> bool:
+    if value is True or value is False:
+        return value
+    raise FilterTypeError(f"'{op}' requires boolean operands, got {_kind_name(value)}")
+
+
+def _divide(a, b):
+    if b == 0:
+        raise FilterArithmeticError("division by zero")
+    return a / b
+
+
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide}
+_COMPARISONS = {
+    "lt": operator.lt, "le": operator.le, "gt": operator.gt,
+    "ge": operator.ge, "eq": operator.eq, "ne": operator.ne,
+}
+
+
+def _compile(node: FilterExpr) -> Callable[[Mapping], object]:
+    """A closure computing `node`'s value from an env; one closure per node."""
     if isinstance(node, (NumberLit, TextLit)):
-        return node.value
+        constant = node.value
+        return lambda env: constant
     if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariableError(node.name) from None
+        name = node.name
+
+        def variable(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+
+        return variable
     if isinstance(node, Unary):
-        operand = _eval(node.operand, env)
+        operand = _compile(node.operand)
         if node.op == "not":
-            if not isinstance(operand, bool):
-                raise FilterTypeError(f"'not' requires a boolean, got {_kind_name(operand)}")
-            return not operand
-        if not _is_number(operand):
-            raise FilterTypeError(f"unary '-' requires a number, got {_kind_name(operand)}")
-        return -operand
+
+            def negation(env):
+                value = operand(env)
+                if value is True or value is False:
+                    return not value
+                raise FilterTypeError(f"'not' requires a boolean, got {_kind_name(value)}")
+
+            return negation
+
+        def minus(env):
+            value = operand(env)
+            if type(value) in _PLAIN_NUMBERS or _is_number(value):
+                return -value
+            raise FilterTypeError(f"unary '-' requires a number, got {_kind_name(value)}")
+
+        return minus
 
     op = node.op
+    left = _compile(node.left)
+    right = _compile(node.right)
     if op in ("and", "or"):
-        left = _eval(node.left, env)
-        if not isinstance(left, bool):
-            raise FilterTypeError(f"'{op}' requires boolean operands, got {_kind_name(left)}")
-        if op == "and" and not left:
-            return False
-        if op == "or" and left:
-            return True
-        right = _eval(node.right, env)
-        if not isinstance(right, bool):
-            raise FilterTypeError(f"'{op}' requires boolean operands, got {_kind_name(right)}")
-        return right
+        decisive = op == "or"  # the left value that decides the result alone
 
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
+        def logical(env):
+            value = _boolean(op, left(env))
+            return value if value is decisive else _boolean(op, right(env))
 
-    if op in ("lt", "le", "gt", "ge"):
-        if not (
-            (_is_number(left) and _is_number(right))
-            or (isinstance(left, str) and isinstance(right, str))
-        ):
-            raise FilterTypeError(f"cannot order {_kind_name(left)} and {_kind_name(right)}")
-        if op == "lt":
-            return left < right
-        if op == "le":
-            return left <= right
-        if op == "gt":
-            return left > right
-        return left >= right
+        return logical
 
-    if op in ("eq", "ne"):
-        if not (
-            (_is_number(left) and _is_number(right))
-            or (isinstance(left, str) and isinstance(right, str))
-        ):
-            raise FilterTypeError(
-                f"cannot compare {_kind_name(left)} and {_kind_name(right)} for equality"
-            )
-        return left == right if op == "eq" else left != right
+    if op in _COMPARISONS:
+        compare = _COMPARISONS[op]
+        message = "cannot compare {} and {} for equality" if op in ("eq", "ne") else "cannot order {} and {}"
 
-    # arithmetic
-    if not (_is_number(left) and _is_number(right)):
-        raise FilterTypeError(f"cannot apply arithmetic to {_kind_name(left)} and {_kind_name(right)}")
-    try:
-        if op == "add":
-            return left + right
-        if op == "sub":
-            return left - right
-        if op == "mul":
-            return left * right
-        if op == "div":
-            if right == 0:
-                raise FilterArithmeticError("division by zero")
-            return left / right
-    except OverflowError as exc:  # an integer too large to mix with reals
-        raise FilterArithmeticError(str(exc)) from None
-    raise AssertionError(f"unknown operator {op!r}")
+        def comparison(env):
+            a = left(env)
+            b = right(env)
+            if _numbers(a, b) or (isinstance(a, str) and isinstance(b, str)):
+                return compare(a, b)
+            raise FilterTypeError(message.format(_kind_name(a), _kind_name(b)))
+
+        return comparison
+
+    if op not in _ARITHMETIC:
+        raise AssertionError(f"unknown operator {op!r}")
+    apply = _ARITHMETIC[op]
+
+    def arithmetic(env):
+        a = left(env)
+        b = right(env)
+        if not _numbers(a, b):
+            raise FilterTypeError(f"cannot apply arithmetic to {_kind_name(a)} and {_kind_name(b)}")
+        try:
+            return apply(a, b)
+        except OverflowError as exc:  # an integer too large to mix with reals
+            raise FilterArithmeticError(str(exc)) from None
+
+    return arithmetic

@@ -30,7 +30,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from . import filters
 from .errors import EmptySweepError
@@ -292,12 +292,13 @@ class CartesianSweep:
     def length(self) -> int:
         return math.prod(len(v) for v in self.parameters.values())
 
-    def generate(self) -> list[ParameterSet]:
+    def _grid(self) -> Iterator[ParameterSet]:
         names = list(self.parameters)
-        return [
-            dict(zip(names, combo))
-            for combo in itertools.product(*self.parameters.values())
-        ]
+        for combo in itertools.product(*self.parameters.values()):
+            yield dict(zip(names, combo))
+
+    def generate(self) -> list[ParameterSet]:
+        return list(self._grid())
 
 
 class FilteredCartesianSweep(CartesianSweep):
@@ -305,6 +306,7 @@ class FilteredCartesianSweep(CartesianSweep):
 
     The filter may be given as source text or a pre-parsed AST; every free
     variable must be a declared parameter. Enumeration order is preserved.
+    Only the surviving sets are held in memory.
     """
 
     kind = "filtered-cartesian"
@@ -321,18 +323,15 @@ class FilteredCartesianSweep(CartesianSweep):
             names = ", ".join(sorted(unknown))
             raise ValueError(f"filter references undeclared parameters: {names}")
 
-    def _survivors(self) -> list[ParameterSet]:
-        return [
-            params
-            for params in super().generate()
-            if filters.evaluate(self.filter, params)
-        ]
+    def _survivors(self) -> Iterator[ParameterSet]:
+        # each grid point is tested as it is made, so rejected sets are never held
+        return (params for params in self._grid() if filters.evaluate(self.filter, params))
 
     def length(self) -> int:
-        return len(self._survivors())
+        return sum(1 for _ in self._survivors())
 
     def generate(self) -> list[ParameterSet]:
-        survivors = self._survivors()
+        survivors = list(self._survivors())
         if not survivors:
             raise EmptySweepError(
                 f"filter rejected all {super().length()} parameter sets; nothing to run"

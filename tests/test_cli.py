@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,29 @@ class TestRunPipeline:
         summary = json.loads((workdir / "tiny_summary.json").read_text())
         assert summary["jobs"][0]["command"] == "echo {sim_id} 0"
         assert summary["counts"]["succeeded"] == 2
+
+    @pytest.mark.parametrize("dispatcher", ["local", "slurm"])
+    def test_text_values_reach_the_command_as_one_word(self, workdir, dispatcher):
+        values = ["a b", "x;touch injected", "it's", "$HOME `id`"]
+        write_json(workdir / "sweep.json", {"type": "set", "sets": [{"v": v} for v in values]})
+        (workdir / "template.txt").write_text("v={v}\n", encoding="utf-8")
+        argv = [
+            "run", "--command", "printf %s {v} > out_{sim_id}.txt",
+            "--config", "conf_{sim_id}.txt", "--template", "template.txt",
+            "--sweep-file", "sweep.json", "--name", "q", "--dispatcher", dispatcher,
+        ]
+        if dispatcher == "slurm":
+            # the batch scripts carry the same command; run each as the scheduler would
+            argv += ["--dry-run"]
+        assert main(argv) == 0
+        if dispatcher == "slurm":
+            for sim_id in "0123":
+                subprocess.run(["sh", f"q_{sim_id}.sh"], cwd=workdir, check=True)
+        for sim_id, value in zip("0123", values):
+            assert (workdir / f"out_{sim_id}.txt").read_text() == value
+        assert not (workdir / "injected").exists()
+        summary = json.loads((workdir / "q_summary.json").read_text())
+        assert summary["jobs"][0]["command"] == "printf %s 'a b' > out_0.txt"
 
     def test_capture_flag(self, workdir, tiny_setup):
         argv = list(tiny_setup)

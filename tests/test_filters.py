@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from sweeprun import filters
 from sweeprun.errors import (
     FilterArithmeticError,
     FilterSyntaxError,
@@ -213,6 +214,30 @@ class TestEvaluate:
     def test_integer_arithmetic_stays_integer(self):
         # 7 = 1 + 2*3 keeps exact integer identity
         assert evaluate(parse("1 + 2 * 3 == 7"), {}) is True
+
+
+class TestCompiledFilters:
+    def test_a_filter_is_compiled_once(self, monkeypatch):
+        expr = parse("x > 1 and not (x == 3)")
+        compiled = []
+        compile_node = filters._compile
+
+        def counting(node):
+            compiled.append(node)
+            return compile_node(node)
+
+        monkeypatch.setattr(filters, "_compile", counting)
+        results = [evaluate(expr, {"x": x}) for x in range(1000)]
+        assert results.count(True) == 997
+        assert sum(node is expr for node in compiled) == 1
+
+    def test_at_most_64_filters_stay_compiled(self):
+        exprs = [parse(f"x > {i}") for i in range(100)]
+        for i, expr in enumerate(exprs):
+            assert evaluate(expr, {"x": 50}) is (50 > i)
+        assert len(filters._programs) <= filters._COMPILED_FILTERS == 64
+        # an evicted filter is compiled again on its next evaluation
+        assert evaluate(exprs[0], {"x": 0}) is False
 
 
 def _random_bool_source(rng: random.Random, names: list[str]) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -182,6 +183,23 @@ class TestFilteredCartesian:
     def test_undeclared_filter_variable_rejected(self):
         with pytest.raises(ValueError, match="undeclared"):
             FilteredCartesianSweep({"x": [1]}, filter="x > y")
+
+    def test_holds_only_the_surviving_sets(self):
+        # 200,000 candidates, 100 kept; materializing the grid first peaks near 40 MB
+        sweep = FilteredCartesianSweep({"a": range(500), "b": range(400)}, filter="a == 7 and b < 100")
+        tracemalloc.start()
+        try:
+            kept = sweep.generate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept == [{"a": 7, "b": b} for b in range(100)]
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("source", ["x > y", "x + y > 3 or y == 1", "x * y != 4", "x > 0"])
+    def test_length_counts_the_generated_sets(self, source):
+        sweep = FilteredCartesianSweep({"x": [0, 1, 2, 3], "y": [1, 2, 3.0]}, filter=source)
+        assert sweep.length() == len(sweep.generate())
 
 
 class TestSetSweep:
