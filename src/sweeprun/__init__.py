@@ -2,7 +2,8 @@
 
 The pipeline: a sweep definition (built in code, or loaded from a JSON
 sweep-spec file with ``load_sweep_spec``) expands into an ordered list of
-parameter sets via ``sweep.generate()``; a ``SequentialNamer`` gives each
+parameter sets via ``sweep.generate()`` (or yields them one at a time via
+``sweep.iter_sets()``); a ``SequentialNamer`` gives each
 set a simulation ID; ``render`` fills configuration templates per
 simulation; ``dispatch_all`` runs one job per set (bounded local
 parallelism, generated batch-scheduler scripts, or a dry run); and

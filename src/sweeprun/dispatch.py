@@ -21,11 +21,11 @@ from __future__ import annotations
 import os
 import subprocess
 import time
+from collections.abc import Collection, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
 
 from .errors import OutputConflictError, SchedulerError
 
@@ -236,20 +236,51 @@ def _dispatch_scheduler(jobs: Sequence[JobSpec], config: DispatcherConfig) -> li
     return records
 
 
-def dispatch_all(jobs: Sequence[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
+class _DryRecords(Sequence):
+    """The records of a dry dispatch, made from the jobs each time they are
+    read, so a dry run holds no record per job."""
+
+    def __init__(self, jobs: Collection[JobSpec]):
+        self._jobs = jobs
+
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    @staticmethod
+    def _record(job: JobSpec) -> JobRecord:
+        return JobRecord(sim_id=job.sim_id, command=job.command, status="dry_run")
+
+    def __getitem__(self, index: int) -> JobRecord:
+        return self._record(self._jobs[index])
+
+    def __iter__(self) -> Iterator[JobRecord]:
+        seen: set[str] = set()
+        for job in self._jobs:
+            if job.sim_id in seen:
+                raise ValueError("duplicate sim_ids in job list")
+            seen.add(job.sim_id)
+            yield self._record(job)
+
+
+def dispatch_all(jobs: Collection[JobSpec], config: DispatcherConfig) -> Sequence[JobRecord]:
     """Execute or submit every job; one record per job, input order preserved.
 
-    All configuration files must already be on disk (rendering and writing
-    happen before any dispatch). Local jobs run under a process pool capped
-    at max_parallel; job failures are recorded, never raised.
+    `jobs` may be any sized iterable. All configuration files must already
+    be on disk (rendering and writing happen before any dispatch). Local jobs
+    run under a process pool capped at max_parallel; job failures are
+    recorded, never raised. A dry dispatch (kind "dry", or dry_run with the
+    local kind) executes nothing and returns a view that makes each record
+    from `jobs` as it is read, reporting a repeated sim_id then; every other
+    dispatch reads `jobs` once, checks the sim_ids first and returns a list.
     """
+    if config.kind == "dry" or (config.kind == "local" and config.dry_run):
+        return _DryRecords(jobs)
+    jobs = list(jobs)
     ids = [j.sim_id for j in jobs]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate sim_ids in job list")
     if config.kind in ("slurm", "pbs"):
         return _dispatch_scheduler(jobs, config)
-    if config.kind == "dry" or config.dry_run:
-        return [JobRecord(sim_id=j.sim_id, command=j.command, status="dry_run") for j in jobs]
     with ThreadPoolExecutor(max_workers=config.resolved_max_parallel) as pool:
         futures = [pool.submit(_run_local_job, job, config) for job in jobs]
         return [f.result() for f in futures]

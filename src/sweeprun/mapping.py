@@ -68,7 +68,6 @@ class CartesianMapping:
             )
         if len(set(self.sim_ids)) != len(self.sim_ids):
             raise ValueError("duplicate sim_ids")
-        object.__setattr__(self, "_index", {sid: i for i, sid in enumerate(self.sim_ids)})
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,7 +109,11 @@ class CartesianMapping:
             yield sim_id, self.parameter_set_at(i)
 
     def lookup_by_id(self, sim_id: str) -> ParameterSet:
-        index = getattr(self, "_index")
+        # built on the first lookup: a run writes its mapping and never looks anything up
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = {sid: i for i, sid in enumerate(self.sim_ids)}
+            object.__setattr__(self, "_index", index)
         if sim_id not in index:
             raise KeyError(f"unknown simulation id {sim_id!r}")
         return self.parameter_set_at(index[sim_id])

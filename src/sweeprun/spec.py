@@ -102,7 +102,15 @@ def load_sweep_spec(path: Path | str, seed_override: int | None = None) -> Sweep
         sets = doc.get("sets")
         if not isinstance(sets, list) or not sets:
             raise _spec_error("set sweeps need a non-empty 'sets' list")
-        return SetSweep(sets)
+        sweep = SetSweep(sets)
+        # compared by kind, as Cartesian values are; a random sweep may repeat a set
+        first_index: dict[tuple, int] = {}
+        for i, params in enumerate(sweep.sets):
+            key = tuple((type(v), v) for v in params.values())
+            if key in first_index:
+                raise _spec_error(f"sets {first_index[key]} and {i} are the same parameter set")
+            first_index[key] = i
+        return sweep
 
     if sweep_type == "random":
         count = doc.get("count")

@@ -292,13 +292,14 @@ class CartesianSweep:
     def length(self) -> int:
         return math.prod(len(v) for v in self.parameters.values())
 
-    def _grid(self) -> Iterator[ParameterSet]:
+    def iter_sets(self) -> Iterator[ParameterSet]:
+        """The sets one at a time, in generation order; nothing is held."""
         names = list(self.parameters)
         for combo in itertools.product(*self.parameters.values()):
             yield dict(zip(names, combo))
 
     def generate(self) -> list[ParameterSet]:
-        return list(self._grid())
+        return list(self.iter_sets())
 
 
 class FilteredCartesianSweep(CartesianSweep):
@@ -325,18 +326,26 @@ class FilteredCartesianSweep(CartesianSweep):
 
     def _survivors(self) -> Iterator[ParameterSet]:
         # each grid point is tested as it is made, so rejected sets are never held
-        return (params for params in self._grid() if filters.evaluate(self.filter, params))
+        return (params for params in super().iter_sets() if filters.evaluate(self.filter, params))
 
     def length(self) -> int:
         return sum(1 for _ in self._survivors())
 
-    def generate(self) -> list[ParameterSet]:
-        survivors = list(self._survivors())
-        if not survivors:
+    def iter_sets(self) -> Iterator[ParameterSet]:
+        """The surviving sets one at a time; raises EmptySweepError at the end
+        if the filter kept none."""
+        kept = 0
+        for params in self._survivors():
+            kept += 1
+            yield params
+        if not kept:
             raise EmptySweepError(
                 f"filter rejected all {super().length()} parameter sets; nothing to run"
             )
-        return survivors
+
+    def generate(self) -> list[ParameterSet]:
+        """The surviving sets; raises EmptySweepError if the filter kept none."""
+        return list(self.iter_sets())
 
 
 class SetSweep:
@@ -374,8 +383,11 @@ class SetSweep:
     def length(self) -> int:
         return len(self.sets)
 
+    def iter_sets(self) -> Iterator[ParameterSet]:
+        return (dict(s) for s in self.sets)
+
     def generate(self) -> list[ParameterSet]:
-        return [dict(s) for s in self.sets]
+        return list(self.iter_sets())
 
 
 class RandomSweep:
@@ -415,12 +427,13 @@ class RandomSweep:
     def length(self) -> int:
         return self.count
 
-    def generate(self) -> list[ParameterSet]:
+    def iter_sets(self) -> Iterator[ParameterSet]:
         rng = random.Random(self.seed)
-        return [
-            {name: dist.sample(rng) for name, dist in self.distributions.items()}
-            for _ in range(self.count)
-        ]
+        for _ in range(self.count):
+            yield {name: dist.sample(rng) for name, dist in self.distributions.items()}
+
+    def generate(self) -> list[ParameterSet]:
+        return list(self.iter_sets())
 
 
 Sweep = Union[CartesianSweep, FilteredCartesianSweep, SetSweep, RandomSweep]

@@ -38,6 +38,10 @@ _BRACE_RE = re.compile(r"[{}]")
 
 
 def format_value(value: ParamValue) -> str:
+    # text first: render passes every value through here, and run hands it
+    # values it has already formatted
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         raise ValueError("booleans are not parameter values")
     if isinstance(value, int):
@@ -46,8 +50,6 @@ def format_value(value: ParamValue) -> str:
         if not math.isfinite(value):
             raise ValueError(f"cannot format non-finite real {value!r}")
         return repr(value)
-    if isinstance(value, str):
-        return value
     raise ValueError(f"unsupported value type {type(value).__name__}")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,20 @@ def stub(workdir) -> tuple[Path, str]:
     """Stub model script in the working directory plus its command template."""
     script = write_stub_model(workdir)
     return script, stub_command(script)
+
+
+@pytest.fixture
+def tiny_setup(workdir):
+    """A 2x1 grid with a template; returns the common run argv prefix."""
+    (workdir / "sweep.json").write_text(
+        json.dumps({"type": "cartesian", "parameters": {"a": [1, 2], "b": [10]}}), encoding="utf-8"
+    )
+    (workdir / "template.txt").write_text("a={a} b={b} id={sim_id}\n", encoding="utf-8")
+    return [
+        "run",
+        "--command", "true {sim_id}",
+        "--config", "conf_{sim_id}.txt",
+        "--template", "template.txt",
+        "--sweep-file", "sweep.json",
+        "--name", "tiny",
+    ]

@@ -405,10 +405,10 @@ def test_criterion_9_failure_isolation(workdir):
         encoding="utf-8",
     )
     (workdir / "sweep.json").write_text(
-        json.dumps({"type": "set", "sets": [{"code": 0}, {"code": 1}, {"code": 0}]}),
+        json.dumps({"type": "set", "sets": [{"code": 0, "k": 1}, {"code": 1, "k": 2}, {"code": 0, "k": 3}]}),
         encoding="utf-8",
     )
-    (workdir / "template.txt").write_text("code = {code}\n", encoding="utf-8")
+    (workdir / "template.txt").write_text("code = {code}\nk = {k}\n", encoding="utf-8")
     exit_code = main(
         [
             "run",

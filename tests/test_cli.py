@@ -21,24 +21,6 @@ def write_json(path: Path, doc) -> Path:
     return path
 
 
-@pytest.fixture
-def tiny_setup(workdir):
-    """A 2x1 grid with a template; returns the common run argv prefix."""
-    write_json(
-        workdir / "sweep.json",
-        {"type": "cartesian", "parameters": {"a": [1, 2], "b": [10]}},
-    )
-    (workdir / "template.txt").write_text("a={a} b={b} id={sim_id}\n", encoding="utf-8")
-    return [
-        "run",
-        "--command", "true {sim_id}",
-        "--config", "conf_{sim_id}.txt",
-        "--template", "template.txt",
-        "--sweep-file", "sweep.json",
-        "--name", "tiny",
-    ]
-
-
 class TestSweepSpecLoading:
     def test_linspace_and_explicit_values(self, workdir):
         path = write_json(
@@ -130,6 +112,23 @@ class TestSweepSpecLoading:
         with pytest.raises(ValueError):
             load_sweep_spec(path)
 
+    @pytest.mark.parametrize(
+        "sets, first, second",
+        [
+            ([{"v": 1}, {"v": 2}, {"v": 1}], 0, 2),
+            ([{"v": "a", "w": 0.5}, {"v": "b", "w": 0.5}, {"v": "a", "w": 0.5}], 0, 2),
+            ([{"v": 3}, {"v": 0.0}, {"v": -0.0}], 1, 2),
+        ],
+    )
+    def test_repeated_set_rejected(self, workdir, sets, first, second):
+        path = write_json(workdir / "s.json", {"type": "set", "sets": sets})
+        with pytest.raises(ValueError, match=f"sets {first} and {second} are the same"):
+            load_sweep_spec(path)
+
+    def test_same_number_of_another_kind_is_not_a_repeated_set(self, workdir):
+        path = write_json(workdir / "s.json", {"type": "set", "sets": [{"v": 1}, {"v": 1.0}]})
+        assert load_sweep_spec(path).generate() == [{"v": 1}, {"v": 1.0}]
+
 
 class TestPreview:
     def test_reference_grid(self, workdir, capsys):
@@ -166,6 +165,11 @@ class TestPreview:
         assert main(["preview", "--sweep-file", "sweep.json", "--limit", "2"]) == 0
         out = capsys.readouterr().out
         assert "... 298 more" in out
+
+    def test_repeated_set_is_an_error(self, workdir, capsys):
+        write_json(workdir / "sweep.json", {"type": "set", "sets": [{"v": 1}, {"v": 1}]})
+        assert main(["preview", "--sweep-file", "sweep.json"]) == 1
+        assert "sets 0 and 1 are the same" in capsys.readouterr().err
 
 
 class TestRunValidation:
@@ -243,6 +247,62 @@ class TestRunValidation:
         argv[argv.index("--template") + 1] = "nope.txt"
         assert main(argv) == 1
 
+    @pytest.mark.parametrize("again", ["conf_{sim_id}.txt", "./conf_{sim_id}.txt"])
+    def test_same_config_pattern_twice_is_an_error(self, workdir, tiny_setup, capsys, again):
+        (workdir / "b.txt").write_text("b={b} {sim_id}\n", encoding="utf-8")
+        assert main(tiny_setup + ["--config", again, "--template", "b.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and again in err
+        assert sorted(p.name for p in workdir.iterdir()) == ["b.txt", "sweep.json", "template.txt"]
+
+    @pytest.mark.parametrize("kind", ["set", "cartesian"])
+    @pytest.mark.parametrize("value", ["../outside", "a/b", ".", "..", "nul\0byte"])
+    def test_value_in_a_config_path_stays_in_its_directory(
+        self, workdir, monkeypatch, capsys, kind, value
+    ):
+        run_dir = workdir / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        if kind == "set":
+            spec = {"type": "set", "sets": [{"v": "ok", "n": 1}, {"v": value, "n": 2}]}
+        else:
+            spec = {"type": "cartesian", "parameters": {"v": ["ok", value], "n": [1]}}
+        write_json(run_dir / "sweep.json", spec)
+        (run_dir / "template.txt").write_text("v={v} n={n}\n", encoding="utf-8")
+        argv = [
+            "run", "--command", "true {sim_id}", "--config", "{v}_{sim_id}.txt",
+            "--template", "template.txt", "--sweep-file", "sweep.json", "--dispatcher", "dry",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'v'" in err and "--config" in err
+        assert sorted(p.relative_to(workdir).as_posix() for p in workdir.rglob("*")) == [
+            "run", "run/sweep.json", "run/template.txt",
+        ]
+
+    def test_only_values_that_reach_a_config_path_are_checked(self, workdir, capsys):
+        write_json(workdir / "sweep.json", {"type": "set", "sets": [{"v": "a/b", "w": "x"}]})
+        (workdir / "template.txt").write_text("v={v}\n", encoding="utf-8")
+        argv = [
+            "run", "--command", "true {v} {sim_id}", "--config", "{w}_{sim_id}.txt",
+            "--template", "template.txt", "--sweep-file", "sweep.json", "--dispatcher", "dry",
+        ]
+        assert main(argv) == 0
+        assert (workdir / "x_0.txt").read_text(encoding="utf-8") == "v=a/b\n"
+
+    def test_filtered_out_value_is_not_checked(self, workdir, capsys):
+        write_json(
+            workdir / "sweep.json",
+            {"type": "cartesian", "parameters": {"v": ["ok", ".."], "n": [1]}, "filter": "v == 'ok'"},
+        )
+        (workdir / "template.txt").write_text("v={v} n={n}\n", encoding="utf-8")
+        argv = [
+            "run", "--command", "true {sim_id}", "--config", "{v}_{sim_id}.txt",
+            "--template", "template.txt", "--sweep-file", "sweep.json", "--dispatcher", "dry",
+        ]
+        assert main(argv) == 0
+        assert (workdir / "ok_0.txt").read_text(encoding="utf-8") == "v=ok n=1\n"
+
 
 class TestRunPipeline:
     def test_writes_configs_mapping_summary(self, workdir, tiny_setup):
@@ -302,9 +362,9 @@ class TestRunPipeline:
     def test_failing_job_gives_exit_three_with_all_records(self, workdir):
         write_json(
             workdir / "sweep.json",
-            {"type": "set", "sets": [{"code": 0}, {"code": 1}, {"code": 0}]},
+            {"type": "set", "sets": [{"code": 0, "k": 1}, {"code": 1, "k": 2}, {"code": 0, "k": 3}]},
         )
-        (workdir / "template.txt").write_text("code={code} {sim_id}\n", encoding="utf-8")
+        (workdir / "template.txt").write_text("code={code} k={k} {sim_id}\n", encoding="utf-8")
         assert (
             main(
                 [
@@ -547,16 +607,32 @@ class TestAtomicWrites:
 
     @pytest.fixture
     def fail_halfway(self, monkeypatch):
-        real_write_text = Path.write_text
+        # Path.write_text opens through Path.open, so this reaches documents
+        # written whole and documents written in parts alike
+        real_open = Path.open
+
+        class HalfWriter:
+            def __init__(self, file):
+                self.file = file
+
+            def write(self, data):
+                self.file.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
 
         def arm(suffix):
-            def write_text(path, data, *args, **kwargs):
-                if path.name.endswith(suffix):
-                    real_write_text(path, data[: len(data) // 2], *args, **kwargs)
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return real_write_text(path, data, *args, **kwargs)
+            def open_(path, mode="r", *args, **kwargs):
+                file = real_open(path, mode, *args, **kwargs)
+                if "w" in mode and path.name.endswith(suffix):
+                    return HalfWriter(file)
+                return file
 
-            monkeypatch.setattr(Path, "write_text", write_text)
+            monkeypatch.setattr(Path, "open", open_)
 
         return arm
 

@@ -230,8 +230,33 @@ class TestDryDispatch:
     def test_dry_kind_touches_nothing(self, workdir):
         jobs = [_job("000", "./ocean 000", workdir)]
         records = dispatch_all(jobs, DispatcherConfig(kind="dry"))
-        assert records == [JobRecord(sim_id="000", command="./ocean 000", status="dry_run")]
+        assert list(records) == [JobRecord(sim_id="000", command="./ocean 000", status="dry_run")]
         assert list(workdir.iterdir()) == []
+
+    def test_dry_records_are_made_as_they_are_read(self, workdir):
+        made = []
+
+        class Jobs:  # sized and iterable, made on each pass, never indexed
+            def __len__(self):
+                return 3
+
+            def __iter__(self):
+                for k in range(3):
+                    made.append(k)
+                    yield _job(str(k), f"./ocean {k}", workdir)
+
+        records = dispatch_all(Jobs(), DispatcherConfig(kind="dry"))
+        assert len(records) == 3 and made == []
+        assert [(r.sim_id, r.command, r.status) for r in records] == [
+            ("0", "./ocean 0", "dry_run"), ("1", "./ocean 1", "dry_run"), ("2", "./ocean 2", "dry_run"),
+        ]
+        assert made == [0, 1, 2]
+
+    def test_dry_duplicate_sim_id_is_reported_when_read(self, workdir):
+        jobs = [_job("0", "true", workdir), _job("0", "true", workdir)]
+        records = dispatch_all(jobs, DispatcherConfig(kind="dry"))
+        with pytest.raises(ValueError, match="duplicate"):
+            list(records)
 
     def test_local_dry_run_flag(self, workdir):
         jobs = [_job("0", "touch should_not_exist", workdir)]
