@@ -43,7 +43,7 @@ from .errors import (
 from .mapping import build_mapping, read_mapping, serialize
 from .naming import NamerConfig, SequentialNamer
 from .spec import load_sweep_spec
-from .templates import extract_placeholders, format_value, render, unused_parameters
+from .templates import extract_placeholders, format_grid, format_value, render, unused_parameters
 
 SUMMARY_SCHEMA = "sweep-summary/1"
 REPORT_SCHEMA = "sweep-collect-report/1"
@@ -119,19 +119,22 @@ def _plan(args):
     return sweep, sweep.generate()
 
 
-def _simulations(sets) -> Iterator[tuple[str, dict]]:
-    """(sim_id, parameter set) pairs for one pass over `sets`."""
-    return zip(SequentialNamer(NamerConfig(), len(sets)), sets)
-
-
 def _formatted(params) -> dict[str, str]:
     """Each value formatted once; render passes text through as it is."""
     return {name: format_value(value) for name, value in params.items()}
 
 
-def _shell_words(params) -> dict[str, str]:
+def _simulations(sweep, sets) -> Iterator[tuple[str, dict[str, str]]]:
+    """(sim_id, values as text) pairs for one pass over `sets`. A plain
+    Cartesian grid formats each distinct value once per pass and builds every
+    cell from those strings; other sweeps format each set once per pass."""
+    values = format_grid(sweep.parameters) if sweep.kind == "cartesian" else map(_formatted, sets)
+    return zip(SequentialNamer(NamerConfig(), len(sets)), values)
+
+
+def _shell_words(values: dict[str, str]) -> dict[str, str]:
     """Each value quoted to reach the shell as one word (sim_id is safe as it is)."""
-    return {name: shlex.quote(text) for name, text in _formatted(params).items()}
+    return {name: shlex.quote(text) for name, text in values.items()}
 
 
 def _require_sim_id(pattern: str, what: str):
@@ -151,8 +154,9 @@ def _require_distinct_configs(patterns: list[str]):
 
 def _require_path_safe_values(sweep, sets, patterns: list[str]):
     """A text value rendered into a --config path must be a plain name part:
-    no '/' or NUL, and not '.' or '..', so no config lands outside the
-    directory its pattern names."""
+    not empty, no '/' or NUL, and not '.' or '..', so no config lands outside
+    the directory its pattern names (an empty value at the start of a
+    pattern would leave its '/' leading, an absolute path)."""
     names = dict.fromkeys(n for p in patterns for n in extract_placeholders(p) if n != "sim_id")
     if not names:
         return
@@ -161,17 +165,16 @@ def _require_path_safe_values(sweep, sets, patterns: list[str]):
     else:
         values = ((name, params[name]) for params in sets for name in names)
     for name, value in values:
-        if isinstance(value, str) and ("/" in value or "\0" in value or value in (".", "..")):
+        if isinstance(value, str) and ("/" in value or "\0" in value or value in ("", ".", "..")):
             raise SweepRunError(
                 f"parameter {name!r} has the value {value!r}, which cannot be part of a "
-                "--config path: a value there may not contain '/' or NUL, or be '.' or '..'"
+                "--config path: a value there may not contain '/' or NUL, or be empty, '.' or '..'"
             )
 
 
-def _planned_paths(args, sets, mapping_path: Path) -> Iterator[Path]:
+def _planned_paths(args, sweep, sets, mapping_path: Path) -> Iterator[Path]:
     """Every path the run will create, rendered one at a time."""
-    for sim_id, params in _simulations(sets):
-        values = _formatted(params)
+    for sim_id, values in _simulations(sweep, sets):
         for pattern in args.config:
             yield Path(render(pattern, values, sim_id))
     yield mapping_path
@@ -269,13 +272,12 @@ def _cmd_run(args) -> int:
     # on the paths alone, and each path is rendered again where it is written
     mapping_path = Path(args.mapping_out) if args.mapping_out else Path(f"{args.name}_mapping.json")
     if not args.overwrite:
-        existing = [p for p in _planned_paths(args, sets, mapping_path) if p.exists()]
+        existing = [p for p in _planned_paths(args, sweep, sets, mapping_path) if p.exists()]
         if existing:
             raise OutputConflictError(existing)
 
     here = Path(".")
-    for sim_id, params in _simulations(sets):
-        values = _formatted(params)
+    for sim_id, values in _simulations(sweep, sets):
         for pattern, source in zip(args.config, template_sources):
             path = Path(render(pattern, values, sim_id))
             if path.parent != here:
@@ -290,8 +292,8 @@ def _cmd_run(args) -> int:
     jobs = _Replayed(
         len(sets),
         lambda: (
-            JobSpec(sim_id=sim_id, command=render(args.command, _shell_words(params), sim_id), workdir=workdir)
-            for sim_id, params in _simulations(sets)
+            JobSpec(sim_id=sim_id, command=render(args.command, _shell_words(values), sim_id), workdir=workdir)
+            for sim_id, values in _simulations(sweep, sets)
         ),
     )
     config = DispatcherConfig(

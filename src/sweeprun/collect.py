@@ -16,6 +16,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from . import templates
 from .mapping import CartesianMapping, Mapping
@@ -70,6 +71,18 @@ def _number(token: str) -> float | None:
         return None
 
 
+def _formatted_cells(mapping: Mapping) -> Iterator[tuple[str, dict[str, str]]]:
+    """(sim_id, parameter values as text) in mapping order, made again on each
+    pass: a grid formats each distinct value once, an association mapping
+    each set once."""
+    if isinstance(mapping, CartesianMapping):
+        return zip(mapping.sim_ids, templates.format_grid(mapping.coords))
+    return (
+        (sim_id, {name: templates.format_value(value) for name, value in params.items()})
+        for sim_id, params in mapping.assignments.items()
+    )
+
+
 def collect_scalars(mapping: Mapping, output_pattern: str) -> CollectedScalars:
     """Read one scalar per simulation from files named by `output_pattern`.
 
@@ -86,8 +99,8 @@ def collect_scalars(mapping: Mapping, output_pattern: str) -> CollectedScalars:
         issues.append(CollectIssue(sim_id=sim_id, path=path, reason=reason))
         values[sim_id] = None
 
-    for sim_id, params in mapping.items():
-        path = templates.render(output_pattern, params, sim_id)
+    for sim_id, cell in _formatted_cells(mapping):
+        path = templates.render(output_pattern, cell, sim_id)
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -116,8 +129,8 @@ def export_csv(collected: CollectedScalars) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     names = list(collected.mapping.parameter_names)
     writer.writerow(names + ["value"])
-    for sim_id, params in collected.mapping.items():
-        row = [templates.format_value(params[n]) for n in names]
+    for sim_id, cell in _formatted_cells(collected.mapping):
+        row = [cell[n] for n in names]
         value = collected.values.get(sim_id)
         row.append("" if value is None else templates.format_value(value))
         writer.writerow(row)

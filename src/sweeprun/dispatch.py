@@ -267,11 +267,12 @@ def dispatch_all(jobs: Collection[JobSpec], config: DispatcherConfig) -> Sequenc
 
     `jobs` may be any sized iterable. All configuration files must already
     be on disk (rendering and writing happen before any dispatch). Local jobs
-    run under a process pool capped at max_parallel; job failures are
-    recorded, never raised. A dry dispatch (kind "dry", or dry_run with the
-    local kind) executes nothing and returns a view that makes each record
-    from `jobs` as it is read, reporting a repeated sim_id then; every other
-    dispatch reads `jobs` once, checks the sim_ids first and returns a list.
+    run on a pool of max_parallel threads, each waiting on one shell at a
+    time; job failures are recorded, never raised. A dry dispatch (kind
+    "dry", or dry_run with the local kind) executes nothing and returns a
+    view that makes each record from `jobs` as it is read, reporting a
+    repeated sim_id then; every other dispatch reads `jobs` once, checks the
+    sim_ids first and returns a list.
     """
     if config.kind == "dry" or (config.kind == "local" and config.dry_run):
         return _DryRecords(jobs)

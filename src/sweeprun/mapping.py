@@ -15,6 +15,7 @@ through a round-trip (reals use shortest round-trip printing).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,8 +106,9 @@ class CartesianMapping:
         return {dim: self.coords[dim][k] for dim, k in zip(self.dims, multi)}
 
     def items(self) -> Iterator[tuple[str, ParameterSet]]:
-        for i, sim_id in enumerate(self.sim_ids):
-            yield sim_id, self.parameter_set_at(i)
+        cells = itertools.product(*(self.coords[dim] for dim in self.dims))
+        for sim_id, combo in zip(self.sim_ids, cells):
+            yield sim_id, dict(zip(self.dims, combo))
 
     def lookup_by_id(self, sim_id: str) -> ParameterSet:
         # built on the first lookup: a run writes its mapping and never looks anything up

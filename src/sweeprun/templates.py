@@ -16,9 +16,10 @@ verbatim.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import TemplateSyntaxError, UnfilledPlaceholderError
 from .filters import _byte_offset
@@ -51,6 +52,16 @@ def format_value(value: ParamValue) -> str:
             raise ValueError(f"cannot format non-finite real {value!r}")
         return repr(value)
     raise ValueError(f"unsupported value type {type(value).__name__}")
+
+
+def format_grid(parameters: Mapping[str, Sequence[ParamValue]]) -> Iterator[dict[str, str]]:
+    """The cells of the Cartesian grid over `parameters`, as formatted text,
+    in row-major order (the last name varies fastest): each value is
+    formatted once, and every cell is built from those strings."""
+    names = list(parameters)
+    axes = [[format_value(value) for value in values] for values in parameters.values()]
+    for combo in itertools.product(*axes):
+        yield dict(zip(names, combo))
 
 
 def _scan(source: str) -> Iterator[tuple[str, str | None]]:

@@ -256,7 +256,7 @@ class TestRunValidation:
         assert sorted(p.name for p in workdir.iterdir()) == ["b.txt", "sweep.json", "template.txt"]
 
     @pytest.mark.parametrize("kind", ["set", "cartesian"])
-    @pytest.mark.parametrize("value", ["../outside", "a/b", ".", "..", "nul\0byte"])
+    @pytest.mark.parametrize("value", ["../outside", "a/b", ".", "..", "nul\0byte", ""])
     def test_value_in_a_config_path_stays_in_its_directory(
         self, workdir, monkeypatch, capsys, kind, value
     ):
@@ -278,6 +278,24 @@ class TestRunValidation:
         assert err.startswith("error: ") and "'v'" in err and "--config" in err
         assert sorted(p.relative_to(workdir).as_posix() for p in workdir.rglob("*")) == [
             "run", "run/sweep.json", "run/template.txt",
+        ]
+
+    def test_empty_value_cannot_make_a_config_path_absolute(self, workdir, monkeypatch, capsys):
+        run_dir, outside = workdir / "run", workdir / "outside"
+        run_dir.mkdir()
+        outside.mkdir()
+        monkeypatch.chdir(run_dir)
+        write_json(run_dir / "sweep.json", {"type": "set", "sets": [{"v": ""}]})
+        (run_dir / "template.txt").write_text("v={v}\n", encoding="utf-8")
+        argv = [
+            "run", "--command", "true {sim_id}", "--config", "{v}" + outside.as_posix() + "/c_{sim_id}.txt",
+            "--template", "template.txt", "--sweep-file", "sweep.json", "--dispatcher", "dry",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'v'" in err and "empty" in err
+        assert sorted(p.relative_to(workdir).as_posix() for p in workdir.rglob("*")) == [
+            "outside", "run", "run/sweep.json", "run/template.txt",
         ]
 
     def test_only_values_that_reach_a_config_path_are_checked(self, workdir, capsys):

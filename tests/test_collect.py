@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
@@ -17,7 +19,7 @@ from sweeprun.sweeps import (
     SetSweep,
     Uniform,
 )
-from sweeprun.templates import render
+from sweeprun.templates import format_value, render
 
 
 @pytest.fixture
@@ -41,6 +43,34 @@ def test_csv_golden(workdir, grid_mapping):
     (workdir / "results_1.txt").write_text("-0.25\n", encoding="utf-8")
     collected = collect_scalars(grid_mapping, "results_{sim_id}.txt")
     assert export_csv(collected) == "a,b,value\n1,10,0.5\n2,10,-0.25\n"
+
+
+def test_csv_matches_a_per_cell_reference(workdir):
+    sweep = CartesianSweep(
+        {
+            "n": [-3, 0, 12],
+            "x": [1e-07, 1e16, 2.0, -0.5, 0.1],
+            "s": ["plain", "a,b", 'say "hi"', "résumé ∂"],
+        }
+    )
+    sets = sweep.generate()
+    ids = list(SequentialNamer(NamerConfig(), len(sets)))
+    mapping = build_mapping(sweep, sets, ids, sweep_name="kinds")
+    for k, sim_id in enumerate(ids):
+        if k % 4:  # every fourth output is missing
+            (workdir / f"out_{sim_id}.txt").write_text(f"{k * 0.25}\n", encoding="utf-8")
+    collected = collect_scalars(mapping, "out_{sim_id}.txt")
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["n", "x", "s", "value"])
+    for k, (sim_id, params) in enumerate(zip(ids, sets)):
+        row = [format_value(params[name]) for name in ("n", "x", "s")]
+        row.append(format_value(k * 0.25) if k % 4 else "")
+        writer.writerow(row)
+    text = export_csv(collected)
+    assert text == expected.getvalue()
+    assert '1e-07,"say ""hi""",' in text and ',1e+16,"a,b",' in text and "résumé ∂" in text
 
 
 def test_missing_file_reported_not_fatal(workdir, grid_mapping):

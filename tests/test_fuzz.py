@@ -19,7 +19,8 @@ from sweeprun.errors import (
     UnfilledPlaceholderError,
 )
 from sweeprun.filters import Binary, NumberLit, TextLit, Unary, Var, evaluate, parse
-from sweeprun.templates import extract_placeholders, format_value, render
+from sweeprun.sweeps import CartesianSweep
+from sweeprun.templates import extract_placeholders, format_grid, format_value, render
 
 BIG = "1" + "0" * 400  # an integer literal too large for a 64-bit real
 FILTER_TOKENS = [
@@ -155,6 +156,29 @@ def test_render_agrees_with_reference(source):
 @given(templates_text)
 def test_extract_placeholders_agrees_with_reference(source):
     assert _outcome(extract_placeholders, source) == _outcome(_reference_placeholders, source)
+
+
+VALUES = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+)
+GRIDS = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "x_1"]),
+    st.lists(VALUES, min_size=1, max_size=4, unique_by=lambda v: (type(v), v)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@fuzz
+@given(GRIDS)
+def test_format_grid_agrees_with_formatting_each_set(parameters):
+    sweep = CartesianSweep(parameters)
+    expected = [
+        {name: format_value(value) for name, value in params.items()} for params in sweep.iter_sets()
+    ]
+    assert list(format_grid(sweep.parameters)) == expected
 
 
 # ---------------------------------------------------------------------------

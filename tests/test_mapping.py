@@ -134,6 +134,24 @@ class TestLookups:
             assert sets[flat] == expected
 
 
+    @pytest.mark.parametrize(
+        "parameters",
+        [
+            {"p": [3, 1, 2]},
+            {"p": [0.5]},
+            {"p": [1, 2, 3], "q": [0.5, -1e-07, 1e16], "r": ["u", "v"]},
+        ],
+        ids=["1-D", "single cell", "3-D"],
+    )
+    def test_items_walk_the_cells_in_flat_order(self, parameters):
+        mapping, _sets, ids = _mapping_for(CartesianSweep(parameters))
+        expected = [(ids[i], mapping.parameter_set_at(i)) for i in range(len(ids))]
+        assert list(mapping.items()) == expected
+        # equal floats and ints would compare equal; the kinds must match too
+        for (_, got), (_, want) in zip(mapping.items(), expected):
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
 class TestSerialization:
     def test_cartesian_round_trip(self):
         sweep = CartesianSweep({"a": [1, 2], "b": [10.0]})
