@@ -13,6 +13,7 @@ failure; 3 one or more local simulations failed; 4 collection incomplete.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -22,10 +23,10 @@ import sys
 import tempfile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import __version__
-from .collect import collect_scalars, export_csv
+from .collect import write_csv
 from .dispatch import (
     DISPATCHER_KINDS,
     DispatcherConfig,
@@ -49,6 +50,8 @@ SUMMARY_SCHEMA = "sweep-summary/1"
 REPORT_SCHEMA = "sweep-collect-report/1"
 STDERR_ISSUE_LIMIT = 5  # collect lists this many issues on stderr; the report lists all
 
+_T = TypeVar("_T")
+
 
 class _UsageError(Exception):
     pass
@@ -61,33 +64,34 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _write_atomic(path: Path, content: str | Callable[[Path], object]):
+def _write_atomic(path: Path, content: str | Callable[[Path], _T]) -> _T | None:
     """Write `content` (text, or a function that writes the file at the path
     it is given) to a new temporary sibling, then rename it onto `path`, so
     a process that fails or dies halfway leaves the previous document (or
     none), never a truncated one. Nothing is fsynced, so an OS crash can still
     lose the write. A symlink or a special file (such as /dev/stdout) is
     written in place, as the rename would replace the link or fail. The
-    temporary name ends with the final name."""
+    temporary name ends with the final name. Returns what the function
+    returns."""
     def write(target: Path):
         if callable(content):
-            content(target)
-        else:
-            target.write_text(content, encoding="utf-8")
+            return content(target)
+        target.write_text(content, encoding="utf-8")
+        return None
 
     if path.is_symlink() or (path.exists() and not path.is_file()):
-        write(path)
-        return
+        return write(path)
     temporary = path.with_name(f".tmp.{os.urandom(4).hex()}.{path.name}")
     os.close(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         if path.exists():
             shutil.copymode(path, temporary)
-        write(temporary)
+        result = write(temporary)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -364,30 +368,44 @@ def _cmd_preview(args) -> int:
 # collect
 
 
+def _require_distinct_files(files: dict[str, Path]):
+    """No two of the named files may be one file, once links and '..' are
+    resolved: collect would write one over the other."""
+    seen: dict[Path, str] = {}
+    for option, path in files.items():
+        resolved = path.resolve()
+        if resolved in seen:
+            raise _UsageError(
+                f"{seen[resolved]} and {option} are the same file, {resolved}; give each its own path"
+            )
+        seen[resolved] = option
+
+
 def _cmd_collect(args) -> int:
+    """Reads each output and writes its CSV row in one pass; keeps only the
+    mapping and the issues."""
     mapping = read_mapping(args.mapping_file)
-    collected = collect_scalars(mapping, args.output_pattern)
     csv_path = Path(args.csv_out) if args.csv_out else Path(f"{mapping.sweep_name}_results.csv")
-    _write_atomic(csv_path, export_csv(collected))
-    report = {
-        "schema": REPORT_SCHEMA,
-        "sweep_name": mapping.sweep_name,
-        "total": len(collected.values),
-        "collected": sum(v is not None for v in collected.values.values()),
-        "missing": [
-            {"sim_id": issue.sim_id, "path": issue.path, "reason": issue.reason}
-            for issue in collected.issues
-        ],
-    }
     report_path = (
         Path(args.report_out) if args.report_out else Path(f"{mapping.sweep_name}_collect_report.json")
     )
+    _require_distinct_files(
+        {"MAPPING": Path(args.mapping_file), "--csv-out": csv_path, "--report-out": report_path}
+    )
+    issues = _write_atomic(csv_path, functools.partial(write_csv, mapping, args.output_pattern))
+    report = {
+        "schema": REPORT_SCHEMA,
+        "sweep_name": mapping.sweep_name,
+        "total": len(mapping),
+        "collected": len(mapping) - len(issues),
+        "missing": [{"sim_id": issue.sim_id, "path": issue.path, "reason": issue.reason} for issue in issues],
+    }
     _write_atomic(report_path, json.dumps(report, indent=2) + "\n")
     print(f"collected {report['collected']}/{report['total']} value(s) into {csv_path}")
-    if collected.issues:
-        for issue in collected.issues[:STDERR_ISSUE_LIMIT]:
+    if issues:
+        for issue in issues[:STDERR_ISSUE_LIMIT]:
             print(f"  missing {issue.sim_id}: {issue.reason} ({issue.path})", file=sys.stderr)
-        more = len(collected.issues) - STDERR_ISSUE_LIMIT
+        more = len(issues) - STDERR_ISSUE_LIMIT
         if more > 0:
             print(f"  ... and {more} more, see {report_path}", file=sys.stderr)
         print(f"report written to {report_path}", file=sys.stderr)

@@ -6,7 +6,13 @@ e.g. ``results_{sim_id}.txt``). Harvesting keys values by simulation ID, so
 results are identical no matter what order the files were written in.
 Missing, unparseable or non-finite (``nan``, ``inf``) outputs become
 explicit gaps plus a report entry instead of aborting; a long sweep with
-one dead or diverged job stays salvageable.
+one dead or diverged job stays salvageable. Bytes that are not UTF-8 are
+read as lone surrogates, so an undecodable first token is "not a number".
+
+One reader loop holds these rules. `collect_scalars` gathers what it reads
+into a dict; `write_csv` writes each simulation's CSV row as its output is
+read and keeps only the issues, so its memory does not grow with the number
+of simulations that produced a value.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from . import templates
 from .mapping import CartesianMapping, Mapping
@@ -83,6 +89,44 @@ def _formatted_cells(mapping: Mapping) -> Iterator[tuple[str, dict[str, str]]]:
     )
 
 
+def _read_value(path: str) -> tuple[float | None, str | None]:
+    """(value, None) for an output whose first token is a finite number, else
+    (None, the reason)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        return None, f"cannot read output: {exc.strerror or exc}"
+    tokens = text.split(maxsplit=1)
+    if not tokens:
+        return None, "output file is empty"
+    token = tokens[0]
+    value = _number(token)
+    if value is None:
+        return None, f"first token {token!r} is not a number"
+    if not math.isfinite(value):
+        return None, f"first token {token!r} is not a finite number"
+    return value, None
+
+
+# (sim_id, values as text, value, issue): exactly one of value and issue is None
+_Harvested = tuple[str, dict[str, str], float | None, CollectIssue | None]
+
+
+def _harvest(mapping: Mapping, output_pattern: str) -> Iterator[_Harvested]:
+    """One entry per simulation in mapping order, each output read as its
+    entry is. The pattern is checked at once, before any output is read."""
+    if "sim_id" not in templates.extract_placeholders(output_pattern):
+        raise ValueError(f"output pattern {output_pattern!r} does not contain {{sim_id}}")
+
+    def read() -> Iterator[_Harvested]:
+        for sim_id, cell in _formatted_cells(mapping):
+            path = templates.render(output_pattern, cell, sim_id)
+            value, reason = _read_value(path)
+            yield sim_id, cell, value, None if reason is None else CollectIssue(sim_id, path, reason)
+
+    return read()
+
+
 def collect_scalars(mapping: Mapping, output_pattern: str) -> CollectedScalars:
     """Read one scalar per simulation from files named by `output_pattern`.
 
@@ -90,48 +134,49 @@ def collect_scalars(mapping: Mapping, output_pattern: str) -> CollectedScalars:
     parameters. Files are resolved relative to the current directory unless
     the pattern is absolute.
     """
-    if "sim_id" not in templates.extract_placeholders(output_pattern):
-        raise ValueError(f"output pattern {output_pattern!r} does not contain {{sim_id}}")
     values: dict[str, float | None] = {}
     issues: list[CollectIssue] = []
-
-    def record_issue(sim_id: str, path: str, reason: str):
-        issues.append(CollectIssue(sim_id=sim_id, path=path, reason=reason))
-        values[sim_id] = None
-
-    for sim_id, cell in _formatted_cells(mapping):
-        path = templates.render(output_pattern, cell, sim_id)
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            record_issue(sim_id, path, f"cannot read output: {exc.strerror or exc}")
-            continue
-        tokens = text.split()
-        if not tokens:
-            record_issue(sim_id, path, "output file is empty")
-            continue
-        token = tokens[0]
-        value = _number(token)
-        if value is None:
-            record_issue(sim_id, path, f"first token {token!r} is not a number")
-            continue
-        if math.isfinite(value):
-            values[sim_id] = value
-        else:
-            record_issue(sim_id, path, f"first token {token!r} is not a finite number")
+    for sim_id, _cell, value, issue in _harvest(mapping, output_pattern):
+        values[sim_id] = value
+        if issue is not None:
+            issues.append(issue)
     return CollectedScalars(mapping=mapping, values=values, issues=tuple(issues))
+
+
+def _csv_writer(out: TextIO, names: tuple[str, ...]):
+    """A CSV writer on `out` that has written the header row."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*names, "value"])
+    return writer
+
+
+def _csv_row(names: tuple[str, ...], cell: dict[str, str], value: float | None) -> list[str]:
+    return [*(cell[n] for n in names), "" if value is None else templates.format_value(value)]
 
 
 def export_csv(collected: CollectedScalars) -> str:
     """CSV text: one header row `param1,...,paramN,value`, one row per
     simulation in mapping order. Missing values render as an empty field."""
+    names = collected.mapping.parameter_names
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    names = list(collected.mapping.parameter_names)
-    writer.writerow(names + ["value"])
+    writer = _csv_writer(buffer, names)
     for sim_id, cell in _formatted_cells(collected.mapping):
-        row = [cell[n] for n in names]
-        value = collected.values.get(sim_id)
-        row.append("" if value is None else templates.format_value(value))
-        writer.writerow(row)
+        writer.writerow(_csv_row(names, cell, collected.values.get(sim_id)))
     return buffer.getvalue()
+
+
+def write_csv(mapping: Mapping, output_pattern: str, path: Path) -> list[CollectIssue]:
+    """Harvest as `collect_scalars` does and write to `path` the text that
+    `export_csv` would return, one row as each output is read. Returns the
+    issues, the only thing kept per simulation. The pattern is checked
+    before `path` is opened."""
+    harvest = _harvest(mapping, output_pattern)
+    names = mapping.parameter_names
+    issues: list[CollectIssue] = []
+    with path.open("w", encoding="utf-8") as out:
+        writer = _csv_writer(out, names)
+        for _sim_id, cell, value, issue in harvest:
+            if issue is not None:
+                issues.append(issue)
+            writer.writerow(_csv_row(names, cell, value))
+    return issues

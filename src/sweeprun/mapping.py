@@ -67,7 +67,9 @@ class CartesianMapping:
                 f"{len(self.sim_ids)} sim_ids do not fill shape {list(self.shape)} "
                 f"({grid.length()} cells)"
             )
-        if len(set(self.sim_ids)) != len(self.sim_ids):
+        # a sorted copy puts repeats side by side, in a list instead of a hash
+        # set; zero-padded sequential IDs are already sorted, so this is linear
+        if any(a == b for a, b in itertools.pairwise(sorted(self.sim_ids))):
             raise ValueError("duplicate sim_ids")
 
     @property

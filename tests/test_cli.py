@@ -603,6 +603,69 @@ class TestCollectCommand:
         assert "Traceback" not in err
         assert not (workdir / "tiny_results.csv").exists()
 
+    def test_undecodable_output_exits_four_with_csv_and_report(self, workdir, capsys):
+        write_json(workdir / "s.json", {"type": "cartesian", "parameters": {"a": [1, 2, 3]}})
+        (workdir / "t.txt").write_text("{a}\n", encoding="utf-8")
+        argv = ["run", "--command", "true {sim_id}", "--config", "c{sim_id}.txt", "--template"]
+        assert main(argv + ["t.txt", "--sweep-file", "s.json", "--dispatcher", "dry"]) == 0
+        (workdir / "results_0.txt").write_bytes(b"1.5\n")
+        (workdir / "results_1.txt").write_bytes(b"\xff\xfe 2.0\n")
+        (workdir / "results_2.txt").write_bytes(b"3.0 \xe9t\xe9")
+        capsys.readouterr()
+        assert main(["collect", "sweep_mapping.json"]) == 4
+        assert (workdir / "sweep_results.csv").read_text(encoding="utf-8") == "a,value\n1,1.5\n2,\n3,3.0\n"
+        report = (workdir / "sweep_collect_report.json").read_bytes()
+        assert report.isascii()
+        assert json.loads(report)["missing"] == [
+            {"sim_id": "1", "path": "results_1.txt", "reason": "first token '\\udcff\\udcfe' is not a number"}
+        ]
+        assert "missing 1: first token '\\udcff\\udcfe' is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            (["--csv-out", "tiny_mapping.json"], ("MAPPING", "--csv-out")),
+            (["--report-out", "./tiny_mapping.json"], ("MAPPING", "--report-out")),
+            (["--csv-out", "r.out", "--report-out", "./r.out"], ("--csv-out", "--report-out")),
+            (["--csv-out", "tiny_collect_report.json"], ("--csv-out", "--report-out")),
+            (["--report-out", "sub/../tiny_results.csv"], ("--csv-out", "--report-out")),
+            (["--csv-out", "link.json"], ("MAPPING", "--csv-out")),
+        ],
+        ids=["csv-is-mapping", "report-is-mapping", "csv-is-report", "csv-is-default-report",
+             "report-is-default-csv", "csv-links-to-mapping"],
+    )
+    def test_collect_never_writes_over_its_own_files(
+        self, workdir, tiny_setup, monkeypatch, options, named, capsys
+    ):
+        assert main(tiny_setup) == 0
+        (workdir / "sub").mkdir()
+        (workdir / "link.json").symlink_to(workdir / "tiny_mapping.json")
+        mapping = (workdir / "tiny_mapping.json").read_bytes()
+        reads = []
+        real_read_text = Path.read_text
+        monkeypatch.setattr(
+            Path, "read_text", lambda path, *a, **k: reads.append(path.name) or real_read_text(path, *a, **k)
+        )
+        capsys.readouterr()
+        assert main(["collect", "tiny_mapping.json", *options]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in named), err
+        assert reads == ["tiny_mapping.json"]  # no output was read
+        assert (workdir / "tiny_mapping.json").read_bytes() == mapping
+        assert sorted(p.name for p in workdir.iterdir() if p.suffix in (".csv", ".out")) == []
+        assert not (workdir / "tiny_collect_report.json").exists()
+
+    def test_mapping_at_the_default_csv_path_is_kept(self, workdir, tiny_setup, capsys):
+        assert main(tiny_setup) == 0
+        (workdir / "tiny_mapping.json").rename(workdir / "tiny_results.csv")
+        mapping = (workdir / "tiny_results.csv").read_bytes()
+        assert main(["collect", "tiny_results.csv"]) == 1
+        assert "MAPPING and --csv-out" in capsys.readouterr().err
+        assert (workdir / "tiny_results.csv").read_bytes() == mapping
+        assert main(["collect", "tiny_results.csv", "--csv-out", "out.csv"]) == 4
+        assert (workdir / "tiny_results.csv").read_bytes() == mapping
+
     def test_custom_paths(self, workdir, tiny_setup, stub):
         self._run_tiny(workdir, tiny_setup, stub)
         assert (

@@ -115,6 +115,26 @@ def test_only_ascii_decimal_tokens_are_numbers(workdir, grid_mapping, token):
     assert "is not a number" in collected.issues[0].reason
 
 
+
+def test_undecodable_bytes_are_an_issue_not_an_abort(workdir, grid_mapping):
+    (workdir / "results_0.txt").write_bytes(b"\xff\xfe 2.0\n")
+    (workdir / "results_1.txt").write_bytes(b"3.0 \xe9t\xe9")  # a number, then Latin-1 text
+    collected = collect_scalars(grid_mapping, "results_{sim_id}.txt")
+    assert collected.values == {"0": None, "1": 3.0}
+    [issue] = collected.issues
+    assert (issue.sim_id, issue.path) == ("0", "results_0.txt")
+    assert issue.reason == "first token '\\udcff\\udcfe' is not a number"
+    assert issue.reason.isascii()
+
+
+def test_valid_utf8_is_split_on_unicode_whitespace(workdir, grid_mapping):
+    # a no-break space (U+00A0) and an ideographic space (U+3000) separate tokens
+    (workdir / "results_0.txt").write_bytes("\u00a03.5\u3000x".encode("utf-8"))
+    (workdir / "results_1.txt").write_bytes("-1.25\u00a0é".encode("utf-8"))
+    collected = collect_scalars(grid_mapping, "results_{sim_id}.txt")
+    assert collected.values == {"0": 3.5, "1": -1.25}
+
+
 def test_order_independence(workdir, grid_mapping):
     # values keyed by ID: writing files in any order changes nothing
     for order in ([0, 1], [1, 0]):

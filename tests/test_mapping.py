@@ -232,6 +232,30 @@ class TestSerialization:
         with pytest.raises(MappingFormatError, match="duplicate"):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("sim_ids", [["0", "1", "0"], ["7", "10", "2", "10"]])
+    def test_repeats_that_are_not_neighbours_rejected(self, sim_ids):
+        coords = {"a": list(range(len(sim_ids)))}
+        doc = {
+            "schema": "sweep-mapping/1",
+            "kind": "cartesian",
+            "sweep_name": "x",
+            "dims": ["a"],
+            "coords": coords,
+            "shape": [len(sim_ids)],
+            "sim_ids": sim_ids,
+        }
+        with pytest.raises(MappingFormatError, match="duplicate"):
+            deserialize(json.dumps(doc))
+        with pytest.raises(ValueError, match="duplicate sim_ids"):
+            CartesianMapping(sweep_name="x", dims=("a",), coords=coords, sim_ids=sim_ids)
+
+    def test_distinct_ids_in_any_order_keep_their_order(self):
+        mapping = CartesianMapping(
+            sweep_name="x", dims=("a",), coords={"a": [1, 2, 3]}, sim_ids=["b", "c", "a"]
+        )
+        assert mapping.sim_ids == ("b", "c", "a")
+        assert mapping.lookup_by_id("a") == {"a": 3}
+
     def test_heterogeneous_association_rejected(self):
         doc = {
             "schema": "sweep-mapping/1",

@@ -1,9 +1,11 @@
-"""`run` and `preview` stream: memory that does not grow with the number of
-simulations, and a summary written entry by entry that is byte-identical to
-``json.dumps(summary, indent=2)``."""
+"""`run`, `preview` and `collect` stream: memory that does not grow with the
+number of simulations, a summary written entry by entry that is
+byte-identical to ``json.dumps(summary, indent=2)``, and a CSV written row by
+row that is byte-identical to ``export_csv``."""
 
 from __future__ import annotations
 
+import errno
 import json
 import sys
 import tracemalloc
@@ -12,9 +14,12 @@ from pathlib import Path
 import pytest
 
 from sweeprun import filters
-from sweeprun.cli import SUMMARY_SCHEMA, _write_summary, main
+from sweeprun.cli import REPORT_SCHEMA, SUMMARY_SCHEMA, _write_summary, main
+from sweeprun.collect import collect_scalars, export_csv
 from sweeprun.dispatch import JobRecord
+from sweeprun.mapping import build_mapping, read_mapping, serialize
 from sweeprun.naming import NamerConfig, SequentialNamer
+from sweeprun.sweeps import CartesianSweep, SetSweep
 
 
 def write_json(path: Path, doc) -> Path:
@@ -146,6 +151,103 @@ def test_dry_run_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatc
     capsys.readouterr()
     per_simulation = (peaks[6_000] - peaks[1_000]) / (6_000 - 1_000)
     assert per_simulation < 512, f"{per_simulation:.0f} B per simulation"
+
+
+
+TEXT_VALUES = ["plain", "a,b", 'say "hi"', "two\nlines", "résumé ☃ 𝄞"]
+
+# one of each kind of output, in turn; None leaves the output missing
+OUTPUTS = [
+    b"0.5\n",
+    None,
+    b"",
+    b"  \n\t",
+    b"not-a-number 1.0\n",
+    b"nan\n",
+    b"-inf\n",
+    b"1e999",
+    b"\xff\xfe 2.0\n",
+    b"3.0 \xe9t\xe9",
+    "-1.25e-07\u00a0tail".encode("utf-8"),
+    b"12",
+]
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        CartesianSweep({"n": [-3, 12], "x": [1e-07, 2.0, 1e16], "s": TEXT_VALUES}),
+        SetSweep([{"s": s, "x": k * 0.5} for k, s in enumerate(TEXT_VALUES * 3)]),
+    ],
+    ids=["cartesian", "association"],
+)
+def test_collect_files_equal_the_library_documents(workdir, sweep, capsys):
+    sets = sweep.generate()
+    ids = list(SequentialNamer(NamerConfig(), len(sets)))
+    (workdir / "m.json").write_text(
+        serialize(build_mapping(sweep, sets, ids, sweep_name="odd")), encoding="utf-8"
+    )
+    for k, sim_id in enumerate(ids):
+        output = OUTPUTS[k % len(OUTPUTS)]
+        if output is not None:
+            (workdir / f"out_{sim_id}.txt").write_bytes(output)
+    assert main(["collect", "m.json", "--output-pattern", "out_{sim_id}.txt"]) == 4
+    capsys.readouterr()
+
+    collected = collect_scalars(read_mapping("m.json"), "out_{sim_id}.txt")
+    assert len(collected.issues) > len(ids) / 2
+    assert (workdir / "odd_results.csv").read_bytes() == export_csv(collected).encode("utf-8")
+    report = {
+        "schema": REPORT_SCHEMA,
+        "sweep_name": "odd",
+        "total": len(collected.values),
+        "collected": sum(v is not None for v in collected.values.values()),
+        "missing": [
+            {"sim_id": issue.sim_id, "path": issue.path, "reason": issue.reason}
+            for issue in collected.issues
+        ],
+    }
+    expected = (json.dumps(report, indent=2) + "\n").encode("utf-8")
+    assert (workdir / "odd_collect_report.json").read_bytes() == expected
+
+
+def test_collect_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatch, capsys):
+    real_read_text = Path.read_text
+
+    def read_text(path, *args, **kwargs):
+        if path.name.startswith("out_"):  # outputs come from memory, not from thousands of files
+            k = int(path.stem[4:])
+            if k % 100 == 0:
+                raise FileNotFoundError(errno.ENOENT, "No such file or directory", str(path))
+            return f"{k * 0.5} after\n"
+        return real_read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    peaks = {}
+    for cells in (200, 2_000, 20_000):  # the first run fills one-time caches
+        directory = workdir / str(cells)
+        directory.mkdir()
+        sweep = CartesianSweep({"x": list(range(cells // 10)), "y": [k + 0.25 for k in range(10)]})
+        ids = list(SequentialNamer(NamerConfig(), cells))
+        mapping = build_mapping(sweep, sweep.generate(), ids, sweep_name="slope")
+        (directory / "m.json").write_text(serialize(mapping), encoding="utf-8")
+        del mapping
+        monkeypatch.chdir(directory)
+        # see the dry-run test above: pathlib interns every output name
+        names = [sys.intern(f"out_{sim_id}.txt") for sim_id in ids]
+        del ids
+        code, peaks[cells] = traced_peak(
+            lambda: main(["collect", "m.json", "--output-pattern", "out_{sim_id}.txt"])
+        )
+        del names
+        assert code == 4
+        report = json.loads((directory / "slope_collect_report.json").read_text(encoding="utf-8"))
+        assert (report["total"], report["collected"]) == (cells, cells - cells // 100)
+        with open(directory / "slope_results.csv", encoding="utf-8") as csv_file:
+            assert sum(1 for _ in csv_file) == cells + 1
+    capsys.readouterr()
+    per_simulation = (peaks[20_000] - peaks[2_000]) / (20_000 - 2_000)
+    assert per_simulation < 128, f"{per_simulation:.0f} B per simulation"
 
 
 class TestPreview:
