@@ -8,7 +8,9 @@ set a simulation ID; ``render`` fills configuration templates per
 simulation; ``dispatch_all`` runs one job per set (bounded local
 parallelism, generated batch-scheduler scripts, or a dry run); and
 ``build_mapping`` records which parameter set each simulation ID ran, for
-post-processing with ``collect_scalars``.
+post-processing with ``collect_scalars``. The ``sweeprun`` commands treat
+the mapping as the plan: ``run`` builds it before writing any file and takes
+every simulation of every pass from it, and ``collect`` reads it back.
 """
 
 from __future__ import annotations

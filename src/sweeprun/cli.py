@@ -33,6 +33,7 @@ from .dispatch import (
     JobRecord,
     JobSpec,
     batch_script_path,
+    capture_paths,
     dispatch_all,
 )
 from .errors import (
@@ -41,10 +42,10 @@ from .errors import (
     SweepRunError,
     UnfilledPlaceholderError,
 )
-from .mapping import build_mapping, read_mapping, serialize
+from .mapping import CartesianMapping, Mapping, build_mapping, cells, read_mapping, serialize
 from .naming import NamerConfig, SequentialNamer
 from .spec import load_sweep_spec
-from .templates import extract_placeholders, format_grid, format_value, render, unused_parameters
+from .templates import extract_placeholders, format_value, render, unused_parameters
 
 SUMMARY_SCHEMA = "sweep-summary/1"
 REPORT_SCHEMA = "sweep-collect-report/1"
@@ -112,28 +113,14 @@ class _Replayed:
         return self._items()
 
 
-def _plan(args):
-    """The sweep and its ordered parameter sets. A plain Cartesian grid is
-    enumerated again on each pass (about 1.6 µs per set) instead of being
-    held; the other sweeps are generated once, so a filter runs once per
-    candidate."""
+def _plan(args) -> Mapping:
+    """The run's mapping: every pass takes its simulations from it. A plain
+    Cartesian grid is sized, never listed; the other sweeps are generated
+    once, so a filter runs once per candidate."""
     sweep = load_sweep_spec(args.sweep_file, seed_override=args.seed)
-    if sweep.kind == "cartesian":
-        return sweep, _Replayed(sweep.length(), sweep.iter_sets)
-    return sweep, sweep.generate()
-
-
-def _formatted(params) -> dict[str, str]:
-    """Each value formatted once; render passes text through as it is."""
-    return {name: format_value(value) for name, value in params.items()}
-
-
-def _simulations(sweep, sets) -> Iterator[tuple[str, dict[str, str]]]:
-    """(sim_id, values as text) pairs for one pass over `sets`. A plain
-    Cartesian grid formats each distinct value once per pass and builds every
-    cell from those strings; other sweeps format each set once per pass."""
-    values = format_grid(sweep.parameters) if sweep.kind == "cartesian" else map(_formatted, sets)
-    return zip(SequentialNamer(NamerConfig(), len(sets)), values)
+    sets = _Replayed(sweep.length(), sweep.iter_sets) if sweep.kind == "cartesian" else sweep.generate()
+    ids = list(SequentialNamer(NamerConfig(), len(sets)))
+    return build_mapping(sweep, sets, ids, sweep_name=args.name)
 
 
 def _shell_words(values: dict[str, str]) -> dict[str, str]:
@@ -156,7 +143,7 @@ def _require_distinct_configs(patterns: list[str]):
         seen.add(Path(pattern))
 
 
-def _require_path_safe_values(sweep, sets, patterns: list[str]):
+def _require_path_safe_values(mapping: Mapping, patterns: list[str]):
     """A text value rendered into a --config path must be a plain name part:
     not empty, no '/' or NUL, and not '.' or '..', so no config lands outside
     the directory its pattern names (an empty value at the start of a
@@ -164,10 +151,10 @@ def _require_path_safe_values(sweep, sets, patterns: list[str]):
     names = dict.fromkeys(n for p in patterns for n in extract_placeholders(p) if n != "sim_id")
     if not names:
         return
-    if sweep.kind == "cartesian":  # every listed value reaches some simulation
-        values = ((name, value) for name in names for value in sweep.parameters[name])
+    if isinstance(mapping, CartesianMapping):  # every listed value reaches some simulation
+        values = ((name, value) for name in names for value in mapping.coords[name])
     else:
-        values = ((name, params[name]) for params in sets for name in names)
+        values = ((name, params[name]) for params in mapping.assignments.values() for name in names)
     for name, value in values:
         if isinstance(value, str) and ("/" in value or "\0" in value or value in ("", ".", "..")):
             raise SweepRunError(
@@ -176,15 +163,24 @@ def _require_path_safe_values(sweep, sets, patterns: list[str]):
             )
 
 
-def _planned_paths(args, sweep, sets, mapping_path: Path) -> Iterator[Path]:
+def _summary_path(name: str) -> Path:
+    return Path(f"{name}_summary.json")
+
+
+def _planned_paths(args, mapping: Mapping, mapping_path: Path) -> Iterator[Path]:
     """Every path the run will create, rendered one at a time."""
-    for sim_id, values in _simulations(sweep, sets):
+    workdir = Path.cwd()
+    scripts = args.dispatcher in ("slurm", "pbs")
+    captures = args.capture and args.dispatcher == "local" and not args.dry_run
+    for sim_id, values in cells(mapping):
         for pattern in args.config:
             yield Path(render(pattern, values, sim_id))
+        if scripts:
+            yield batch_script_path(workdir, args.name, sim_id)
+        if captures:
+            yield from capture_paths(workdir, args.name, sim_id)
     yield mapping_path
-    if args.dispatcher in ("slurm", "pbs"):
-        for sim_id in SequentialNamer(NamerConfig(), len(sets)):
-            yield batch_script_path(Path.cwd(), args.name, sim_id)
+    yield _summary_path(args.name)
 
 
 def _json_scalar(value) -> str:
@@ -206,7 +202,7 @@ def _write_summary(name: str, kind: str, records: Iterable[JobRecord]) -> tuple[
     are counted, then the head with the counts and the jobs are copied into
     place. Returns the counts and the path."""
     counts = dict.fromkeys(("total", "succeeded", "failed", "submitted", "dry_run"), 0)
-    path = Path(f"{name}_summary.json")
+    path = _summary_path(name)
     with tempfile.TemporaryFile("w+", encoding="utf-8", dir=path.parent) as jobs:
         for record in records:
             jobs.write(",\n" if counts["total"] else "\n")
@@ -246,8 +242,8 @@ def _cmd_run(args) -> int:
         _require_sim_id(pattern, "--config")
     _require_distinct_configs(args.config)
 
-    sweep, sets = _plan(args)
-    names = list(next(iter(sets)))
+    mapping = _plan(args)
+    names = mapping.parameter_names
     template_sources = [
         Path(t).read_text(encoding="utf-8") for t in args.template
     ]
@@ -270,34 +266,32 @@ def _cmd_run(args) -> int:
         if args.strict:
             raise SweepRunError(message)
         print(f"warning: {message}", file=sys.stderr)
-    _require_path_safe_values(sweep, sets, args.config)
+    _require_path_safe_values(mapping, args.config)
 
     # the checks above prove every render succeeds, so conflicts are checked
     # on the paths alone, and each path is rendered again where it is written
     mapping_path = Path(args.mapping_out) if args.mapping_out else Path(f"{args.name}_mapping.json")
     if not args.overwrite:
-        existing = [p for p in _planned_paths(args, sweep, sets, mapping_path) if p.exists()]
+        existing = [p for p in _planned_paths(args, mapping, mapping_path) if p.exists()]
         if existing:
             raise OutputConflictError(existing)
 
     here = Path(".")
-    for sim_id, values in _simulations(sweep, sets):
+    for sim_id, values in cells(mapping):
         for pattern, source in zip(args.config, template_sources):
             path = Path(render(pattern, values, sim_id))
             if path.parent != here:
                 path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(render(source, values, sim_id), encoding="utf-8")
-    ids = list(SequentialNamer(NamerConfig(), len(sets)))
-    _write_atomic(mapping_path, serialize(build_mapping(sweep, sets, ids, sweep_name=args.name)))
-    del ids  # the rest of the run holds nothing per simulation
-    print(f"wrote {len(sets) * len(args.config)} config file(s) and mapping {mapping_path}")
+    _write_atomic(mapping_path, serialize(mapping))
+    print(f"wrote {len(mapping) * len(args.config)} config file(s) and mapping {mapping_path}")
 
     workdir = Path.cwd()
     jobs = _Replayed(
-        len(sets),
+        len(mapping),
         lambda: (
             JobSpec(sim_id=sim_id, command=render(args.command, _shell_words(values), sim_id), workdir=workdir)
-            for sim_id, values in _simulations(sweep, sets)
+            for sim_id, values in cells(mapping)
         ),
     )
     config = DispatcherConfig(
@@ -392,7 +386,8 @@ def _cmd_collect(args) -> int:
     _require_distinct_files(
         {"MAPPING": Path(args.mapping_file), "--csv-out": csv_path, "--report-out": report_path}
     )
-    issues = _write_atomic(csv_path, functools.partial(write_csv, mapping, args.output_pattern))
+    reserved = {csv_path: "--csv-out", report_path: "--report-out"}
+    issues = _write_atomic(csv_path, functools.partial(write_csv, mapping, args.output_pattern, reserved))
     report = {
         "schema": REPORT_SCHEMA,
         "sweep_name": mapping.sweep_name,

@@ -9,10 +9,13 @@ explicit gaps plus a report entry instead of aborting; a long sweep with
 one dead or diverged job stays salvageable. Bytes that are not UTF-8 are
 read as lone surrogates, so an undecodable first token is "not a number".
 
-One reader loop holds these rules. `collect_scalars` gathers what it reads
-into a dict; `write_csv` writes each simulation's CSV row as its output is
-read and keeps only the issues, so its memory does not grow with the number
-of simulations that produced a value.
+One reader loop holds these rules. It takes each simulation's ID and
+values as text from `mapping.cells`, as `run` does. `collect_scalars`
+gathers what it reads into a dict; `write_csv` writes each simulation's CSV
+row as its output is read and keeps only the issues, so its memory does not
+grow with the number of simulations that produced a value. `write_csv`
+refuses an output that is one of the files it is told to keep, such as the
+CSV it writes.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from . import templates
-from .mapping import CartesianMapping, Mapping
+from .mapping import CartesianMapping, Mapping, cells
 
 __all__ = ["CollectIssue", "CollectedScalars", "collect_scalars", "export_csv"]
 
@@ -77,18 +81,6 @@ def _number(token: str) -> float | None:
         return None
 
 
-def _formatted_cells(mapping: Mapping) -> Iterator[tuple[str, dict[str, str]]]:
-    """(sim_id, parameter values as text) in mapping order, made again on each
-    pass: a grid formats each distinct value once, an association mapping
-    each set once."""
-    if isinstance(mapping, CartesianMapping):
-        return zip(mapping.sim_ids, templates.format_grid(mapping.coords))
-    return (
-        (sim_id, {name: templates.format_value(value) for name, value in params.items()})
-        for sim_id, params in mapping.assignments.items()
-    )
-
-
 def _read_value(path: str) -> tuple[float | None, str | None]:
     """(value, None) for an output whose first token is a finite number, else
     (None, the reason)."""
@@ -112,15 +104,29 @@ def _read_value(path: str) -> tuple[float | None, str | None]:
 _Harvested = tuple[str, dict[str, str], float | None, CollectIssue | None]
 
 
-def _harvest(mapping: Mapping, output_pattern: str) -> Iterator[_Harvested]:
+def _harvest(mapping: Mapping, output_pattern: str, reserved: dict[Path, str]) -> Iterator[_Harvested]:
     """One entry per simulation in mapping order, each output read as its
-    entry is. The pattern is checked at once, before any output is read."""
+    entry is. The pattern is checked at once, before any output is read. An
+    output that is one of the `reserved` files raises ValueError naming the
+    file (by its value in `reserved`) and the sim_id; the output path is
+    taken with '.' and '..' applied as written, the reserved paths with
+    links followed."""
     if "sim_id" not in templates.extract_placeholders(output_pattern):
         raise ValueError(f"output pattern {output_pattern!r} does not contain {{sim_id}}")
+    here = os.getcwd()
+    taken = {str(path.resolve()): name for path, name in reserved.items()}
+    # a path names one of those files only if its last part is that file's name
+    last_parts = {os.path.basename(path) for path in taken}
 
     def read() -> Iterator[_Harvested]:
-        for sim_id, cell in _formatted_cells(mapping):
+        for sim_id, cell in cells(mapping):
             path = templates.render(output_pattern, cell, sim_id)
+            if path.rpartition("/")[2] in last_parts:
+                name = taken.get(os.path.normpath(os.path.join(here, path)))
+                if name is not None:
+                    raise ValueError(
+                        f"{name} is the output of simulation {sim_id!r}, {path}; give it another path"
+                    )
             value, reason = _read_value(path)
             yield sim_id, cell, value, None if reason is None else CollectIssue(sim_id, path, reason)
 
@@ -136,7 +142,7 @@ def collect_scalars(mapping: Mapping, output_pattern: str) -> CollectedScalars:
     """
     values: dict[str, float | None] = {}
     issues: list[CollectIssue] = []
-    for sim_id, _cell, value, issue in _harvest(mapping, output_pattern):
+    for sim_id, _cell, value, issue in _harvest(mapping, output_pattern, {}):
         values[sim_id] = value
         if issue is not None:
             issues.append(issue)
@@ -160,17 +166,20 @@ def export_csv(collected: CollectedScalars) -> str:
     names = collected.mapping.parameter_names
     buffer = io.StringIO()
     writer = _csv_writer(buffer, names)
-    for sim_id, cell in _formatted_cells(collected.mapping):
+    for sim_id, cell in cells(collected.mapping):
         writer.writerow(_csv_row(names, cell, collected.values.get(sim_id)))
     return buffer.getvalue()
 
 
-def write_csv(mapping: Mapping, output_pattern: str, path: Path) -> list[CollectIssue]:
+def write_csv(
+    mapping: Mapping, output_pattern: str, reserved: dict[Path, str], path: Path
+) -> list[CollectIssue]:
     """Harvest as `collect_scalars` does and write to `path` the text that
     `export_csv` would return, one row as each output is read. Returns the
     issues, the only thing kept per simulation. The pattern is checked
-    before `path` is opened."""
-    harvest = _harvest(mapping, output_pattern)
+    before `path` is opened; an output that is one of the `reserved` files
+    (such as the file `path` will become) raises ValueError."""
+    harvest = _harvest(mapping, output_pattern, reserved)
     names = mapping.parameter_names
     issues: list[CollectIssue] = []
     with path.open("w", encoding="utf-8") as out:

@@ -36,6 +36,7 @@ __all__ = [
     "DISPATCHER_KINDS",
     "render_batch_script",
     "batch_script_path",
+    "capture_paths",
     "dispatch_all",
 ]
 
@@ -148,6 +149,12 @@ def batch_script_path(workdir: Path, sweep_name: str, sim_id: str) -> Path:
     return Path(workdir) / f"{sweep_name}_{sim_id}.sh"
 
 
+def capture_paths(workdir: Path, sweep_name: str, sim_id: str) -> tuple[Path, Path]:
+    """Where a local job's standard output and standard error go under capture."""
+    stem = f"{sweep_name}_{sim_id}"
+    return Path(workdir) / f"{stem}.out", Path(workdir) / f"{stem}.err"
+
+
 def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
@@ -157,8 +164,7 @@ def _run_local_job(job: JobSpec, config: DispatcherConfig) -> JobRecord:
     t0 = time.monotonic()
     try:
         if config.capture:
-            out_path = Path(job.workdir) / f"{config.sweep_name}_{job.sim_id}.out"
-            err_path = Path(job.workdir) / f"{config.sweep_name}_{job.sim_id}.err"
+            out_path, err_path = capture_paths(job.workdir, config.sweep_name, job.sim_id)
             with open(out_path, "wb") as out, open(err_path, "wb") as err:
                 proc = subprocess.run(
                     job.command, shell=True, cwd=job.workdir, stdout=out, stderr=err

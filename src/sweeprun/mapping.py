@@ -8,6 +8,9 @@ simulation ID to parameter set. The sweep types own the rules for names and
 values: a Cartesian mapping's coords must form a valid `CartesianSweep` and
 an association mapping's sets a valid `SetSweep` (which may repeat a set).
 
+`cells` lists a mapping's simulations with their values as text; the
+``run`` and ``collect`` commands take every simulation from it.
+
 Both kinds serialize to a JSON document tagged ``sweep-mapping/1``. Key
 order is fixed so files are diffable; integers and reals stay distinct
 through a round-trip (reals use shortest round-trip printing).
@@ -31,6 +34,7 @@ from .sweeps import (
     Sweep,
     values_equal,
 )
+from .templates import format_grid, format_value
 
 __all__ = [
     "SCHEMA_TAG",
@@ -207,6 +211,18 @@ def build_mapping(
     return AssociationMapping(
         sweep_name=sweep_name,
         assignments={sim_id: dict(params) for sim_id, params in zip(ids, sets)},
+    )
+
+
+def cells(mapping: Mapping) -> Iterator[tuple[str, dict[str, str]]]:
+    """(sim_id, parameter values as text) in mapping order, made again on each
+    call: a grid formats each distinct value once, an association mapping
+    each set once."""
+    if isinstance(mapping, CartesianMapping):
+        return zip(mapping.sim_ids, format_grid(mapping.coords))
+    return (
+        (sim_id, {name: format_value(value) for name, value in params.items()})
+        for sim_id, params in mapping.assignments.items()
     )
 
 

@@ -27,6 +27,16 @@ def test_readme_imports_are_exported():
     assert [name for name in names if name not in sweeprun.__all__] == []
 
 
+def test_readme_library_use_runs(workdir, capfd):
+    text = README.read_text(encoding="utf-8")
+    code = re.search(r"## Library use\n.*?```python\n(.*?)```", text, re.DOTALL).group(1)
+    (workdir / "template.txt").write_text("x = {x}\ny = {y}\n", encoding="utf-8")
+    exec(compile(code, "README.md", "exec"), {})  # ./model does not exist: every job fails
+    rows = (workdir / "demo_results.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "x,y,value" and rows.count(rows[0]) == 1
+    assert len(rows) == 1 + 6
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names bound by imports (not ``from __future__``) that the module never
     reads, lists in ``__all__`` or names in a string annotation."""

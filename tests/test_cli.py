@@ -377,6 +377,35 @@ class TestRunPipeline:
         assert (workdir / "conf_1.txt").read_text() == "old"
         assert not (workdir / "tiny_mapping.json").exists()
 
+    def test_summary_of_an_earlier_sweep_is_a_conflict(self, workdir, tiny_setup, capsys):
+        assert main(tiny_setup) == 0
+        summary = (workdir / "tiny_summary.json").read_bytes()
+        argv = list(tiny_setup)
+        argv[argv.index("--config") + 1] = "other_{sim_id}.txt"
+        argv += ["--mapping-out", "other_mapping.json"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "tiny_summary.json" in capsys.readouterr().err
+        assert (workdir / "tiny_summary.json").read_bytes() == summary
+        assert not list(workdir.glob("other_*"))
+        assert main(argv + ["--overwrite"]) == 0
+        assert (workdir / "other_mapping.json").exists()
+
+    @pytest.mark.parametrize("earlier", ["tiny_0.out", "tiny_1.err"])
+    def test_capture_files_of_an_earlier_sweep_are_conflicts(self, workdir, tiny_setup, earlier, capsys):
+        (workdir / earlier).write_text("kept\n", encoding="utf-8")
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "echo ran {sim_id}"
+        argv.append("--capture")
+        assert main(argv) == 1
+        assert earlier in capsys.readouterr().err
+        assert (workdir / earlier).read_text(encoding="utf-8") == "kept\n"
+        assert not (workdir / "conf_0.txt").exists()
+        assert main(argv + ["--dry-run"]) == 0  # a dry run writes no capture file
+        assert (workdir / earlier).read_text(encoding="utf-8") == "kept\n"
+        assert main(argv + ["--overwrite"]) == 0
+        assert (workdir / "tiny_0.out").read_text(encoding="utf-8") == "ran 0\n"
+
     def test_failing_job_gives_exit_three_with_all_records(self, workdir):
         write_json(
             workdir / "sweep.json",
@@ -655,6 +684,30 @@ class TestCollectCommand:
         assert (workdir / "tiny_mapping.json").read_bytes() == mapping
         assert sorted(p.name for p in workdir.iterdir() if p.suffix in (".csv", ".out")) == []
         assert not (workdir / "tiny_collect_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            (["--csv-out", "results_0.txt"], "--csv-out is the output of simulation '0', results_0.txt"),
+            (["--report-out", "./results_1.txt"], "--report-out is the output of simulation '1', results_1.txt"),
+            (["--csv-out", "sub/../results_1.txt"], "--csv-out is the output of simulation '1'"),
+        ],
+        ids=["csv-is-an-output", "report-is-an-output", "csv-is-an-output-through-dot-dot"],
+    )
+    def test_collect_never_writes_over_an_output(self, workdir, tiny_setup, stub, options, named, capsys):
+        self._run_tiny(workdir, tiny_setup, stub)
+        (workdir / "sub").mkdir()
+        outputs = {p.name: p.read_bytes() for p in workdir.glob("results_*.txt")}
+        assert len(outputs) == 2
+        capsys.readouterr()
+        assert main(["collect", "tiny_mapping.json", *options]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err, err
+        assert {p.name: p.read_bytes() for p in workdir.glob("results_*.txt")} == outputs
+        assert not (workdir / "tiny_results.csv").exists()
+        assert not (workdir / "tiny_collect_report.json").exists()
+        assert not list(workdir.glob(".tmp.*"))
 
     def test_mapping_at_the_default_csv_path_is_kept(self, workdir, tiny_setup, capsys):
         assert main(tiny_setup) == 0

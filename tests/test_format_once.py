@@ -1,6 +1,8 @@
 """Each distinct value of a Cartesian grid is formatted once per pass:
 `collect` and a dry `run` build every cell from per-axis formatted values
-instead of formatting each value again in every cell it appears in."""
+instead of formatting each value again in every cell it appears in. Each
+simulation ID is made once per run: every pass of `run` reads it from the
+mapping."""
 
 from __future__ import annotations
 
@@ -67,7 +69,8 @@ def test_collect_formats_each_grid_value_once_per_pass(workdir, number_formats, 
     assert len(number_formats) <= 2 * DISTINCT + harvested, len(number_formats)
 
 
-def test_dry_run_formats_each_grid_value_once_per_pass(workdir, monkeypatch, number_formats, capsys):
+def dry_grid_run(workdir: Path, monkeypatch) -> list[str]:
+    """Arguments for a dry run of the grid whose configs go to a sink."""
     real_write_text = Path.write_text
 
     def write_text(path, data, *args, **kwargs):
@@ -80,7 +83,7 @@ def test_dry_run_formats_each_grid_value_once_per_pass(workdir, monkeypatch, num
         json.dumps({"type": "cartesian", "parameters": PARAMETERS}), encoding="utf-8"
     )
     (workdir / "template.txt").write_text("n = {n}\nx = {x}\nmode = {mode}\n", encoding="utf-8")
-    argv = [
+    return [
         "run",
         "--command", "./model {sim_id} {n} {x} {mode}",
         "--config", "c_{sim_id}.txt",
@@ -90,9 +93,20 @@ def test_dry_run_formats_each_grid_value_once_per_pass(workdir, monkeypatch, num
         "--dispatcher", "dry",
         "--overwrite",  # without it the conflict check is one more pass
     ]
-    assert main(argv) == 0
+
+
+def test_dry_run_formats_each_grid_value_once_per_pass(workdir, monkeypatch, number_formats, capsys):
+    assert main(dry_grid_run(workdir, monkeypatch)) == 0
     summary = json.loads((workdir / "grid_summary.json").read_text(encoding="utf-8"))
     assert summary["counts"]["dry_run"] == CELLS
     assert summary["jobs"][1]["command"] == "./model 0001 0 0.125 m1"
     # one pass writes the configs, one renders the commands
     assert len(number_formats) <= 2 * DISTINCT, len(number_formats)
+
+
+def test_dry_run_names_each_simulation_once(workdir, monkeypatch, capsys):
+    real = SequentialNamer.next_id
+    calls: list[SequentialNamer] = []
+    monkeypatch.setattr(SequentialNamer, "next_id", lambda namer: calls.append(namer) or real(namer))
+    assert main(dry_grid_run(workdir, monkeypatch)) == 0
+    assert len(calls) == CELLS, len(calls) / CELLS

@@ -19,6 +19,7 @@ from sweeprun.errors import (
     UnfilledPlaceholderError,
 )
 from sweeprun.filters import Binary, NumberLit, TextLit, Unary, Var, evaluate, parse
+from sweeprun.mapping import AssociationMapping, build_mapping, cells
 from sweeprun.sweeps import CartesianSweep
 from sweeprun.templates import extract_placeholders, format_grid, format_value, render
 
@@ -179,6 +180,13 @@ def test_format_grid_agrees_with_formatting_each_set(parameters):
         {name: format_value(value) for name, value in params.items()} for params in sweep.iter_sets()
     ]
     assert list(format_grid(sweep.parameters)) == expected
+    sets = sweep.generate()
+    ids = [f"s{k}" for k in range(len(sets))]
+    for mapping in (build_mapping(sweep, sets, ids), AssociationMapping("s", dict(zip(ids, sets)))):
+        assert list(cells(mapping)) == [
+            (sim_id, {name: format_value(value) for name, value in params.items()})
+            for sim_id, params in mapping.items()
+        ]
 
 
 # ---------------------------------------------------------------------------
