@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from . import __version__
+from . import __version__, files
 from .collect import write_csv
 from .dispatch import (
     DISPATCHER_KINDS,
@@ -70,20 +70,32 @@ def _write_atomic(path: Path, content: str | Callable[[Path], _T]) -> _T | None:
     it is given) to a new temporary sibling, then rename it onto `path`, so
     a process that fails or dies halfway leaves the previous document (or
     none), never a truncated one. Nothing is fsynced, so an OS crash can still
-    lose the write. A symlink or a special file (such as /dev/stdout) is
-    written in place, as the rename would replace the link or fail. The
-    temporary name ends with the final name. Returns what the function
-    returns."""
+    lose the write. A symlink whose final target is a regular file or absent
+    is followed, and the rename replaces that target, so the link stays a
+    link; if the target's directory cannot be written, the target is written
+    in place. A special file (such as /dev/stdout), or a link to one, is
+    written in place, as the rename would replace it or fail. The temporary
+    name ends with the final name. Returns what the function returns."""
     def write(target: Path):
         if callable(content):
             return content(target)
         target.write_text(content, encoding="utf-8")
         return None
 
+    linked = False
+    if path.is_symlink() and (path.is_file() or not path.exists()):
+        target = Path(os.path.realpath(path))
+        if target.is_file() or not os.path.lexists(target):  # not a link in a loop
+            path, linked = target, True
     if path.is_symlink() or (path.exists() and not path.is_file()):
         return write(path)
     temporary = path.with_name(f".tmp.{os.urandom(4).hex()}.{path.name}")
-    os.close(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    try:
+        os.close(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except PermissionError:
+        if not linked:
+            raise
+        return write(path)
     try:
         if path.exists():
             shutil.copymode(path, temporary)
@@ -276,13 +288,16 @@ def _cmd_run(args) -> int:
         if existing:
             raise OutputConflictError(existing)
 
-    here = Path(".")
+    # each pattern spelled as Path spells it (no trailing, repeated or '.'
+    # separators); a rendered value adds no separator
+    patterns = [str(Path(pattern)) for pattern in args.config]
     for sim_id, values in cells(mapping):
-        for pattern, source in zip(args.config, template_sources):
-            path = Path(render(pattern, values, sim_id))
-            if path.parent != here:
-                path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(render(source, values, sim_id), encoding="utf-8")
+        for pattern, source in zip(patterns, template_sources):
+            path = render(pattern, values, sim_id)
+            parent = os.path.dirname(path)
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+            files.rewrite(path, render(source, values, sim_id))
     _write_atomic(mapping_path, serialize(mapping))
     print(f"wrote {len(mapping) * len(args.config)} config file(s) and mapping {mapping_path}")
 

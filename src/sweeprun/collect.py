@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from . import templates
+from . import files, templates
 from .mapping import CartesianMapping, Mapping, cells
 
 __all__ = ["CollectIssue", "CollectedScalars", "collect_scalars", "export_csv"]
@@ -84,8 +84,10 @@ def _number(token: str) -> float | None:
 def _read_value(path: str) -> tuple[float | None, str | None]:
     """(value, None) for an output whose first token is a finite number, else
     (None, the reason)."""
+    if path.endswith(("/", "/.")):  # read as Path names it: the file before the '/'
+        path = str(Path(path))
     try:
-        text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+        text = files.read_bytes(path).decode("utf-8", "surrogateescape")
     except OSError as exc:
         return None, f"cannot read output: {exc.strerror or exc}"
     tokens = text.split(maxsplit=1)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import files
 from .errors import OutputConflictError, SchedulerError
 
 __all__ = [
@@ -206,7 +207,7 @@ def _dispatch_scheduler(jobs: Sequence[JobSpec], config: DispatcherConfig) -> li
         script_path = batch_script_path(job.workdir, config.sweep_name, job.sim_id)
         if script_path.exists() and not config.overwrite:
             raise OutputConflictError([script_path])
-        script_path.write_text(render_batch_script(job, config), encoding="utf-8")
+        files.rewrite(str(script_path), render_batch_script(job, config))
         if config.dry_run:
             records.append(JobRecord(sim_id=job.sim_id, command=job.command, status="dry_run"))
             continue

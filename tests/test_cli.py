@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import NAMELIST_TEMPLATE, REFERENCE_GRID_SPEC
+from sweeprun import files
 from sweeprun.cli import main
 from sweeprun.spec import load_sweep_spec
 from sweeprun.sweeps import Choice, IntegerUniform, LogUniform, Normal, RandomSweep, Uniform
@@ -553,6 +554,82 @@ class TestRunPipeline:
         assert (workdir / "rand_mapping.json").read_bytes() != baseline
 
 
+class TestConfigFiles:
+    """Configs and batch scripts are rewritten in place: the same bytes and
+    modes as a fresh write, whatever was at the path before."""
+
+    @pytest.mark.parametrize("pattern", ["sub/{a}/conf_{sim_id}.txt", "./sub//{a}/./conf_{sim_id}.txt/"])
+    def test_config_directories_are_made_as_needed(self, workdir, tiny_setup, pattern):
+        write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": {"a": [1, 2], "b": [10, 20]}})
+        argv = list(tiny_setup)
+        argv[argv.index("--config") + 1] = pattern
+        assert main(argv) == 0
+        assert (workdir / "sub" / "2" / "conf_3.txt").read_text(encoding="utf-8") == "a=2 b=20 id=3\n"
+        assert sorted(p.relative_to(workdir).as_posix() for p in (workdir / "sub").rglob("*.txt")) == [
+            "sub/1/conf_0.txt", "sub/1/conf_1.txt", "sub/2/conf_2.txt", "sub/2/conf_3.txt",
+        ]
+
+    def test_longer_config_is_cut_to_length(self, workdir, tiny_setup):
+        (workdir / "conf_0.txt").write_text("old line\n" * 1000, encoding="utf-8")
+        assert main(tiny_setup + ["--overwrite"]) == 0
+        assert (workdir / "conf_0.txt").read_bytes() == b"a=1 b=10 id=0\n"
+
+    def test_symlinked_config_is_written_through_the_link(self, workdir, tiny_setup):
+        real = workdir / "kept" / "real.txt"
+        real.parent.mkdir()
+        real.write_text("old line\n" * 10, encoding="utf-8")
+        (workdir / "conf_0.txt").symlink_to(real)
+        assert main(tiny_setup + ["--overwrite"]) == 0
+        assert (workdir / "conf_0.txt").is_symlink()
+        assert real.read_bytes() == b"a=1 b=10 id=0\n"
+
+    def test_existing_config_keeps_its_mode_and_a_new_one_follows_the_umask(self, workdir, tiny_setup):
+        (workdir / "conf_0.txt").write_text("old\n", encoding="utf-8")
+        (workdir / "conf_0.txt").chmod(0o640)
+        previous = os.umask(0o027)
+        try:
+            assert main(tiny_setup + ["--overwrite"]) == 0
+        finally:
+            os.umask(previous)
+        assert (workdir / "conf_0.txt").stat().st_mode & 0o777 == 0o640
+        assert (workdir / "conf_1.txt").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_config_path_that_is_a_directory_exits_one(self, workdir, tiny_setup, capsys):
+        (workdir / "conf_1.txt").mkdir()
+        assert main(tiny_setup + ["--overwrite"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert (workdir / "conf_1.txt").is_dir()
+        assert not (workdir / "tiny_mapping.json").exists()
+
+    def test_rewrite_over_existing_files_never_truncates_on_open(self, workdir, tiny_setup, monkeypatch):
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "./model {sim_id}"
+        argv += ["--dispatcher", "slurm", "--dry-run", "--overwrite"]
+        fresh = workdir / "fresh"
+        fresh.mkdir()
+        for name in ("sweep.json", "template.txt"):
+            (fresh / name).write_bytes((workdir / name).read_bytes())
+        monkeypatch.chdir(fresh)
+        assert main(argv) == 0
+        monkeypatch.chdir(workdir)
+        per_simulation = ["conf_0.txt", "conf_1.txt", "tiny_0.sh", "tiny_1.sh"]
+        for name in per_simulation:
+            (workdir / name).write_text("left by an earlier sweep\n" * 100, encoding="utf-8")
+        opened = []
+        real_open = os.open
+        monkeypatch.setattr(
+            os, "open", lambda path, flags, *a, **k: opened.append((os.path.basename(path), flags))
+            or real_open(path, flags, *a, **k)
+        )
+        assert main(argv) == 0
+        writes = [(name, flags) for name, flags in opened if name in per_simulation]
+        assert sorted(name for name, _flags in writes) == per_simulation
+        assert all(flags & os.O_WRONLY and not flags & os.O_TRUNC for _name, flags in writes)
+        for name in per_simulation:
+            assert (workdir / name).read_bytes() == (fresh / name).read_bytes()
+
+
 class TestCollectCommand:
     def _run_tiny(self, workdir, tiny_setup, stub):
         _script, command = stub
@@ -671,10 +748,12 @@ class TestCollectCommand:
         (workdir / "link.json").symlink_to(workdir / "tiny_mapping.json")
         mapping = (workdir / "tiny_mapping.json").read_bytes()
         reads = []
-        real_read_text = Path.read_text
+        real_read_text, real_read_bytes = Path.read_text, files.read_bytes
         monkeypatch.setattr(
             Path, "read_text", lambda path, *a, **k: reads.append(path.name) or real_read_text(path, *a, **k)
         )
+        # outputs are read through files.read_bytes
+        monkeypatch.setattr(files, "read_bytes", lambda path: reads.append(path) or real_read_bytes(path))
         capsys.readouterr()
         assert main(["collect", "tiny_mapping.json", *options]) == 1
         err = capsys.readouterr().err
@@ -691,12 +770,15 @@ class TestCollectCommand:
             (["--csv-out", "results_0.txt"], "--csv-out is the output of simulation '0', results_0.txt"),
             (["--report-out", "./results_1.txt"], "--report-out is the output of simulation '1', results_1.txt"),
             (["--csv-out", "sub/../results_1.txt"], "--csv-out is the output of simulation '1'"),
+            (["--csv-out", "link.csv"], "--csv-out is the output of simulation '1', results_1.txt"),
         ],
-        ids=["csv-is-an-output", "report-is-an-output", "csv-is-an-output-through-dot-dot"],
+        ids=["csv-is-an-output", "report-is-an-output", "csv-is-an-output-through-dot-dot",
+             "csv-links-to-an-output"],
     )
     def test_collect_never_writes_over_an_output(self, workdir, tiny_setup, stub, options, named, capsys):
         self._run_tiny(workdir, tiny_setup, stub)
         (workdir / "sub").mkdir()
+        (workdir / "link.csv").symlink_to("results_1.txt")
         outputs = {p.name: p.read_bytes() for p in workdir.glob("results_*.txt")}
         assert len(outputs) == 2
         capsys.readouterr()
@@ -708,6 +790,7 @@ class TestCollectCommand:
         assert not (workdir / "tiny_results.csv").exists()
         assert not (workdir / "tiny_collect_report.json").exists()
         assert not list(workdir.glob(".tmp.*"))
+        assert (workdir / "link.csv").is_symlink()
 
     def test_mapping_at_the_default_csv_path_is_kept(self, workdir, tiny_setup, capsys):
         assert main(tiny_setup) == 0
@@ -812,6 +895,29 @@ class TestAtomicWrites:
         assert real.read_text(encoding="utf-8").startswith("a,b,value\n")
         assert real.stat().st_mode & 0o777 == 0o640
         assert not list(real.parent.glob(".tmp.*"))
+
+    def test_link_into_a_directory_that_cannot_be_written_is_written_in_place(
+        self, workdir, tiny_setup, monkeypatch, capsys
+    ):
+        assert main(tiny_setup) == 0
+        real = workdir / "kept" / "real.csv"
+        real.parent.mkdir()
+        real.write_text("old\n", encoding="utf-8")
+        inode = real.stat().st_ino
+        (workdir / "link.csv").symlink_to(real)
+        real_open = os.open
+
+        def no_new_file_in_kept(path, flags, *args):
+            # what a directory without write permission does (root ignores the mode bits)
+            if os.path.dirname(os.fspath(path)) == str(real.parent) and flags & os.O_CREAT:
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", no_new_file_in_kept)
+        assert main(["collect", "tiny_mapping.json", "--csv-out", "link.csv"]) == 4
+        assert (workdir / "link.csv").is_symlink()
+        assert real.read_text(encoding="utf-8").startswith("a,b,value\n")
+        assert real.stat().st_ino == inode
 
     def test_special_file_is_written_in_place(self, workdir, tiny_setup, capsys):
         assert main(tiny_setup) == 0

@@ -135,6 +135,34 @@ def test_valid_utf8_is_split_on_unicode_whitespace(workdir, grid_mapping):
     assert collected.values == {"0": 3.5, "1": -1.25}
 
 
+def test_output_longer_than_one_read_is_collected(workdir, grid_mapping):
+    (workdir / "results_0.txt").write_bytes(b"2.5 " + b"x" * 70_000 + b"\n")
+    (workdir / "results_1.txt").write_bytes(b"\n" * 70_000 + b"-1.0")
+    collected = collect_scalars(grid_mapping, "results_{sim_id}.txt")
+    assert collected.values == {"0": 2.5, "1": -1.0}
+
+
+@pytest.mark.parametrize("pattern", ["results_{sim_id}.txt/", "results_{sim_id}.txt/./", "./results_{sim_id}.txt"])
+def test_output_pattern_is_read_as_path_spells_it(workdir, grid_mapping, pattern):
+    # a trailing '/' or '/.' names the file before it, as Path(...) does
+    (workdir / "results_0.txt").write_text("0.5\n", encoding="utf-8")
+    collected = collect_scalars(grid_mapping, pattern)
+    assert collected.values == {"0": 0.5, "1": None}
+    # an issue keeps the path as the pattern renders it
+    assert [(issue.path, issue.reason) for issue in collected.issues] == [
+        (pattern.format(sim_id=1), "cannot read output: No such file or directory")
+    ]
+
+
+def test_unreadable_output_reasons(workdir, grid_mapping):
+    (workdir / "results_0.txt").mkdir()
+    collected = collect_scalars(grid_mapping, "results_{sim_id}.txt")
+    assert [(issue.sim_id, issue.reason) for issue in collected.issues] == [
+        ("0", "cannot read output: Is a directory"),
+        ("1", "cannot read output: No such file or directory"),
+    ]
+
+
 def test_order_independence(workdir, grid_mapping):
     # values keyed by ID: writing files in any order changes nothing
     for order in ([0, 1], [1, 0]):

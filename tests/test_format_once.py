@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sweeprun import templates
+from sweeprun import files, templates
 from sweeprun.cli import main
 from sweeprun.mapping import build_mapping, serialize
 from sweeprun.naming import NamerConfig, SequentialNamer
@@ -71,14 +71,7 @@ def test_collect_formats_each_grid_value_once_per_pass(workdir, number_formats, 
 
 def dry_grid_run(workdir: Path, monkeypatch) -> list[str]:
     """Arguments for a dry run of the grid whose configs go to a sink."""
-    real_write_text = Path.write_text
-
-    def write_text(path, data, *args, **kwargs):
-        if path.name.startswith("c_"):  # configs go to a sink, not to thousands of files
-            return len(data)
-        return real_write_text(path, data, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(files, "rewrite", lambda path, text: None)
     (workdir / "sweep.json").write_text(
         json.dumps({"type": "cartesian", "parameters": PARAMETERS}), encoding="utf-8"
     )

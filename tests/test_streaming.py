@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sweeprun import filters
+from sweeprun import files, filters
 from sweeprun.cli import REPORT_SCHEMA, SUMMARY_SCHEMA, _write_summary, main
 from sweeprun.collect import collect_scalars, export_csv
 from sweeprun.dispatch import JobRecord
@@ -126,14 +126,8 @@ def _dry_run(directory: Path, cells: int) -> list[str]:
 
 
 def test_dry_run_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatch, capsys):
-    real_write_text = Path.write_text
-
-    def write_text(path, data, *args, **kwargs):
-        if path.name.startswith("c_"):  # configs go to a sink, not to thousands of files
-            return len(data)
-        return real_write_text(path, data, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "write_text", write_text)
+    # configs go to a sink, not to thousands of files
+    monkeypatch.setattr(files, "rewrite", lambda path, text: None)
     peaks = {}
     for cells in (100, 1_000, 6_000):  # the first run fills one-time caches
         directory = workdir / str(cells)
@@ -212,17 +206,13 @@ def test_collect_files_equal_the_library_documents(workdir, sweep, capsys):
 
 
 def test_collect_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatch, capsys):
-    real_read_text = Path.read_text
+    def read_bytes(path):  # outputs come from memory, not from thousands of files
+        k = int(path.removeprefix("out_").removesuffix(".txt"))
+        if k % 100 == 0:
+            raise FileNotFoundError(errno.ENOENT, "No such file or directory", path)
+        return f"{k * 0.5} after\n".encode("utf-8")
 
-    def read_text(path, *args, **kwargs):
-        if path.name.startswith("out_"):  # outputs come from memory, not from thousands of files
-            k = int(path.stem[4:])
-            if k % 100 == 0:
-                raise FileNotFoundError(errno.ENOENT, "No such file or directory", str(path))
-            return f"{k * 0.5} after\n"
-        return real_read_text(path, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "read_text", read_text)
+    monkeypatch.setattr(files, "read_bytes", read_bytes)
     peaks = {}
     for cells in (200, 2_000, 20_000):  # the first run fills one-time caches
         directory = workdir / str(cells)
@@ -233,13 +223,10 @@ def test_collect_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatc
         (directory / "m.json").write_text(serialize(mapping), encoding="utf-8")
         del mapping
         monkeypatch.chdir(directory)
-        # see the dry-run test above: pathlib interns every output name
-        names = [sys.intern(f"out_{sim_id}.txt") for sim_id in ids]
         del ids
         code, peaks[cells] = traced_peak(
             lambda: main(["collect", "m.json", "--output-pattern", "out_{sim_id}.txt"])
         )
-        del names
         assert code == 4
         report = json.loads((directory / "slope_collect_report.json").read_text(encoding="utf-8"))
         assert (report["total"], report["collected"]) == (cells, cells - cells // 100)
