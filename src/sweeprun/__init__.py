@@ -17,41 +17,56 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from . import errors
-from .collect import CollectedScalars, CollectIssue, collect_scalars, export_csv
-from .dispatch import (
-    DispatcherConfig,
-    JobRecord,
-    JobSpec,
-    dispatch_all,
-    render_batch_script,
-)
-from .filters import evaluate as evaluate_filter
-from .filters import free_variables
-from .filters import parse as parse_filter
-from .mapping import (
-    AssociationMapping,
-    CartesianMapping,
-    build_mapping,
-    deserialize,
-    read_mapping,
-    serialize,
-)
-from .naming import NamerConfig, SequentialNamer
-from .spec import load_sweep_spec
-from .sweeps import (
-    CartesianSweep,
-    Choice,
-    FilteredCartesianSweep,
-    IntegerUniform,
-    LogUniform,
-    Normal,
-    RandomSweep,
-    SetSweep,
-    Uniform,
-    linspace,
-)
-from .templates import extract_placeholders, format_value, render
+import importlib
+
+# the module each public name comes from; it is imported the first time one
+# of its names is read (PEP 562), so `import sweeprun` loads no submodule and
+# each command loads only what it runs
+_HOMES = {
+    "collect": ("CollectIssue", "CollectedScalars", "collect_scalars", "export_csv"),
+    "dispatch": ("DispatcherConfig", "JobRecord", "JobSpec", "dispatch_all", "render_batch_script"),
+    "filters": ("evaluate_filter", "free_variables", "parse_filter"),
+    "mapping": (
+        "AssociationMapping",
+        "CartesianMapping",
+        "build_mapping",
+        "deserialize",
+        "read_mapping",
+        "serialize",
+    ),
+    "naming": ("NamerConfig", "SequentialNamer"),
+    "spec": ("load_sweep_spec",),
+    "sweeps": (
+        "CartesianSweep",
+        "Choice",
+        "FilteredCartesianSweep",
+        "IntegerUniform",
+        "LogUniform",
+        "Normal",
+        "RandomSweep",
+        "SetSweep",
+        "Uniform",
+        "linspace",
+    ),
+    "templates": ("extract_placeholders", "format_value", "render"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_NAME_AT_HOME = {"evaluate_filter": "evaluate", "parse_filter": "parse"}
+
+
+def __getattr__(name: str):
+    if name == "errors":
+        return importlib.import_module(".errors", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOME[name]}", __name__)
+    value = globals()[name] = getattr(module, _NAME_AT_HOME.get(name, name))
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "__version__",

@@ -8,6 +8,11 @@ Subcommands:
 
 Exit codes: 0 success; 1 validation or usage error; 2 dispatch/scheduler
 failure; 3 one or more local simulations failed; 4 collection incomplete.
+
+Each command imports only the modules it runs: `dispatch` is imported on the
+`run` path, `collect` by the collect command. A status line never decides a
+command's outcome: once the reader of standard output (or error) has gone,
+the rest of that stream goes to /dev/null.
 """
 
 from __future__ import annotations
@@ -23,20 +28,11 @@ import sys
 import tempfile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from . import __version__, files
-from .collect import write_csv
-from .dispatch import (
-    DISPATCHER_KINDS,
-    DispatcherConfig,
-    JobRecord,
-    JobSpec,
-    batch_script_path,
-    capture_paths,
-    dispatch_all,
-)
 from .errors import (
+    DISPATCHER_KINDS,
     OutputConflictError,
     SchedulerError,
     SweepRunError,
@@ -46,6 +42,9 @@ from .mapping import CartesianMapping, Mapping, build_mapping, cells, read_mappi
 from .naming import NamerConfig, SequentialNamer
 from .spec import load_sweep_spec
 from .templates import extract_placeholders, format_value, render, unused_parameters
+
+if TYPE_CHECKING:
+    from .dispatch import JobRecord
 
 SUMMARY_SCHEMA = "sweep-summary/1"
 REPORT_SCHEMA = "sweep-collect-report/1"
@@ -63,6 +62,20 @@ class _ArgumentParser(argparse.ArgumentParser):
     # failures, so surface usage problems as exit 1 instead.
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
+
+
+def _status(line: str, stream: TextIO | None = None):
+    """Print one status line to `stream` (standard output by default) and
+    flush it. If the stream's reader has gone (a closed pipe), the stream is
+    pointed at /dev/null for the rest of the process and the command carries
+    on: its files and exit code do not depend on who reads its output."""
+    stream = stream or sys.stdout
+    try:
+        print(line, file=stream, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def _write_atomic(path: Path, content: str | Callable[[Path], _T]) -> _T | None:
@@ -181,6 +194,8 @@ def _summary_path(name: str) -> Path:
 
 def _planned_paths(args, mapping: Mapping, mapping_path: Path) -> Iterator[Path]:
     """Every path the run will create, rendered one at a time."""
+    from .dispatch import batch_script_path, capture_paths
+
     workdir = Path.cwd()
     scripts = args.dispatcher in ("slurm", "pbs")
     captures = args.capture and args.dispatcher == "local" and not args.dry_run
@@ -244,6 +259,8 @@ def _write_summary(name: str, kind: str, records: Iterable[JobRecord]) -> tuple[
 
 
 def _cmd_run(args) -> int:
+    from .dispatch import DispatcherConfig, JobSpec, dispatch_all
+
     if len(args.config) != len(args.template):
         raise _UsageError(
             f"got {len(args.config)} --config but {len(args.template)} --template; "
@@ -277,7 +294,7 @@ def _cmd_run(args) -> int:
         message = f"parameter(s) not used by any template: {', '.join(unused)}"
         if args.strict:
             raise SweepRunError(message)
-        print(f"warning: {message}", file=sys.stderr)
+        _status(f"warning: {message}", sys.stderr)
     _require_path_safe_values(mapping, args.config)
 
     # the checks above prove every render succeeds, so conflicts are checked
@@ -299,7 +316,7 @@ def _cmd_run(args) -> int:
                 os.makedirs(parent, exist_ok=True)
             files.rewrite(path, render(source, values, sim_id))
     _write_atomic(mapping_path, serialize(mapping))
-    print(f"wrote {len(mapping) * len(args.config)} config file(s) and mapping {mapping_path}")
+    _status(f"wrote {len(mapping) * len(args.config)} config file(s) and mapping {mapping_path}")
 
     workdir = Path.cwd()
     jobs = _Replayed(
@@ -323,24 +340,21 @@ def _cmd_run(args) -> int:
         records = dispatch_all(jobs, config)
     except SchedulerError as exc:
         _counts, summary_path = _write_summary(args.name, args.dispatcher, exc.records)
-        print(
-            f"summary of {len(exc.records)} submitted job(s) written to {summary_path}",
-            file=sys.stderr,
-        )
+        _status(f"summary of {len(exc.records)} submitted job(s) written to {summary_path}", sys.stderr)
         raise
     counts, summary_path = _write_summary(args.name, args.dispatcher, records)
 
     if counts["dry_run"]:
-        print(f"dry run: {counts['dry_run']} job(s) not executed")
+        _status(f"dry run: {counts['dry_run']} job(s) not executed")
     elif counts["submitted"]:
-        print(f"submitted {counts['submitted']} job(s) via {config.resolved_submit_command}")
+        _status(f"submitted {counts['submitted']} job(s) via {config.resolved_submit_command}")
     else:
-        print(f"ran {counts['total']} job(s): {counts['succeeded']} succeeded, {counts['failed']} failed")
+        _status(f"ran {counts['total']} job(s): {counts['succeeded']} succeeded, {counts['failed']} failed")
         for record in records:
             if record.failed:
                 detail = record.reason or f"exit code {record.exit_code}"
-                print(f"  failed: {record.sim_id} ({detail})", file=sys.stderr)
-    print(f"summary written to {summary_path}")
+                _status(f"  failed: {record.sim_id} ({detail})", sys.stderr)
+    _status(f"summary written to {summary_path}")
 
     if args.dispatcher == "local" and not args.dry_run and counts["failed"]:
         return 3
@@ -363,13 +377,13 @@ def _cmd_preview(args) -> int:
     else:
         total = sweep.length()
     names = list(first[0])
-    print(f"{sweep.kind}, {len(names)} parameter(s) ({', '.join(names)}), {total} simulation(s)")
+    _status(f"{sweep.kind}, {len(names)} parameter(s) ({', '.join(names)}), {total} simulation(s)")
     shown = first[: args.limit]
     for sim_id, params in zip(SequentialNamer(NamerConfig(), total), shown):
         rendered = ", ".join(f"{k}={format_value(v)}" for k, v in params.items())
-        print(f"  {sim_id}: {rendered}")
+        _status(f"  {sim_id}: {rendered}")
     if len(shown) < total:
-        print(f"  ... {total - len(shown)} more")
+        _status(f"  ... {total - len(shown)} more")
     return 0
 
 
@@ -378,10 +392,18 @@ def _cmd_preview(args) -> int:
 
 
 def _require_distinct_files(files: dict[str, Path]):
-    """No two of the named files may be one file, once links and '..' are
-    resolved: collect would write one over the other."""
+    """Each named file must be absent or reachable (a symlink loop is
+    neither), checked before anything is read or written, and no two may be
+    one file once links and '..' are resolved: collect would write one over
+    the other."""
     seen: dict[Path, str] = {}
     for option, path in files.items():
+        try:
+            path.stat()
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise _UsageError(f"{option} {path}: {exc.strerror}") from None
         resolved = path.resolve()
         if resolved in seen:
             raise _UsageError(
@@ -393,6 +415,8 @@ def _require_distinct_files(files: dict[str, Path]):
 def _cmd_collect(args) -> int:
     """Reads each output and writes its CSV row in one pass; keeps only the
     mapping and the issues."""
+    from .collect import write_csv
+
     mapping = read_mapping(args.mapping_file)
     csv_path = Path(args.csv_out) if args.csv_out else Path(f"{mapping.sweep_name}_results.csv")
     report_path = (
@@ -411,16 +435,16 @@ def _cmd_collect(args) -> int:
         "missing": [{"sim_id": issue.sim_id, "path": issue.path, "reason": issue.reason} for issue in issues],
     }
     _write_atomic(report_path, json.dumps(report, indent=2) + "\n")
-    print(f"collected {report['collected']}/{report['total']} value(s) into {csv_path}")
+    _status(f"collected {report['collected']}/{report['total']} value(s) into {csv_path}")
     if issues:
         for issue in issues[:STDERR_ISSUE_LIMIT]:
-            print(f"  missing {issue.sim_id}: {issue.reason} ({issue.path})", file=sys.stderr)
+            _status(f"  missing {issue.sim_id}: {issue.reason} ({issue.path})", sys.stderr)
         more = len(issues) - STDERR_ISSUE_LIMIT
         if more > 0:
-            print(f"  ... and {more} more, see {report_path}", file=sys.stderr)
-        print(f"report written to {report_path}", file=sys.stderr)
+            _status(f"  ... and {more} more, see {report_path}", sys.stderr)
+        _status(f"report written to {report_path}", sys.stderr)
         return 4
-    print(f"report written to {report_path}")
+    _status(f"report written to {report_path}")
     return 0
 
 
@@ -500,10 +524,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SchedulerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _status(f"error: {exc}", sys.stderr)
         return 2
     except (_UsageError, SweepRunError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _status(f"error: {exc}", sys.stderr)
         return 1
 
 

@@ -116,7 +116,7 @@ def _harvest(mapping: Mapping, output_pattern: str, reserved: dict[Path, str]) -
     if "sim_id" not in templates.extract_placeholders(output_pattern):
         raise ValueError(f"output pattern {output_pattern!r} does not contain {{sim_id}}")
     here = os.getcwd()
-    taken = {str(path.resolve()): name for path, name in reserved.items()}
+    taken = {os.path.realpath(path): name for path, name in reserved.items()}
     # a path names one of those files only if its last part is that file's name
     last_parts = {os.path.basename(path) for path in taken}
 

@@ -14,21 +14,22 @@ Scheduler modes write one batch script per job and submit each with
 completion. The scheduler job ID is taken from the submit command's
 standard output as the first whitespace-delimited token containing a
 digit (a documented heuristic that covers sbatch and qsub).
+
+``subprocess`` and the thread pool are imported where a dispatch starts its
+first process, so a dry run loads neither.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
 import time
-from collections.abc import Collection, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import files
-from .errors import OutputConflictError, SchedulerError
+from .errors import DISPATCHER_KINDS, OutputConflictError, SchedulerError
 
 __all__ = [
     "JobSpec",
@@ -41,7 +42,6 @@ __all__ = [
     "dispatch_all",
 ]
 
-DISPATCHER_KINDS = ("local", "slurm", "pbs", "dry")
 _STATUSES = ("completed", "submitted", "dry_run", "spawn_failed")
 
 
@@ -160,18 +160,17 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
 
-def _run_local_job(job: JobSpec, config: DispatcherConfig) -> JobRecord:
+def _run_local_job(job: JobSpec, config: DispatcherConfig, run: Callable) -> JobRecord:
+    """Run one job through `run` (``subprocess.run``) and record its outcome."""
     started = _now_iso()
     t0 = time.monotonic()
     try:
         if config.capture:
             out_path, err_path = capture_paths(job.workdir, config.sweep_name, job.sim_id)
             with open(out_path, "wb") as out, open(err_path, "wb") as err:
-                proc = subprocess.run(
-                    job.command, shell=True, cwd=job.workdir, stdout=out, stderr=err
-                )
+                proc = run(job.command, shell=True, cwd=job.workdir, stdout=out, stderr=err)
         else:
-            proc = subprocess.run(job.command, shell=True, cwd=job.workdir)
+            proc = run(job.command, shell=True, cwd=job.workdir)
     except OSError as exc:
         return JobRecord(
             sim_id=job.sim_id,
@@ -203,6 +202,8 @@ def _parse_scheduler_job_id(stdout: str) -> str | None:
 def _dispatch_scheduler(jobs: Sequence[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
     records: list[JobRecord] = []
     submit = config.resolved_submit_command
+    if not config.dry_run:
+        import subprocess
     for job in jobs:
         script_path = batch_script_path(job.workdir, config.sweep_name, job.sim_id)
         if script_path.exists() and not config.overwrite:
@@ -289,6 +290,9 @@ def dispatch_all(jobs: Collection[JobSpec], config: DispatcherConfig) -> Sequenc
         raise ValueError("duplicate sim_ids in job list")
     if config.kind in ("slurm", "pbs"):
         return _dispatch_scheduler(jobs, config)
+    import subprocess
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=config.resolved_max_parallel) as pool:
-        futures = [pool.submit(_run_local_job, job, config) for job in jobs]
+        futures = [pool.submit(_run_local_job, job, config, subprocess.run) for job in jobs]
         return [f.result() for f in futures]

@@ -1,6 +1,16 @@
-"""Exception types shared by the sweeprun modules."""
+"""Exception types shared by the sweeprun modules, and the few plain values
+that more than one module reads. This module imports nothing, so any module
+(and the command-line parser) can read it without loading another."""
 
 from __future__ import annotations
+
+# the dispatcher kinds: the parser's choices, and the kinds DispatcherConfig accepts
+DISPATCHER_KINDS = ("local", "slurm", "pbs", "dry")
+
+
+def _byte_offset(source: str, pos: int) -> int:
+    """The UTF-8 byte offset of character `pos` in `source`, as syntax errors report it."""
+    return len(source[:pos].encode("utf-8", "surrogatepass"))
 
 
 class SweepRunError(Exception):

@@ -35,6 +35,7 @@ from .errors import (
     FilterSyntaxError,
     FilterTypeError,
     UnboundVariableError,
+    _byte_offset,
 )
 
 __all__ = [
@@ -99,10 +100,6 @@ class _Token:
     kind: str  # "number" | "text" | "ident" | "op" | "end"
     text: str
     pos: int  # character index into the source
-
-
-def _byte_offset(source: str, pos: int) -> int:
-    return len(source[:pos].encode("utf-8", "surrogatepass"))
 
 
 def _syntax_error(source: str, pos: int, message: str) -> FilterSyntaxError:

@@ -30,10 +30,12 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, Union
 
-from . import filters
 from .errors import EmptySweepError
+
+if TYPE_CHECKING:
+    from . import filters
 
 __all__ = [
     "ParamValue",
@@ -307,7 +309,8 @@ class FilteredCartesianSweep(CartesianSweep):
 
     The filter may be given as source text or a pre-parsed AST; every free
     variable must be a declared parameter. Enumeration order is preserved.
-    Only the surviving sets are held in memory.
+    Only the surviving sets are held in memory. The filter language
+    (`sweeprun.filters`) is imported when a filtered sweep is built.
     """
 
     kind = "filtered-cartesian"
@@ -317,6 +320,8 @@ class FilteredCartesianSweep(CartesianSweep):
         parameters: Mapping[str, Sequence[ParamValue]],
         filter: str | filters.FilterExpr,
     ):
+        from . import filters
+
         super().__init__(parameters)
         self.filter = filters.parse(filter) if isinstance(filter, str) else filter
         unknown = filters.free_variables(self.filter) - set(self.parameters)
@@ -325,6 +330,8 @@ class FilteredCartesianSweep(CartesianSweep):
             raise ValueError(f"filter references undeclared parameters: {names}")
 
     def _survivors(self) -> Iterator[ParameterSet]:
+        from . import filters
+
         # each grid point is tested as it is made, so rejected sets are never held
         return (params for params in super().iter_sets() if filters.evaluate(self.filter, params))
 

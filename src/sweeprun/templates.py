@@ -21,8 +21,7 @@ import math
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import TemplateSyntaxError, UnfilledPlaceholderError
-from .filters import _byte_offset
+from .errors import TemplateSyntaxError, UnfilledPlaceholderError, _byte_offset
 from .sweeps import ParamValue, _IDENTIFIER_RE
 
 __all__ = [

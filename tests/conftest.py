@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sweeprun
 from stubmodel import stub_command, write_stub_model
+
+# the directory that holds the sweeprun package under test
+SOURCE_ROOT = Path(sweeprun.__file__).resolve().parents[1]
 
 # namelist-style template plus its hard-coded original, used by golden tests
 NAMELIST_TEMPLATE = "&params\nbeta = {beta},\nsigma = {sigma},\nrho = {rho}\n/\n"
@@ -52,3 +59,14 @@ def tiny_setup(workdir):
         "--sweep-file", "sweep.json",
         "--name", "tiny",
     ]
+
+
+def run_python(args: list[str], cwd: Path, **kwargs) -> subprocess.CompletedProcess:
+    """`python <args>` in a fresh interpreter in `cwd` that imports the
+    sweeprun under test; output is captured as text unless redirected."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE_ROOT), env.get("PYTHONPATH")]))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs
+    )

@@ -1,11 +1,16 @@
-"""The public API: every exported name resolves, the README imports only
-what the package exports, and no module imports a name it does not use."""
+"""The public API: every exported name resolves (on first use) to the object
+in its home module, the README imports only what the package exports, and
+no module imports a name it does not use."""
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
+import types
 from pathlib import Path
+
+import pytest
 
 import sweeprun
 
@@ -16,6 +21,34 @@ PACKAGE = Path(sweeprun.__file__).resolve().parent
 def test_every_exported_name_resolves():
     missing = [name for name in sweeprun.__all__ if not hasattr(sweeprun, name)]
     assert missing == []
+
+
+def test_every_exported_name_is_the_object_in_its_home_module():
+    for name in sweeprun.__all__:
+        value = getattr(sweeprun, name)
+        if isinstance(value, types.ModuleType):
+            assert sys.modules[value.__name__] is value
+        elif name != "__version__":
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith("sweeprun."), name
+            assert getattr(home, value.__name__) is value, name
+
+
+def test_dir_lists_every_exported_name():
+    assert set(sweeprun.__all__) <= set(dir(sweeprun))
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from sweeprun import *", namespace)
+    assert [name for name in sweeprun.__all__ if namespace.get(name) is not getattr(sweeprun, name)] == []
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sweeprun.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from sweeprun import no_such_name", {})
 
 
 def test_readme_imports_are_exported():

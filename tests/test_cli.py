@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import NAMELIST_TEMPLATE, REFERENCE_GRID_SPEC
+from conftest import NAMELIST_TEMPLATE, REFERENCE_GRID_SPEC, run_python
 from sweeprun import files
 from sweeprun.cli import main
 from sweeprun.spec import load_sweep_spec
@@ -792,6 +792,29 @@ class TestCollectCommand:
         assert not list(workdir.glob(".tmp.*"))
         assert (workdir / "link.csv").is_symlink()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["tiny_mapping.json", "--csv-out", "loop.csv"], "--csv-out loop.csv"),
+            (["tiny_mapping.json", "--report-out", "loop.csv"], "--report-out loop.csv"),
+            (["loop.csv"], "loop.csv"),
+        ],
+        ids=["csv-out", "report-out", "mapping"],
+    )
+    def test_symlink_loop_is_one_error_line(self, workdir, tiny_setup, stub, monkeypatch, argv, named, capsys):
+        self._run_tiny(workdir, tiny_setup, stub)
+        (workdir / "loop.csv").symlink_to("loop.csv")
+        before = {p.name: p.read_bytes() for p in workdir.iterdir() if not p.is_symlink()}
+        reads = []
+        monkeypatch.setattr(files, "read_bytes", lambda path: reads.append(path))
+        capsys.readouterr()
+        assert main(["collect", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+        assert reads == []  # no output was read
+        assert {p.name: p.read_bytes() for p in workdir.iterdir() if not p.is_symlink()} == before
+        assert (workdir / "loop.csv").is_symlink()
+
     def test_mapping_at_the_default_csv_path_is_kept(self, workdir, tiny_setup, capsys):
         assert main(tiny_setup) == 0
         (workdir / "tiny_mapping.json").rename(workdir / "tiny_results.csv")
@@ -817,6 +840,36 @@ class TestCollectCommand:
         )
         assert (workdir / "out.csv").exists()
         assert (workdir / "report.json").exists()
+
+
+def _closed_pipe_run(args: list[str], cwd: Path):
+    """`python -m sweeprun.cli <args>` with standard output a pipe whose
+    reader has already exited."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_python(["-m", "sweeprun.cli", *args], cwd, stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    def test_run_dispatches_every_job_and_writes_its_summary(self, workdir, tiny_setup, stub):
+        _script, command = stub
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = command
+        argv[argv.index("--config") + 1] = "params_{sim_id}.nml"
+        (workdir / "template.txt").write_text("a = {a},\nb = {b}\n", encoding="utf-8")
+        proc = _closed_pipe_run(argv, workdir)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert sorted(p.name for p in workdir.glob("results_*.txt")) == ["results_0.txt", "results_1.txt"]
+        summary = json.loads((workdir / "tiny_summary.json").read_text())
+        assert summary["counts"]["succeeded"] == 2
+
+    def test_preview_exits_zero_with_nothing_on_stderr(self, workdir):
+        write_json(workdir / "sweep.json", REFERENCE_GRID_SPEC)
+        proc = _closed_pipe_run(["preview", "--sweep-file", "sweep.json"], workdir)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestAtomicWrites:
