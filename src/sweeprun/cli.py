@@ -21,8 +21,9 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
-import shlex
+import re
 import shutil
 import sys
 import tempfile
@@ -41,7 +42,7 @@ from .errors import (
 from .mapping import CartesianMapping, Mapping, build_mapping, cells, read_mapping, serialize
 from .naming import NamerConfig, SequentialNamer
 from .spec import load_sweep_spec
-from .templates import extract_placeholders, format_value, render, unused_parameters
+from .templates import as_regex, extract_placeholders, format_value, render, unused_parameters
 
 if TYPE_CHECKING:
     from .dispatch import JobRecord
@@ -148,11 +149,6 @@ def _plan(args) -> Mapping:
     return build_mapping(sweep, sets, ids, sweep_name=args.name)
 
 
-def _shell_words(values: dict[str, str]) -> dict[str, str]:
-    """Each value quoted to reach the shell as one word (sim_id is safe as it is)."""
-    return {name: shlex.quote(text) for name, text in values.items()}
-
-
 def _require_sim_id(pattern: str, what: str):
     if "sim_id" not in extract_placeholders(pattern):
         raise _UsageError(f"{what} must contain the {{sim_id}} placeholder: {pattern!r}")
@@ -192,6 +188,39 @@ def _summary_path(name: str) -> Path:
     return Path(f"{name}_summary.json")
 
 
+def _require_no_config_on_fixed_names(patterns: list[str], mapping: Mapping, fixed: dict[str, Path]):
+    """No --config path may be one of the `fixed` files (by role: the mapping,
+    the summary), nor may two of those be one path, with or without
+    --overwrite: the later write would replace the earlier file. Paths are
+    compared as os.path.abspath strings. A pattern is rendered only if its
+    regex matches a fixed name: literal text stands for itself, {sim_id} for
+    the run's digits, any other placeholder for a name part, as no value
+    adds a '/' (nor makes a '.' or '..' part)."""
+    names: dict[str, str] = {}
+    for role, path in fixed.items():
+        name = os.path.abspath(path)
+        if name in names:
+            raise _UsageError(f"the {names[name]} is also the {role}; give each its own path")
+        names[name] = f"{role} {path}"
+    sim_id = f"[0-9]{{{SequentialNamer(NamerConfig(), len(mapping)).width}}}"
+    here = os.getcwd().replace("{", "{{").replace("}", "}}")  # as template text
+    for pattern in patterns:
+        # the pattern made absolute as os.path.abspath makes a path
+        absolute = os.path.normpath(os.path.join(here, pattern))
+        regex = re.compile(as_regex(absolute, {"sim_id": sim_id}, "[^/]*"))
+        clashes = {name: role for name, role in names.items() if regex.fullmatch(name)}
+        if not clashes:
+            continue
+        for cell_id, values in cells(mapping):
+            path = render(pattern, values, cell_id)
+            clash = clashes.get(os.path.abspath(path))
+            if clash is not None:
+                raise _UsageError(
+                    f"--config {pattern!r} writes {path} for simulation {cell_id}, "
+                    f"the same file as the {clash}; give each its own path"
+                )
+
+
 def _planned_paths(args, mapping: Mapping, mapping_path: Path) -> Iterator[Path]:
     """Every path the run will create, rendered one at a time."""
     from .dispatch import batch_script_path, capture_paths
@@ -210,17 +239,37 @@ def _planned_paths(args, mapping: Mapping, mapping_path: Path) -> Iterator[Path]
     yield _summary_path(args.name)
 
 
-def _json_scalar(value) -> str:
-    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+def _json_number(value: float) -> str:
+    """An int or a float spelled as json.dumps spells it."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value)
 
 
 def _summary_entry(record: JobRecord) -> str:
-    """One job laid out as in json.dumps(summary, indent=2): JSON text never
-    holds a raw newline, so each field is one line at a fixed indent."""
-    fields = ",\n".join(
-        f"      {_json_scalar(key)}: {_json_scalar(value)}" for key, value in record.to_dict().items()
+    """One job's entry in the summary's job list, after the ',\n' that
+    separates it from the one before, laid out as in json.dumps(summary,
+    indent=2): JobRecord's fields in their order, those that are None left
+    out, each on one line at a fixed indent (JSON text never holds a raw
+    newline). Text is escaped as json.dumps escapes it, to ASCII."""
+    quote = encode_basestring_ascii
+    entry = (
+        f',\n    {{\n      "sim_id": {quote(record.sim_id)},\n'
+        f'      "command": {quote(record.command)},\n      "status": {quote(record.status)}'
     )
-    return f"    {{\n{fields}\n    }}"
+    if record.exit_code is not None:
+        entry += f',\n      "exit_code": {_json_number(record.exit_code)}'
+    if record.scheduler_job_id is not None:
+        entry += f',\n      "scheduler_job_id": {quote(record.scheduler_job_id)}'
+    if record.reason is not None:
+        entry += f',\n      "reason": {quote(record.reason)}'
+    if record.started_at is not None:
+        entry += f',\n      "started_at": {quote(record.started_at)}'
+    if record.finished_at is not None:
+        entry += f',\n      "finished_at": {quote(record.finished_at)}'
+    if record.duration is not None:
+        entry += f',\n      "duration": {_json_number(record.duration)}'
+    return entry + "\n    }"
 
 
 def _write_summary(name: str, kind: str, records: Iterable[JobRecord]) -> tuple[dict, Path]:
@@ -230,35 +279,38 @@ def _write_summary(name: str, kind: str, records: Iterable[JobRecord]) -> tuple[
     place. Returns the counts and the path."""
     counts = dict.fromkeys(("total", "succeeded", "failed", "submitted", "dry_run"), 0)
     path = _summary_path(name)
-    with tempfile.TemporaryFile("w+", encoding="utf-8", dir=path.parent) as jobs:
-        for record in records:
-            jobs.write(",\n" if counts["total"] else "\n")
-            jobs.write(_summary_entry(record))
-            counts["total"] += 1
-            counts["succeeded"] += record.succeeded
-            counts["failed"] += record.failed
-            counts["submitted"] += record.status == "submitted"
-            counts["dry_run"] += record.status == "dry_run"
+    with tempfile.TemporaryFile(dir=path.parent) as jobs:
+        # write-only text: a readable one resets its decoder on every write
+        with open(jobs.fileno(), "w", encoding="utf-8", closefd=False) as entries:
+            for record in records:
+                entries.write(_summary_entry(record))
+                counts["total"] += 1
+                counts["succeeded"] += record.succeeded
+                counts["failed"] += record.failed
+                counts["submitted"] += record.status == "submitted"
+                counts["dry_run"] += record.status == "dry_run"
         head = json.dumps(
             {"schema": SUMMARY_SCHEMA, "sweep_name": name, "dispatcher": kind, "counts": counts, "jobs": []},
             indent=2,
         )
 
         def write(target: Path):
-            with target.open("w", encoding="utf-8") as out:
+            with target.open("wb") as out:  # json.dumps and the entries are ASCII
                 if not counts["total"]:
-                    out.write(head + "\n")
+                    out.write(f"{head}\n".encode())
                     return
-                out.write(head.removesuffix("]\n}"))
-                jobs.seek(0)
+                out.write(head.removesuffix("]\n}").encode())
+                jobs.seek(1)  # past the first entry's ','
                 shutil.copyfileobj(jobs, out)
-                out.write("\n  ]\n}\n")
+                out.write(b"\n  ]\n}\n")
 
         _write_atomic(path, write)
     return counts, path
 
 
 def _cmd_run(args) -> int:
+    import shlex
+
     from .dispatch import DispatcherConfig, JobSpec, dispatch_all
 
     if len(args.config) != len(args.template):
@@ -296,24 +348,28 @@ def _cmd_run(args) -> int:
             raise SweepRunError(message)
         _status(f"warning: {message}", sys.stderr)
     _require_path_safe_values(mapping, args.config)
+    mapping_path = Path(args.mapping_out) if args.mapping_out else Path(f"{args.name}_mapping.json")
+    _require_no_config_on_fixed_names(
+        args.config, mapping, {"mapping": mapping_path, "summary": _summary_path(args.name)}
+    )
 
     # the checks above prove every render succeeds, so conflicts are checked
     # on the paths alone, and each path is rendered again where it is written
-    mapping_path = Path(args.mapping_out) if args.mapping_out else Path(f"{args.name}_mapping.json")
     if not args.overwrite:
         existing = [p for p in _planned_paths(args, mapping, mapping_path) if p.exists()]
         if existing:
             raise OutputConflictError(existing)
 
     # each pattern spelled as Path spells it (no trailing, repeated or '.'
-    # separators); a rendered value adds no separator
+    # separators); a rendered value adds no separator, so only a pattern
+    # with one has a parent directory to make
     patterns = [str(Path(pattern)) for pattern in args.config]
+    outputs = [(pattern, "/" in pattern, source) for pattern, source in zip(patterns, template_sources)]
     for sim_id, values in cells(mapping):
-        for pattern, source in zip(patterns, template_sources):
+        for pattern, nested, source in outputs:
             path = render(pattern, values, sim_id)
-            parent = os.path.dirname(path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
+            if nested:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
             files.rewrite(path, render(source, values, sim_id))
     _write_atomic(mapping_path, serialize(mapping))
     _status(f"wrote {len(mapping) * len(args.config)} config file(s) and mapping {mapping_path}")
@@ -322,8 +378,8 @@ def _cmd_run(args) -> int:
     jobs = _Replayed(
         len(mapping),
         lambda: (
-            JobSpec(sim_id=sim_id, command=render(args.command, _shell_words(values), sim_id), workdir=workdir)
-            for sim_id, values in cells(mapping)
+            JobSpec(sim_id=sim_id, command=render(args.command, words, sim_id), workdir=workdir)
+            for sim_id, words in cells(mapping, shlex.quote)  # each value reaches the shell as one word
         ),
     )
     config = DispatcherConfig(

@@ -158,18 +158,19 @@ def _csv_writer(out: TextIO, names: tuple[str, ...]):
     return writer
 
 
-def _csv_row(names: tuple[str, ...], cell: dict[str, str], value: float | None) -> list[str]:
-    return [*(cell[n] for n in names), "" if value is None else templates.format_value(value)]
+def _csv_row(cell: dict[str, str], value: float | None) -> list[str]:
+    """A cell's CSV row: `cells` lists each cell's values in the order of the
+    mapping's parameter names, which is the header's."""
+    return [*cell.values(), "" if value is None else templates.format_value(value)]
 
 
 def export_csv(collected: CollectedScalars) -> str:
     """CSV text: one header row `param1,...,paramN,value`, one row per
     simulation in mapping order. Missing values render as an empty field."""
-    names = collected.mapping.parameter_names
     buffer = io.StringIO()
-    writer = _csv_writer(buffer, names)
+    writer = _csv_writer(buffer, collected.mapping.parameter_names)
     for sim_id, cell in cells(collected.mapping):
-        writer.writerow(_csv_row(names, cell, collected.values.get(sim_id)))
+        writer.writerow(_csv_row(cell, collected.values.get(sim_id)))
     return buffer.getvalue()
 
 
@@ -182,12 +183,11 @@ def write_csv(
     before `path` is opened; an output that is one of the `reserved` files
     (such as the file `path` will become) raises ValueError."""
     harvest = _harvest(mapping, output_pattern, reserved)
-    names = mapping.parameter_names
     issues: list[CollectIssue] = []
     with path.open("w", encoding="utf-8") as out:
-        writer = _csv_writer(out, names)
+        writer = _csv_writer(out, mapping.parameter_names)
         for _sim_id, cell, value, issue in harvest:
             if issue is not None:
                 issues.append(issue)
-            writer.writerow(_csv_row(names, cell, value))
+            writer.writerow(_csv_row(cell, value))
     return issues

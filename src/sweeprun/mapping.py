@@ -22,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import MappingFormatError
 from .sweeps import (
@@ -214,14 +214,20 @@ def build_mapping(
     )
 
 
-def cells(mapping: Mapping) -> Iterator[tuple[str, dict[str, str]]]:
+def cells(
+    mapping: Mapping, text: Callable[[str], str] | None = None
+) -> Iterator[tuple[str, dict[str, str]]]:
     """(sim_id, parameter values as text) in mapping order, made again on each
-    call: a grid formats each distinct value once, an association mapping
-    each set once."""
+    call, each cell's names in `parameter_names` order: a grid formats each
+    distinct value once, an association mapping each set once. A `text`
+    function (``shlex.quote`` for a command) is applied to each formatted
+    value as often: once per axis value of a grid, once per value of each
+    set. The sim_id is never passed through it."""
     if isinstance(mapping, CartesianMapping):
-        return zip(mapping.sim_ids, format_grid(mapping.coords))
+        return zip(mapping.sim_ids, format_grid(mapping.coords, text))
+    spell = format_value if text is None else lambda value: text(format_value(value))
     return (
-        (sim_id, {name: format_value(value) for name, value in params.items()})
+        (sim_id, {name: spell(value) for name, value in params.items()})
         for sim_id, params in mapping.assignments.items()
     )
 

@@ -50,13 +50,15 @@ class SequentialNamer:
         self.total = total
         self.width = max(config.min_width, len(str(config.start_index + total - 1)))
         self._emitted = 0
+        # the format is parsed once per namer, not once per ID
+        self._spell = f"{config.prefix}{{:0{self.width}d}}".format
 
     def next_id(self) -> str:
         if self._emitted >= self.total:
             raise NamerExhaustedError(f"namer was sized for {self.total} IDs")
         index = self.config.start_index + self._emitted
         self._emitted += 1
-        return f"{self.config.prefix}{index:0{self.width}d}"
+        return self._spell(index)
 
     def __iter__(self) -> Iterator[str]:
         while self._emitted < self.total:

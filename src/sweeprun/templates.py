@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import TemplateSyntaxError, UnfilledPlaceholderError, _byte_offset
 from .sweeps import ParamValue, _IDENTIFIER_RE
@@ -38,8 +38,7 @@ _BRACE_RE = re.compile(r"[{}]")
 
 
 def format_value(value: ParamValue) -> str:
-    # text first: render passes every value through here, and run hands it
-    # values it has already formatted
+    # text first: it passes through unchanged
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -53,12 +52,18 @@ def format_value(value: ParamValue) -> str:
     raise ValueError(f"unsupported value type {type(value).__name__}")
 
 
-def format_grid(parameters: Mapping[str, Sequence[ParamValue]]) -> Iterator[dict[str, str]]:
+def format_grid(
+    parameters: Mapping[str, Sequence[ParamValue]], text: Callable[[str], str] | None = None
+) -> Iterator[dict[str, str]]:
     """The cells of the Cartesian grid over `parameters`, as formatted text,
     in row-major order (the last name varies fastest): each value is
-    formatted once, and every cell is built from those strings."""
+    formatted once, and every cell is built from those strings. A `text`
+    function (such as ``shlex.quote``) is applied to each formatted value,
+    also once per axis value, so a cell holds ``text(format_value(v))``."""
     names = list(parameters)
     axes = [[format_value(value) for value in values] for values in parameters.values()]
+    if text is not None:
+        axes = [[text(value) for value in axis] for axis in axes]
     for combo in itertools.product(*axes):
         yield dict(zip(names, combo))
 
@@ -113,7 +118,8 @@ def render(source: str, params: Mapping[str, ParamValue], sim_id: str) -> str:
     Raises UnfilledPlaceholderError if the template names a placeholder with
     no matching parameter; ``{sim_id}`` is always available.
     """
-    values = {name: format_value(value) for name, value in params.items()}
+    # text, which is what run passes, is taken as it is, without a call
+    values = {name: value if type(value) is str else format_value(value) for name, value in params.items()}
     values["sim_id"] = sim_id
     try:
         chunks: Iterable[tuple[str, str | None]] = _compile(source)
@@ -129,6 +135,18 @@ def render(source: str, params: Mapping[str, ParamValue], sim_id: str) -> str:
             parts.append(values[name])
         except KeyError:
             raise UnfilledPlaceholderError(name) from None
+    return "".join(parts)
+
+
+def as_regex(source: str, placeholders: Mapping[str, str], other: str) -> str:
+    """A regular expression for every text `source` renders to: literal text
+    stands for itself, a placeholder named in `placeholders` for its regex
+    there, and any other placeholder for `other`."""
+    parts: list[str] = []
+    for literal, name in _compile(source):
+        parts.append(re.escape(literal))
+        if name is not None:
+            parts.append(f"(?:{placeholders.get(name, other)})")
     return "".join(parts)
 
 

@@ -13,6 +13,7 @@ import pytest
 from conftest import NAMELIST_TEMPLATE, REFERENCE_GRID_SPEC, run_python
 from sweeprun import files
 from sweeprun.cli import main
+from sweeprun.mapping import read_mapping
 from sweeprun.spec import load_sweep_spec
 from sweeprun.sweeps import Choice, IntegerUniform, LogUniform, Normal, RandomSweep, Uniform
 
@@ -391,6 +392,58 @@ class TestRunPipeline:
         assert not list(workdir.glob("other_*"))
         assert main(argv + ["--overwrite"]) == 0
         assert (workdir / "other_mapping.json").exists()
+
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["new", "overwrite"])
+    @pytest.mark.parametrize(
+        "config, options, fixed",
+        [
+            ("c_{sim_id}", ["--mapping-out", "c_0"], "mapping c_0"),
+            ("run{sim_id}_summary.json", ["--name", "run1"], "summary run1_summary.json"),
+            # a value and a '..' part: compared once both are absolute paths
+            ("out/c_{a}_{sim_id}", ["--mapping-out", "out/../out/c_2_1"], "mapping out/../out/c_2_1"),
+        ],
+        ids=["mapping", "summary", "mapping-by-value"],
+    )
+    def test_config_on_a_fixed_name_blocks_every_write(
+        self, workdir, tiny_setup, config, options, fixed, overwrite, capsys
+    ):
+        before = sorted(workdir.iterdir())
+        argv = list(tiny_setup)
+        argv[argv.index("--config") + 1] = config
+        assert main(argv + options + ["--overwrite"] * overwrite) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(config) in err and f"the same file as the {fixed};" in err
+        assert sorted(workdir.iterdir()) == before
+
+    def test_braces_in_the_working_directory_are_literal_text(self, workdir, tiny_setup, monkeypatch, capsys):
+        inner = workdir / "a}b{{c{d}"
+        inner.mkdir()
+        for name in ("sweep.json", "template.txt"):
+            (inner / name).write_bytes((workdir / name).read_bytes())
+        monkeypatch.chdir(inner)
+        argv = list(tiny_setup)
+        argv[argv.index("--config") + 1] = "c_{sim_id}"
+        assert main(argv + ["--mapping-out", "c_1"]) == 1
+        assert "the same file as the mapping c_1;" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert sorted(p.name for p in inner.glob("c_*")) == ["c_0", "c_1"]
+
+    def test_mapping_on_the_summary_blocks_every_write(self, workdir, tiny_setup, capsys):
+        before = sorted(workdir.iterdir())
+        assert main(tiny_setup + ["--mapping-out", "tiny_summary.json", "--overwrite"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the mapping tiny_summary.json is also the summary; give each its own path\n"
+        )
+        assert sorted(workdir.iterdir()) == before
+
+    def test_fixed_name_no_simulation_renders_is_kept(self, workdir, tiny_setup):
+        """The pattern could render the mapping's name, but no value set does."""
+        argv = list(tiny_setup)
+        argv[argv.index("--config") + 1] = "c_{a}_{sim_id}"
+        assert main(argv + ["--mapping-out", "c_1_1"]) == 0  # simulation 1 has a=2
+        assert read_mapping(workdir / "c_1_1").sim_ids == ("0", "1")
+        assert (workdir / "c_2_1").read_text(encoding="utf-8") == "a=2 b=10 id=1\n"
 
     @pytest.mark.parametrize("earlier", ["tiny_0.out", "tiny_1.err"])
     def test_capture_files_of_an_earlier_sweep_are_conflicts(self, workdir, tiny_setup, earlier, capsys):

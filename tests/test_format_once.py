@@ -1,12 +1,14 @@
 """Each distinct value of a Cartesian grid is formatted once per pass:
 `collect` and a dry `run` build every cell from per-axis formatted values
-instead of formatting each value again in every cell it appears in. Each
+instead of formatting each value again in every cell it appears in. The
+command pass quotes each distinct value for the shell once, too. Each
 simulation ID is made once per run: every pass of `run` reads it from the
 mapping."""
 
 from __future__ import annotations
 
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 
 from sweeprun import files, templates
 from sweeprun.cli import main
-from sweeprun.mapping import build_mapping, serialize
+from sweeprun.mapping import build_mapping, read_mapping, serialize
 from sweeprun.naming import NamerConfig, SequentialNamer
 from sweeprun.sweeps import CartesianSweep
 
@@ -103,3 +105,58 @@ def test_dry_run_names_each_simulation_once(workdir, monkeypatch, capsys):
     monkeypatch.setattr(SequentialNamer, "next_id", lambda namer: calls.append(namer) or real(namer))
     assert main(dry_grid_run(workdir, monkeypatch)) == 0
     assert len(calls) == CELLS, len(calls) / CELLS
+
+
+def test_dry_run_quotes_each_grid_value_once_per_pass(workdir, monkeypatch, capsys):
+    real = shlex.quote
+    quoted: list[str] = []
+    monkeypatch.setattr(shlex, "quote", lambda text: quoted.append(text) or real(text))
+    renders: list[str] = []
+    real_render = templates.render
+    for module in list(sys.modules.values()):  # wherever sweeprun binds the name
+        name = getattr(module, "__name__", "")
+        if name.startswith("sweeprun") and getattr(module, "render", None) is real_render:
+            monkeypatch.setattr(module, "render", lambda *args: renders.append(args[0]) or real_render(*args))
+    assert main(dry_grid_run(workdir, monkeypatch)) == 0
+    summary = json.loads((workdir / "grid_summary.json").read_text(encoding="utf-8"))
+    assert summary["jobs"][-1]["command"] == "./model 5999 19 1e-07 m9"
+    # the command pass is the only one that quotes
+    assert len(quoted) <= DISTINCT, len(quoted)
+    # one config path, one config and one command per simulation: a config
+    # pattern that cannot name the mapping or the summary is not rendered again
+    assert len(renders) == 3 * CELLS, len(renders) / CELLS
+
+
+ODD_WORDS = ["a b", "", "''", "x;y", "$HOME", "é"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "cartesian", "parameters": {"w": ODD_WORDS, "n": [1, 2]}},
+        {"type": "set", "sets": [{"w": w, "n": k} for k, w in enumerate(ODD_WORDS)]},
+        {
+            "type": "random", "count": 12, "seed": 5,
+            "distributions": {"w": {"choice": ODD_WORDS}, "n": {"uniform": [0, 1]}},
+        },
+        {"type": "cartesian", "parameters": {"w": ODD_WORDS, "n": [1, 2, 3]}, "filter": "n != 2"},
+    ],
+    ids=["cartesian", "set", "random", "filtered"],
+)
+def test_commands_equal_quoting_each_cell(workdir, spec, capsys):
+    (workdir / "sweep.json").write_text(json.dumps(spec), encoding="utf-8")
+    (workdir / "template.txt").write_text("n = {n}\n", encoding="utf-8")
+    command = "./model {sim_id} --w {w} --n={n} '{w}'"
+    argv = [
+        "run", "--command", command, "--config", "c_{sim_id}.txt", "--template", "template.txt",
+        "--sweep-file", "sweep.json", "--name", "q", "--dispatcher", "dry",
+    ]
+    assert main(argv) == 0
+    mapping = read_mapping(workdir / "q_mapping.json")
+    def quoted(params):  # each value quoted in each cell
+        return {name: shlex.quote(templates.format_value(value)) for name, value in params.items()}
+
+    expected = [templates.render(command, quoted(params), sim_id) for sim_id, params in mapping.items()]
+    summary = json.loads((workdir / "q_summary.json").read_text(encoding="utf-8"))
+    assert [job["command"] for job in summary["jobs"]] == expected
+    assert len(expected) == len(mapping) >= len(ODD_WORDS)

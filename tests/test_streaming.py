@@ -5,13 +5,17 @@ row that is byte-identical to ``export_csv``."""
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweeprun import files, filters
 from sweeprun.cli import REPORT_SCHEMA, SUMMARY_SCHEMA, _write_summary, main
@@ -76,6 +80,31 @@ RECORDS = [
 ]
 
 
+# control characters, non-ASCII characters and lone surrogates
+SUMMARY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=12) | st.sampled_from(["", ODD_TEXT])
+# a sweep name becomes part of the summary's file name
+SWEEP_NAMES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\0"), min_size=1, max_size=12)
+EXIT_CODES = st.integers() | st.sampled_from([0, 1, -9, 127, 255, 2**31 - 1, -(2**63), 2**80])
+DURATIONS = st.floats() | st.sampled_from([0.0, 1e-07, 12345.5, 5e-324, 2.2250738585072014e-309, 1e16, 1e22])
+
+
+@st.composite
+def job_records(draw) -> JobRecord:
+    """A JobRecord of any status, each optional field drawn or left out."""
+    status = draw(st.sampled_from(["completed", "submitted", "dry_run", "spawn_failed"]))
+    return JobRecord(
+        sim_id=draw(SUMMARY_TEXT),
+        command=draw(SUMMARY_TEXT),
+        status=status,
+        exit_code=draw(EXIT_CODES if status == "completed" else st.none() | EXIT_CODES),
+        scheduler_job_id=draw(SUMMARY_TEXT if status == "submitted" else st.none() | SUMMARY_TEXT),
+        reason=draw(st.none() | SUMMARY_TEXT),
+        started_at=draw(st.none() | SUMMARY_TEXT),
+        finished_at=draw(st.none() | SUMMARY_TEXT),
+        duration=draw(st.none() | DURATIONS),
+    )
+
+
 class TestSummaryWriter:
     @pytest.mark.parametrize("count", [0, 1, 2, len(RECORDS)])
     @pytest.mark.parametrize("name", ["sweep", 'q"é ☃'])
@@ -91,6 +120,18 @@ class TestSummaryWriter:
         text = (workdir / "tiny_summary.json").read_text(encoding="utf-8")
         assert text == reference_summary("tiny", "slurm", [])
         assert '"jobs": []' in text
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        name=SWEEP_NAMES,
+        kind=st.sampled_from(["dry", "local", "slurm", "pbs"]),
+        records=st.lists(job_records(), max_size=5),
+    )
+    def test_summary_of_drawn_records_equals_one_dump(self, name, kind, records):
+        with tempfile.TemporaryDirectory() as directory, contextlib.chdir(directory):
+            counts, path = _write_summary(name, kind, iter(records))
+            assert path.read_bytes() == reference_summary(name, kind, records).encode("utf-8")
+        assert counts == json.loads(reference_summary(name, kind, records))["counts"]
 
     @pytest.mark.parametrize("dispatcher", ["dry", "local"])
     def test_run_summary_is_laid_out_as_one_dump(self, workdir, tiny_setup, dispatcher):
