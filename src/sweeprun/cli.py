@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import os
-import re
 import shutil
 import sys
 import tempfile
@@ -42,7 +41,7 @@ from .errors import (
 from .mapping import CartesianMapping, Mapping, build_mapping, cells, read_mapping, serialize
 from .naming import NamerConfig, SequentialNamer
 from .spec import load_sweep_spec
-from .templates import as_regex, extract_placeholders, format_value, render, unused_parameters
+from .templates import _compile, extract_placeholders, format_value, render, unused_parameters
 
 if TYPE_CHECKING:
     from .dispatch import JobRecord
@@ -149,21 +148,6 @@ def _plan(args) -> Mapping:
     return build_mapping(sweep, sets, ids, sweep_name=args.name)
 
 
-def _require_sim_id(pattern: str, what: str):
-    if "sim_id" not in extract_placeholders(pattern):
-        raise _UsageError(f"{what} must contain the {{sim_id}} placeholder: {pattern!r}")
-
-
-def _require_distinct_configs(patterns: list[str]):
-    seen: set[Path] = set()
-    for pattern in patterns:
-        if Path(pattern) in seen:
-            raise _UsageError(
-                f"--config {pattern!r} is given twice; each template needs its own config path"
-            )
-        seen.add(Path(pattern))
-
-
 def _require_path_safe_values(mapping: Mapping, patterns: list[str]):
     """A text value rendered into a --config path must be a plain name part:
     not empty, no '/' or NUL, and not '.' or '..', so no config lands outside
@@ -188,55 +172,77 @@ def _summary_path(name: str) -> Path:
     return Path(f"{name}_summary.json")
 
 
-def _require_no_config_on_fixed_names(patterns: list[str], mapping: Mapping, fixed: dict[str, Path]):
-    """No --config path may be one of the `fixed` files (by role: the mapping,
-    the summary), nor may two of those be one path, with or without
-    --overwrite: the later write would replace the earlier file. Paths are
-    compared as os.path.abspath strings. A pattern is rendered only if its
-    regex matches a fixed name: literal text stands for itself, {sim_id} for
-    the run's digits, any other placeholder for a name part, as no value
-    adds a '/' (nor makes a '.' or '..' part)."""
-    names: dict[str, str] = {}
-    for role, path in fixed.items():
-        name = os.path.abspath(path)
-        if name in names:
-            raise _UsageError(f"the {names[name]} is also the {role}; give each its own path")
-        names[name] = f"{role} {path}"
-    sim_id = f"[0-9]{{{SequentialNamer(NamerConfig(), len(mapping)).width}}}"
-    here = os.getcwd().replace("{", "{{").replace("}", "}}")  # as template text
-    for pattern in patterns:
-        # the pattern made absolute as os.path.abspath makes a path
-        absolute = os.path.normpath(os.path.join(here, pattern))
-        regex = re.compile(as_regex(absolute, {"sim_id": sim_id}, "[^/]*"))
-        clashes = {name: role for name, role in names.items() if regex.fullmatch(name)}
-        if not clashes:
-            continue
-        for cell_id, values in cells(mapping):
-            path = render(pattern, values, cell_id)
-            clash = clashes.get(os.path.abspath(path))
-            if clash is not None:
-                raise _UsageError(
-                    f"--config {pattern!r} writes {path} for simulation {cell_id}, "
-                    f"the same file as the {clash}; give each its own path"
-                )
+def _literal(text: str) -> str:
+    """`text` as template text that renders to itself."""
+    return text.replace("{", "{{").replace("}", "}}")
 
 
-def _planned_paths(args, mapping: Mapping, mapping_path: Path) -> Iterator[Path]:
-    """Every path the run will create, rendered one at a time."""
+def _outputs(args, mapping_path: Path) -> tuple[dict[str, Path], list[tuple[str, str]]]:
+    """Every file the run writes: the mapping and the summary by role, and
+    each per-simulation path template (configs first, as Path spells them)
+    with the option that writes it."""
     from .dispatch import batch_script_path, capture_paths
 
-    workdir = Path.cwd()
-    scripts = args.dispatcher in ("slurm", "pbs")
-    captures = args.capture and args.dispatcher == "local" and not args.dry_run
+    name = _literal(args.name)
+    outputs = [(f"--config {pattern!r}", str(Path(pattern))) for pattern in args.config]
+    if args.dispatcher in ("slurm", "pbs"):
+        outputs.append((f"--dispatcher {args.dispatcher}", str(batch_script_path(Path(), name, "{sim_id}"))))
+    if args.capture and args.dispatcher == "local" and not args.dry_run:
+        outputs += [("--capture", str(path)) for path in capture_paths(Path(), name, "{sim_id}")]
+    return {"mapping": mapping_path, "summary": _summary_path(args.name)}, outputs
+
+
+def _require_distinct_outputs(
+    fixed: dict[str, Path], outputs: list[tuple[str, str]], mapping: Mapping, overwrite: bool
+):
+    """No two files the run writes may be one os.path.abspath, with or
+    without --overwrite, and without it none may exist. Made absolute with
+    '.' and '..' applied, each template must still hold {sim_id}. If that is
+    its only placeholder, two templates whose text before the first or after
+    the last placeholder differs (neither is a prefix, or a suffix, of the
+    other) never render one path; if every two do, none is compared."""
+    here = _literal(os.getcwd())
+    ends = [(name, name) for name in map(os.path.abspath, fixed.values())]  # (head, tail)
+    proved = True
+    for what, template in outputs:
+        chunks = _compile(os.path.normpath(os.path.join(here, template)))
+        names = {name for _, name in chunks[:-1]}
+        if "sim_id" not in names:
+            raise _UsageError(
+                f"{what} names the same file for every simulation; it needs a {{sim_id}} no '..' removes"
+            )
+        proved = proved and names == {"sim_id"}
+        ends.append((chunks[0][0], chunks[-1][0]))
+    proved = proved and all(
+        not (head.startswith(head2) or head2.startswith(head))
+        or not (tail.endswith(tail2) or tail2.endswith(tail))
+        for (head, tail), (head2, tail2) in itertools.combinations(ends, 2)
+    )
+    if proved and overwrite:
+        return
+    seen: dict[str, str] = {}  # each absolute path and what writes it, if the proof failed
+    for role, path in () if proved else fixed.items():
+        name = os.path.abspath(path)
+        if name in seen:
+            raise _UsageError(f"{seen[name]} is also the {role}; give each its own path")
+        seen[name] = f"the {role} {path}"
+    existing = []
     for sim_id, values in cells(mapping):
-        for pattern in args.config:
-            yield Path(render(pattern, values, sim_id))
-        if scripts:
-            yield batch_script_path(workdir, args.name, sim_id)
-        if captures:
-            yield from capture_paths(workdir, args.name, sim_id)
-    yield mapping_path
-    yield _summary_path(args.name)
+        for what, template in outputs:
+            path = render(template, values, sim_id)
+            if not proved:
+                name = os.path.abspath(path)
+                if name in seen:
+                    raise _UsageError(
+                        f"{what} writes {path} for simulation {sim_id}, "
+                        f"the same file as {seen[name]}; give each its own path"
+                    )
+                seen[name] = f"{path}, which {what} writes for simulation {sim_id}"
+            if not overwrite and os.path.exists(path):
+                existing.append(path)
+    existing += [path for path in fixed.values() if not overwrite and path.exists()]
+    if existing:
+        raise OutputConflictError(existing)
 
 
 def _json_number(value: float) -> str:
@@ -318,22 +324,17 @@ def _cmd_run(args) -> int:
             f"got {len(args.config)} --config but {len(args.template)} --template; "
             "each template writes to its matching config path"
         )
-    _require_sim_id(args.command, "--command")
-    for pattern in args.config:
-        _require_sim_id(pattern, "--config")
-    _require_distinct_configs(args.config)
+    if "sim_id" not in extract_placeholders(args.command):
+        raise _UsageError(f"--command must contain the {{sim_id}} placeholder: {args.command!r}")
 
     mapping = _plan(args)
     names = mapping.parameter_names
-    template_sources = [
-        Path(t).read_text(encoding="utf-8") for t in args.template
-    ]
-    template_placeholders = [extract_placeholders(s) for s in template_sources]
+    template_sources = [Path(t).read_text(encoding="utf-8") for t in args.template]
 
     # every placeholder anywhere must be fillable, before anything is written
     allowed = set(names) | {"sim_id"}
     for placeholders in [
-        *template_placeholders,
+        *(extract_placeholders(s) for s in template_sources),
         extract_placeholders(args.command),
         *(extract_placeholders(p) for p in args.config),
     ]:
@@ -349,22 +350,12 @@ def _cmd_run(args) -> int:
         _status(f"warning: {message}", sys.stderr)
     _require_path_safe_values(mapping, args.config)
     mapping_path = Path(args.mapping_out) if args.mapping_out else Path(f"{args.name}_mapping.json")
-    _require_no_config_on_fixed_names(
-        args.config, mapping, {"mapping": mapping_path, "summary": _summary_path(args.name)}
-    )
+    fixed, outputs = _outputs(args, mapping_path)
+    _require_distinct_outputs(fixed, outputs, mapping, args.overwrite)
 
-    # the checks above prove every render succeeds, so conflicts are checked
-    # on the paths alone, and each path is rendered again where it is written
-    if not args.overwrite:
-        existing = [p for p in _planned_paths(args, mapping, mapping_path) if p.exists()]
-        if existing:
-            raise OutputConflictError(existing)
-
-    # each pattern spelled as Path spells it (no trailing, repeated or '.'
-    # separators); a rendered value adds no separator, so only a pattern
-    # with one has a parent directory to make
-    patterns = [str(Path(pattern)) for pattern in args.config]
-    outputs = [(pattern, "/" in pattern, source) for pattern, source in zip(patterns, template_sources)]
+    # a rendered value adds no separator, so only a config pattern with one
+    # has a parent directory to make; zip stops after the configs
+    outputs = [(pattern, "/" in pattern, source) for (_, pattern), source in zip(outputs, template_sources)]
     for sim_id, values in cells(mapping):
         for pattern, nested, source in outputs:
             path = render(pattern, values, sim_id)
@@ -387,7 +378,6 @@ def _cmd_run(args) -> int:
         max_parallel=args.max_parallel,
         submit_command=args.submit_command,
         scheduler_directives=tuple(args.directive),
-        overwrite=args.overwrite,
         sweep_name=args.name,
         capture=args.capture,
         dry_run=args.dry_run,

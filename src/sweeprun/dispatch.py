@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import files
-from .errors import DISPATCHER_KINDS, OutputConflictError, SchedulerError
+from .errors import DISPATCHER_KINDS, SchedulerError
 
 __all__ = [
     "JobSpec",
@@ -105,7 +105,6 @@ class DispatcherConfig:
     max_parallel: int | None = None  # local; defaults to the CPUs this process may use
     submit_command: str | None = None  # default sbatch (slurm) / qsub (pbs)
     scheduler_directives: tuple[str, ...] = ()
-    overwrite: bool = False
     sweep_name: str = "sweep"
     capture: bool = False  # redirect local job output to <sweep>_<id>.out/.err
     dry_run: bool = False  # scheduler kinds still write scripts; nothing executes
@@ -206,8 +205,6 @@ def _dispatch_scheduler(jobs: Sequence[JobSpec], config: DispatcherConfig) -> li
         import subprocess
     for job in jobs:
         script_path = batch_script_path(job.workdir, config.sweep_name, job.sim_id)
-        if script_path.exists() and not config.overwrite:
-            raise OutputConflictError([script_path])
         files.rewrite(str(script_path), render_batch_script(job, config))
         if config.dry_run:
             records.append(JobRecord(sim_id=job.sim_id, command=job.command, status="dry_run"))
@@ -274,7 +271,9 @@ def dispatch_all(jobs: Collection[JobSpec], config: DispatcherConfig) -> Sequenc
     """Execute or submit every job; one record per job, input order preserved.
 
     `jobs` may be any sized iterable. All configuration files must already
-    be on disk (rendering and writing happen before any dispatch). Local jobs
+    be on disk (rendering and writing happen before any dispatch). Batch
+    scripts and capture files are written over any file at their paths: the
+    caller checks for conflicts before dispatching. Local jobs
     run on a pool of max_parallel threads, each waiting on one shell at a
     time; job failures are recorded, never raised. A dry dispatch (kind
     "dry", or dry_run with the local kind) executes nothing and returns a

@@ -138,18 +138,6 @@ def render(source: str, params: Mapping[str, ParamValue], sim_id: str) -> str:
     return "".join(parts)
 
 
-def as_regex(source: str, placeholders: Mapping[str, str], other: str) -> str:
-    """A regular expression for every text `source` renders to: literal text
-    stands for itself, a placeholder named in `placeholders` for its regex
-    there, and any other placeholder for `other`."""
-    parts: list[str] = []
-    for literal, name in _compile(source):
-        parts.append(re.escape(literal))
-        if name is not None:
-            parts.append(f"(?:{placeholders.get(name, other)})")
-    return "".join(parts)
-
-
 def unused_parameters(sources: Iterable[str], names: Iterable[str]) -> list[str]:
     """Parameter names that appear in none of the given template sources."""
     used: set[str] = set()

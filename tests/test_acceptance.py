@@ -364,7 +364,6 @@ def test_criterion_8_scheduler_dry_run_golden(tmp_path):
             sweep_name="golden",
             dry_run=True,
             scheduler_directives=("--time=00:10:00",) if kind == "slurm" else (),
-            overwrite=True,
         )
         records = dispatch_all(jobs, config)
         assert [r.status for r in records] == ["dry_run"] * 3

@@ -460,6 +460,45 @@ class TestRunPipeline:
         assert main(argv + ["--overwrite"]) == 0
         assert (workdir / "tiny_0.out").read_text(encoding="utf-8") == "ran 0\n"
 
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["new", "overwrite"])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--config", "q_{sim_id}.sh", "--dispatcher", "slurm", "--dry-run"],
+            ["--config", "c_{sim_id}", "--mapping-out", "q_0.sh", "--dispatcher", "slurm", "--dry-run"],
+            ["--config", "c_{sim_id}", "--mapping-out", "q_1.out", "--capture"],
+            ["--config", "q_{sim_id}.out", "--capture"],
+            ["--config", "a_{sim_id}", "--config", "x/../a_{sim_id}"],
+            ["--config", "a_{sim_id}", "--config", "{p}_{sim_id}"],
+            ["--config", "{sim_id}/../cfg"],
+        ],
+        ids=[
+            "config-on-script", "mapping-on-script", "mapping-on-capture", "config-on-capture",
+            "dot-dot", "value", "one-file-for-all",
+        ],
+    )
+    def test_two_outputs_on_one_file_block_every_write(self, workdir, options, overwrite, capsys):
+        write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": {"p": ["a"], "n": [1, 2, 3, 4]}})
+        (workdir / "template.txt").write_text("p={p} n={n}\n", encoding="utf-8")
+        before = sorted(workdir.iterdir())
+        templates = ["--template", "template.txt"] * options.count("--config")
+        argv = ["run", "--command", "true {sim_id}", "--sweep-file", "sweep.json", "--name", "q"]
+        assert main(argv + options + templates + ["--overwrite"] * overwrite) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(workdir.iterdir()) == before
+
+    def test_batch_script_of_an_earlier_sweep_is_a_conflict(self, workdir, tiny_setup, capsys):
+        (workdir / "tiny_0.sh").write_text("old\n", encoding="utf-8")
+        before = sorted(workdir.iterdir())
+        argv = tiny_setup + ["--dispatcher", "slurm", "--dry-run"]
+        assert main(argv) == 1
+        assert "tiny_0.sh" in capsys.readouterr().err
+        assert sorted(workdir.iterdir()) == before
+        assert (workdir / "tiny_0.sh").read_text(encoding="utf-8") == "old\n"
+        assert main(argv + ["--overwrite"]) == 0
+        assert (workdir / "tiny_0.sh").read_text(encoding="utf-8").startswith("#!/bin/sh\n")
+
     def test_failing_job_gives_exit_three_with_all_records(self, workdir):
         write_json(
             workdir / "sweep.json",

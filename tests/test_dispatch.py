@@ -17,7 +17,7 @@ from sweeprun.dispatch import (
     dispatch_all,
     render_batch_script,
 )
-from sweeprun.errors import OutputConflictError, SchedulerError
+from sweeprun.errors import SchedulerError
 
 
 def _job(sim_id, command, workdir):
@@ -209,21 +209,6 @@ class TestSchedulerDispatch:
         assert records[0].status == "dry_run"
         assert (workdir / "demo_000.sh").exists()
         assert not log.exists()
-
-    def test_existing_script_conflicts_without_overwrite(self, workdir, fake_scheduler):
-        submit, _log = fake_scheduler
-        (workdir / "demo_000.sh").write_text("old", encoding="utf-8")
-        jobs = [_job("000", "./model 000", workdir)]
-        config = DispatcherConfig(kind="slurm", submit_command=submit, sweep_name="demo")
-        with pytest.raises(OutputConflictError):
-            dispatch_all(jobs, config)
-        records = dispatch_all(
-            jobs,
-            DispatcherConfig(
-                kind="slurm", submit_command=submit, sweep_name="demo", overwrite=True
-            ),
-        )
-        assert records[0].status == "submitted"
 
 
 class TestDryDispatch:

@@ -3,13 +3,14 @@
 instead of formatting each value again in every cell it appears in. The
 command pass quotes each distinct value for the shell once, too. Each
 simulation ID is made once per run: every pass of `run` reads it from the
-mapping."""
+mapping. Under --overwrite, checking the output paths renders none of them."""
 
 from __future__ import annotations
 
 import json
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,18 @@ def number_formats(monkeypatch) -> list:
             patched.append(name)
     assert {"sweeprun.templates", "sweeprun.cli"} <= set(patched)
     return calls
+
+
+@pytest.fixture
+def renders(monkeypatch) -> list[str]:
+    """The source of every render call, wherever sweeprun binds the name."""
+    real = templates.render
+    sources: list[str] = []
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("sweeprun") and getattr(module, "render", None) is real:
+            monkeypatch.setattr(module, "render", lambda *args: sources.append(args[0]) or real(*args))
+    return sources
 
 
 def test_collect_formats_each_grid_value_once_per_pass(workdir, number_formats, capsys):
@@ -107,16 +120,10 @@ def test_dry_run_names_each_simulation_once(workdir, monkeypatch, capsys):
     assert len(calls) == CELLS, len(calls) / CELLS
 
 
-def test_dry_run_quotes_each_grid_value_once_per_pass(workdir, monkeypatch, capsys):
+def test_dry_run_quotes_each_grid_value_once_per_pass(workdir, monkeypatch, renders, capsys):
     real = shlex.quote
     quoted: list[str] = []
     monkeypatch.setattr(shlex, "quote", lambda text: quoted.append(text) or real(text))
-    renders: list[str] = []
-    real_render = templates.render
-    for module in list(sys.modules.values()):  # wherever sweeprun binds the name
-        name = getattr(module, "__name__", "")
-        if name.startswith("sweeprun") and getattr(module, "render", None) is real_render:
-            monkeypatch.setattr(module, "render", lambda *args: renders.append(args[0]) or real_render(*args))
     assert main(dry_grid_run(workdir, monkeypatch)) == 0
     summary = json.loads((workdir / "grid_summary.json").read_text(encoding="utf-8"))
     assert summary["jobs"][-1]["command"] == "./model 5999 19 1e-07 m9"
@@ -125,6 +132,27 @@ def test_dry_run_quotes_each_grid_value_once_per_pass(workdir, monkeypatch, caps
     # one config path, one config and one command per simulation: a config
     # pattern that cannot name the mapping or the summary is not rendered again
     assert len(renders) == 3 * CELLS, len(renders) / CELLS
+
+
+@pytest.mark.parametrize(
+    "dispatch", [["--dispatcher", "slurm", "--dry-run"], ["--capture"]], ids=["slurm", "capture"]
+)
+def test_overwrite_run_renders_no_path_to_check_it(workdir, renders, dispatch, capsys):
+    """Under --overwrite, the batch scripts or capture files are proved apart
+    from the configs, the mapping and the summary without rendering a path,
+    though grid_{sim_id}.sh and grid_mapping.json share their text up to the
+    placeholder: only their ends tell them apart."""
+    (workdir / "sweep.json").write_text(
+        json.dumps({"type": "cartesian", "parameters": {"n": [1, 2], "mode": ["a", "b", "c"]}}), encoding="utf-8"
+    )
+    (workdir / "template.txt").write_text("n = {n}\nmode = {mode}\n", encoding="utf-8")
+    argv = [
+        "run", "--command", "true {sim_id}", "--config", "params_{sim_id}.nml", "--template", "template.txt",
+        "--sweep-file", "sweep.json", "--name", "grid", "--overwrite", *dispatch,
+    ]
+    assert main(argv) == 0
+    # one config path, one config and one command per simulation
+    assert sorted(Counter(renders).values()) == [6, 6, 6], Counter(renders)
 
 
 ODD_WORDS = ["a b", "", "''", "x;y", "$HOME", "é"]
