@@ -3,14 +3,14 @@
 The pipeline: a sweep definition (built in code, or loaded from a JSON
 sweep-spec file with ``load_sweep_spec``) expands into an ordered list of
 parameter sets via ``sweep.generate()`` (or yields them one at a time via
-``sweep.iter_sets()``); a ``SequentialNamer`` gives each
-set a simulation ID; ``render`` fills configuration templates per
-simulation; ``dispatch_all`` runs one job per set (bounded local
-parallelism, generated batch-scheduler scripts, or a dry run); and
-``build_mapping`` records which parameter set each simulation ID ran, for
-post-processing with ``collect_scalars``. The ``sweeprun`` commands treat
-the mapping as the plan: ``run`` builds it before writing any file and takes
-every simulation of every pass from it, and ``collect`` reads it back.
+``sweep.iter_sets()``); ``build_mapping`` numbers the sets in that order,
+giving each a simulation ID, and records which parameter set each ID runs,
+for post-processing with ``collect_scalars``; ``render`` fills configuration
+templates per simulation; and ``dispatch_all`` runs one job per set (bounded
+local parallelism, generated batch-scheduler scripts, or a dry run). The
+``sweeprun`` commands treat the mapping as the plan: ``run`` builds it
+before writing any file and takes every simulation of every pass from it,
+and ``collect`` reads it back.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ _HOMES = {
         "read_mapping",
         "serialize",
     ),
-    "naming": ("NamerConfig", "SequentialNamer"),
     "spec": ("load_sweep_spec",),
     "sweeps": (
         "CartesianSweep",
@@ -88,8 +87,6 @@ __all__ = [
     "extract_placeholders",
     "render",
     "format_value",
-    "NamerConfig",
-    "SequentialNamer",
     "JobSpec",
     "JobRecord",
     "DispatcherConfig",

@@ -38,8 +38,7 @@ from .errors import (
     SweepRunError,
     UnfilledPlaceholderError,
 )
-from .mapping import CartesianMapping, Mapping, build_mapping, cells, read_mapping, serialize
-from .naming import NamerConfig, SequentialNamer
+from .mapping import CartesianMapping, Mapping, build_mapping, cells, read_mapping, serialize, sim_ids
 from .spec import load_sweep_spec
 from .templates import _compile, extract_placeholders, format_value, render, unused_parameters
 
@@ -138,16 +137,6 @@ class _Replayed:
         return self._items()
 
 
-def _plan(args) -> Mapping:
-    """The run's mapping: every pass takes its simulations from it. A plain
-    Cartesian grid is sized, never listed; the other sweeps are generated
-    once, so a filter runs once per candidate."""
-    sweep = load_sweep_spec(args.sweep_file, seed_override=args.seed)
-    sets = _Replayed(sweep.length(), sweep.iter_sets) if sweep.kind == "cartesian" else sweep.generate()
-    ids = list(SequentialNamer(NamerConfig(), len(sets)))
-    return build_mapping(sweep, sets, ids, sweep_name=args.name)
-
-
 def _require_path_safe_values(mapping: Mapping, patterns: list[str]):
     """A text value rendered into a --config path must be a plain name part:
     not empty, no '/' or NUL, and not '.' or '..', so no config lands outside
@@ -181,12 +170,14 @@ def _outputs(args, mapping_path: Path) -> tuple[dict[str, Path], list[tuple[str,
     """Every file the run writes: the mapping and the summary by role, and
     each per-simulation path template (configs first, as Path spells them)
     with the option that writes it."""
-    from .dispatch import batch_script_path, capture_paths
+    from .dispatch import batch_script_path, capture_paths, scheduler_log_path
 
     name = _literal(args.name)
     outputs = [(f"--config {pattern!r}", str(Path(pattern))) for pattern in args.config]
-    if args.dispatcher in ("slurm", "pbs"):
-        outputs.append((f"--dispatcher {args.dispatcher}", str(batch_script_path(Path(), name, "{sim_id}"))))
+    if args.dispatcher in ("slurm", "pbs"):  # each batch script, and the log the scheduler writes for it
+        what = f"--dispatcher {args.dispatcher}"
+        outputs += [(what, str(batch_script_path(Path(), name, "{sim_id}")))]
+        outputs += [(what, scheduler_log_path(name, "{sim_id}"))]
     if args.capture and args.dispatcher == "local" and not args.dry_run:
         outputs += [("--capture", str(path)) for path in capture_paths(Path(), name, "{sim_id}")]
     return {"mapping": mapping_path, "summary": _summary_path(args.name)}, outputs
@@ -327,7 +318,8 @@ def _cmd_run(args) -> int:
     if "sim_id" not in extract_placeholders(args.command):
         raise _UsageError(f"--command must contain the {{sim_id}} placeholder: {args.command!r}")
 
-    mapping = _plan(args)
+    # the plan: every pass takes its simulations from the mapping
+    mapping = build_mapping(load_sweep_spec(args.sweep_file, seed_override=args.seed), sweep_name=args.name)
     names = mapping.parameter_names
     template_sources = [Path(t).read_text(encoding="utf-8") for t in args.template]
 
@@ -352,6 +344,10 @@ def _cmd_run(args) -> int:
     mapping_path = Path(args.mapping_out) if args.mapping_out else Path(f"{args.name}_mapping.json")
     fixed, outputs = _outputs(args, mapping_path)
     _require_distinct_outputs(fixed, outputs, mapping, args.overwrite)
+    # the summary, batch scripts and captured output are made in --name's directory
+    for option, path in (("--name", fixed["summary"]), ("--mapping-out", mapping_path)):
+        if not os.path.isdir(path.parent):
+            raise _UsageError(f"{option}: no directory {path.parent} to write {path} in")
 
     # a rendered value adds no separator, so only a config pattern with one
     # has a parent directory to make; zip stops after the configs
@@ -425,7 +421,7 @@ def _cmd_preview(args) -> int:
     names = list(first[0])
     _status(f"{sweep.kind}, {len(names)} parameter(s) ({', '.join(names)}), {total} simulation(s)")
     shown = first[: args.limit]
-    for sim_id, params in zip(SequentialNamer(NamerConfig(), total), shown):
+    for params, sim_id in zip(shown, sim_ids(total)):  # shown first: no ID past the last is made
         rendered = ", ".join(f"{k}={format_value(v)}" for k, v in params.items())
         _status(f"  {sim_id}: {rendered}")
     if len(shown) < total:

@@ -38,6 +38,7 @@ __all__ = [
     "DISPATCHER_KINDS",
     "render_batch_script",
     "batch_script_path",
+    "scheduler_log_path",
     "capture_paths",
     "dispatch_all",
 ]
@@ -134,11 +135,12 @@ class DispatcherConfig:
 def render_batch_script(job: JobSpec, config: DispatcherConfig) -> str:
     """Batch script text for one job (slurm or pbs), deterministic."""
     tag = f"{config.sweep_name}_{job.sim_id}"
+    log = scheduler_log_path(config.sweep_name, job.sim_id)
     if config.kind == "slurm":
-        header = [f"#SBATCH --job-name={tag}", f"#SBATCH --output={tag}.out"]
+        header = [f"#SBATCH --job-name={tag}", f"#SBATCH --output={log}"]
         header += [f"#SBATCH {d}" for d in config.scheduler_directives]
     elif config.kind == "pbs":
-        header = [f"#PBS -N {tag}", f"#PBS -o {tag}.out"]
+        header = [f"#PBS -N {tag}", f"#PBS -o {log}"]
         header += [f"#PBS {d}" for d in config.scheduler_directives]
     else:
         raise ValueError(f"batch scripts apply to slurm/pbs, not {config.kind!r}")
@@ -147,6 +149,11 @@ def render_batch_script(job: JobSpec, config: DispatcherConfig) -> str:
 
 def batch_script_path(workdir: Path, sweep_name: str, sim_id: str) -> Path:
     return Path(workdir) / f"{sweep_name}_{sim_id}.sh"
+
+
+def scheduler_log_path(sweep_name: str, sim_id: str) -> str:
+    """Where the scheduler writes a batch job's output, from the directory it was submitted in."""
+    return f"{sweep_name}_{sim_id}.out"
 
 
 def capture_paths(workdir: Path, sweep_name: str, sim_id: str) -> tuple[Path, Path]:

@@ -69,10 +69,6 @@ class UnfilledPlaceholderError(TemplateError):
         self.name = name
 
 
-class NamerExhaustedError(SweepRunError):
-    """More simulation IDs were requested than the namer was sized for."""
-
-
 class SchedulerError(SweepRunError):
     """A batch-scheduler submit command failed; the sweep cannot continue.
     `records` holds the records of the jobs submitted before the failure."""

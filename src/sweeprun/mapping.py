@@ -4,7 +4,8 @@ Cartesian sweeps map naturally onto a labeled n-dimensional array: the
 dimensions are the swept parameter names, the coordinates are the value
 lists, and the cells hold simulation IDs in row-major order (last dimension
 fastest). Every other sweep type uses a flat association table from
-simulation ID to parameter set. The sweep types own the rules for names and
+simulation ID to parameter set. Simulations are numbered in generation
+order by `sim_ids`. The sweep types own the rules for names and
 values: a Cartesian mapping's coords must form a valid `CartesianSweep` and
 an association mapping's sets a valid `SetSweep` (which may repeat a set).
 
@@ -42,6 +43,7 @@ __all__ = [
     "AssociationMapping",
     "Mapping",
     "build_mapping",
+    "sim_ids",
     "serialize",
     "deserialize",
     "read_mapping",
@@ -188,30 +190,25 @@ class AssociationMapping:
 Mapping = Union[CartesianMapping, AssociationMapping]
 
 
-def build_mapping(
-    sweep: Sweep,
-    sets: list[ParameterSet],
-    ids: list[str],
-    *,
-    sweep_name: str = "sweep",
-) -> Mapping:
-    """Link generated parameter sets to their simulation IDs.
+def sim_ids(total: int) -> Iterator[str]:
+    """The IDs of `total` simulations, made as they are read: 0 to total-1,
+    zero-padded to the width of the last, so that text order is number order
+    and shell globs over output files sort as the sweep does."""
+    return map(f"{{:0{len(str(total - 1))}d}}".format, range(total))
 
-    `sets` and `ids` must be in generation order. Cartesian sweeps get the
-    labeled-array form; filtered Cartesian (ragged), set, and random sweeps
-    get the association form.
-    """
-    if len(sets) != len(ids):
-        raise ValueError(
-            f"internal consistency: {len(sets)} parameter sets but {len(ids)} sim_ids"
-        )
+
+def build_mapping(sweep: Sweep, *, sweep_name: str = "sweep") -> Mapping:
+    """Number the sweep's parameter sets in generation order. A Cartesian
+    sweep gets the labeled-array form and is sized, never listed; every other
+    kind (filtered Cartesian, set, random) is generated once and gets the
+    association form."""
     if isinstance(sweep, CartesianSweep) and not isinstance(sweep, FilteredCartesianSweep):
         grid = sweep.parameters
-        return CartesianMapping(sweep_name=sweep_name, dims=tuple(grid), coords=grid, sim_ids=ids)
-    return AssociationMapping(
-        sweep_name=sweep_name,
-        assignments={sim_id: dict(params) for sim_id, params in zip(ids, sets)},
-    )
+        return CartesianMapping(
+            sweep_name=sweep_name, dims=tuple(grid), coords=grid, sim_ids=sim_ids(sweep.length())
+        )
+    sets = sweep.generate()
+    return AssociationMapping(sweep_name=sweep_name, assignments=dict(zip(sim_ids(len(sets)), sets)))
 
 
 def cells(

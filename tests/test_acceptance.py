@@ -26,7 +26,6 @@ from sweeprun.mapping import (
     read_mapping,
     serialize,
 )
-from sweeprun.naming import NamerConfig, SequentialNamer
 from sweeprun.sweeps import (
     CartesianSweep,
     Choice,
@@ -257,8 +256,7 @@ def test_criterion_5_mapping_bijection_and_round_trip():
     for _ in range(100):
         sweep = _random_sweep(rng)
         sets = sweep.generate()
-        ids = list(SequentialNamer(NamerConfig(), len(sets)))
-        mapping = build_mapping(sweep, sets, ids, sweep_name="prop")
+        mapping = build_mapping(sweep, sweep_name="prop")
         for params in sets:
             round_tripped = mapping.lookup_by_id(mapping.lookup_by_params(params))
             assert list(round_tripped) == list(params)
@@ -338,9 +336,7 @@ def test_criterion_7_random_sweep_statistics():
             },
             seed=20_26,
         )
-        sets = sweep.generate()
-        ids = list(SequentialNamer(NamerConfig(), len(sets)))
-        return serialize(build_mapping(sweep, sets, ids, sweep_name="replay"))
+        return serialize(build_mapping(sweep, sweep_name="replay"))
 
     assert run_once().encode("utf-8") == run_once().encode("utf-8")
 

@@ -471,10 +471,12 @@ class TestRunPipeline:
             ["--config", "a_{sim_id}", "--config", "x/../a_{sim_id}"],
             ["--config", "a_{sim_id}", "--config", "{p}_{sim_id}"],
             ["--config", "{sim_id}/../cfg"],
+            ["--config", "q_{sim_id}.out", "--dispatcher", "slurm", "--dry-run"],
+            ["--config", "c_{sim_id}", "--mapping-out", "q_1.out", "--dispatcher", "pbs", "--dry-run"],
         ],
         ids=[
             "config-on-script", "mapping-on-script", "mapping-on-capture", "config-on-capture",
-            "dot-dot", "value", "one-file-for-all",
+            "dot-dot", "value", "one-file-for-all", "config-on-scheduler-log", "mapping-on-scheduler-log",
         ],
     )
     def test_two_outputs_on_one_file_block_every_write(self, workdir, options, overwrite, capsys):
@@ -498,6 +500,42 @@ class TestRunPipeline:
         assert (workdir / "tiny_0.sh").read_text(encoding="utf-8") == "old\n"
         assert main(argv + ["--overwrite"]) == 0
         assert (workdir / "tiny_0.sh").read_text(encoding="utf-8").startswith("#!/bin/sh\n")
+
+    @pytest.mark.parametrize("dispatch", [[], ["--dry-run"]], ids=["submit", "dry-run"])
+    @pytest.mark.parametrize("dispatcher", ["slurm", "pbs"])
+    def test_scheduler_log_of_an_earlier_sweep_is_a_conflict(
+        self, workdir, tiny_setup, dispatcher, dispatch, capsys
+    ):
+        (workdir / "tiny_1.out").write_text("old log\n", encoding="utf-8")
+        before = sorted(workdir.iterdir())
+        argv = tiny_setup + ["--dispatcher", dispatcher, "--submit-command", "exit 7", *dispatch]
+        assert main(argv) == 1
+        assert "tiny_1.out" in capsys.readouterr().err
+        assert sorted(workdir.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "options, option, directory",
+        [
+            (["--name", "out/q"], "--name", "out"),
+            (["--name", "out/q", "--capture"], "--name", "out"),
+            (["--name", "out/q", "--dispatcher", "slurm", "--dry-run"], "--name", "out"),
+            (["--name", "x/../q"], "--name", "x/.."),
+            (["--mapping-out", "missing/m.json"], "--mapping-out", "missing"),
+            (["--mapping-out", "conf_0.txt/m.json"], "--mapping-out", "conf_0.txt"),
+        ],
+        ids=["name", "name-capture", "name-slurm", "name-dot-dot", "mapping", "mapping-under-a-config"],
+    )
+    def test_missing_output_directory_stops_the_run_before_any_write(
+        self, workdir, tiny_setup, options, option, directory, capsys
+    ):
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "touch ran_{sim_id}"
+        before = sorted(workdir.rglob("*"))
+        assert main(argv + options) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: ") and err.count("\n") == 1, err
+        assert f" {directory} " in err
+        assert sorted(workdir.rglob("*")) == before  # no config, mapping or summary, and no job ran
 
     def test_failing_job_gives_exit_three_with_all_records(self, workdir):
         write_json(

@@ -10,8 +10,7 @@ import pytest
 
 from sweeprun.collect import collect_scalars, export_csv
 from sweeprun.dispatch import DispatcherConfig, JobSpec, dispatch_all
-from sweeprun.mapping import AssociationMapping, CartesianMapping, build_mapping
-from sweeprun.naming import NamerConfig, SequentialNamer
+from sweeprun.mapping import AssociationMapping, CartesianMapping, build_mapping, sim_ids
 from sweeprun.sweeps import (
     CartesianSweep,
     FilteredCartesianSweep,
@@ -24,10 +23,7 @@ from sweeprun.templates import format_value, render
 
 @pytest.fixture
 def grid_mapping(workdir):
-    sweep = CartesianSweep({"a": [1, 2], "b": [10]})
-    sets = sweep.generate()
-    ids = list(SequentialNamer(NamerConfig(), len(sets)))
-    return build_mapping(sweep, sets, ids, sweep_name="demo")
+    return build_mapping(CartesianSweep({"a": [1, 2], "b": [10]}), sweep_name="demo")
 
 
 def test_reads_first_token_per_file(workdir, grid_mapping):
@@ -54,8 +50,8 @@ def test_csv_matches_a_per_cell_reference(workdir):
         }
     )
     sets = sweep.generate()
-    ids = list(SequentialNamer(NamerConfig(), len(sets)))
-    mapping = build_mapping(sweep, sets, ids, sweep_name="kinds")
+    ids = list(sim_ids(len(sets)))
+    mapping = build_mapping(sweep, sweep_name="kinds")
     for k, sim_id in enumerate(ids):
         if k % 4:  # every fourth output is missing
             (workdir / f"out_{sim_id}.txt").write_text(f"{k * 0.25}\n", encoding="utf-8")
@@ -174,9 +170,7 @@ def test_order_independence(workdir, grid_mapping):
 
 def test_value_at_grid_indexing(workdir):
     sweep = CartesianSweep({"a": [1, 2, 3], "b": [10, 20]})
-    sets = sweep.generate()
-    ids = list(SequentialNamer(NamerConfig(), len(sets)))
-    mapping = build_mapping(sweep, sets, ids, sweep_name="demo")
+    mapping = build_mapping(sweep, sweep_name="demo")
     rng = random.Random(1)
     expected = {}
     for sim_id, params in mapping.items():
@@ -224,8 +218,8 @@ def test_stub_end_to_end_identity_for_every_sweep_type(workdir, stub, sweep_fact
     _script, command = stub
     sweep = sweep_factory()
     sets = sweep.generate()
-    ids = list(SequentialNamer(NamerConfig(), len(sets)))
-    mapping = build_mapping(sweep, sets, ids, sweep_name="e2e")
+    ids = list(sim_ids(len(sets)))
+    mapping = build_mapping(sweep, sweep_name="e2e")
     for params, sim_id in zip(sets, ids):
         (workdir / f"params_{sim_id}.nml").write_text(
             render("a = {a},\nb = {b}\n", params, sim_id), encoding="utf-8"

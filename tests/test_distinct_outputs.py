@@ -39,7 +39,7 @@ def planned_paths(configs: list[str], name: str, mapping_out: str | None, dispat
     for sim_id, (p, _n) in zip(SIM_IDS, itertools.product(P_VALUES, N_VALUES)):
         paths += [config.replace("{sim_id}", sim_id).replace("{p}", p) for config in configs]
         if dispatcher == "slurm":
-            paths.append(f"{name}_{sim_id}.sh")
+            paths += [f"{name}_{sim_id}.sh", f"{name}_{sim_id}.out"]
         if dispatcher == "capture":
             paths += [f"{name}_{sim_id}.out", f"{name}_{sim_id}.err"]
     return paths + [mapping_out or f"{name}_mapping.json", f"{name}_summary.json"]

@@ -3,7 +3,8 @@
 instead of formatting each value again in every cell it appears in. The
 command pass quotes each distinct value for the shell once, too. Each
 simulation ID is made once per run: every pass of `run` reads it from the
-mapping. Under --overwrite, checking the output paths renders none of them."""
+mapping, and `preview` makes only the IDs it lists. Under --overwrite,
+checking the output paths renders none of them."""
 
 from __future__ import annotations
 
@@ -15,10 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from sweeprun import files, templates
+from sweeprun import files, mapping, templates
 from sweeprun.cli import main
-from sweeprun.mapping import build_mapping, read_mapping, serialize
-from sweeprun.naming import NamerConfig, SequentialNamer
+from sweeprun.mapping import build_mapping, read_mapping, serialize, sim_ids
 from sweeprun.sweeps import CartesianSweep
 
 # 20 x 30 x 10 = 6,000 cells from 60 distinct values
@@ -65,13 +65,33 @@ def renders(monkeypatch) -> list[str]:
     return sources
 
 
+@pytest.fixture
+def id_draws(monkeypatch) -> list[str]:
+    """Every ID read from a `sim_ids` iterator, wherever sweeprun binds the name."""
+    real = mapping.sim_ids
+    drawn: list[str] = []
+
+    def counting(total):
+        for sim_id in real(total):
+            drawn.append(sim_id)
+            yield sim_id
+
+    patched = []
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("sweeprun") and getattr(module, "sim_ids", None) is real:
+            monkeypatch.setattr(module, "sim_ids", counting)
+            patched.append(name)
+    assert {"sweeprun.mapping", "sweeprun.cli"} <= set(patched)
+    return drawn
+
+
 def test_collect_formats_each_grid_value_once_per_pass(workdir, number_formats, capsys):
-    sweep = CartesianSweep(PARAMETERS)
-    ids = list(SequentialNamer(NamerConfig(), CELLS))
-    mapping = build_mapping(sweep, sweep.generate(), ids, sweep_name="grid")
-    (workdir / "grid_mapping.json").write_text(serialize(mapping), encoding="utf-8")
+    (workdir / "grid_mapping.json").write_text(
+        serialize(build_mapping(CartesianSweep(PARAMETERS), sweep_name="grid")), encoding="utf-8"
+    )
     harvested = 0
-    for k, sim_id in enumerate(ids):
+    for k, sim_id in enumerate(sim_ids(CELLS)):
         if k % 2 == 0:  # every other output is missing
             (workdir / f"out_{sim_id}.txt").write_text(f"{k}.5\n", encoding="utf-8")
             harvested += 1
@@ -112,12 +132,20 @@ def test_dry_run_formats_each_grid_value_once_per_pass(workdir, monkeypatch, num
     assert len(number_formats) <= 2 * DISTINCT, len(number_formats)
 
 
-def test_dry_run_names_each_simulation_once(workdir, monkeypatch, capsys):
-    real = SequentialNamer.next_id
-    calls: list[SequentialNamer] = []
-    monkeypatch.setattr(SequentialNamer, "next_id", lambda namer: calls.append(namer) or real(namer))
+def test_dry_run_names_each_simulation_once(workdir, monkeypatch, id_draws, capsys):
     assert main(dry_grid_run(workdir, monkeypatch)) == 0
-    assert len(calls) == CELLS, len(calls) / CELLS
+    assert len(id_draws) == CELLS, len(id_draws) / CELLS
+    assert id_draws[-1] == "5999"
+
+
+def test_preview_makes_only_the_ids_it_lists(workdir, id_draws, capsys):
+    (workdir / "sweep.json").write_text(
+        json.dumps({"type": "cartesian", "parameters": {"a": list(range(100)), "b": list(range(10_000))}}),
+        encoding="utf-8",
+    )
+    assert main(["preview", "--sweep-file", "sweep.json", "--limit", "3"]) == 0
+    assert "1000000 simulation(s)" in capsys.readouterr().out
+    assert id_draws == ["000000", "000001", "000002"]
 
 
 def test_dry_run_quotes_each_grid_value_once_per_pass(workdir, monkeypatch, renders, capsys):

@@ -180,9 +180,8 @@ def test_format_grid_agrees_with_formatting_each_set(parameters):
         {name: format_value(value) for name, value in params.items()} for params in sweep.iter_sets()
     ]
     assert list(format_grid(sweep.parameters)) == expected
-    sets = sweep.generate()
-    ids = [f"s{k}" for k in range(len(sets))]
-    for mapping in (build_mapping(sweep, sets, ids), AssociationMapping("s", dict(zip(ids, sets)))):
+    grid = build_mapping(sweep)
+    for mapping in (grid, AssociationMapping("s", dict(zip(grid.sim_ids, sweep.generate())))):
         assert list(cells(mapping)) == [
             (sim_id, {name: format_value(value) for name, value in params.items()})
             for sim_id, params in mapping.items()

@@ -15,8 +15,8 @@ from sweeprun.mapping import (
     build_mapping,
     deserialize,
     serialize,
+    sim_ids,
 )
-from sweeprun.naming import NamerConfig, SequentialNamer
 from sweeprun.sweeps import (
     CartesianSweep,
     Choice,
@@ -34,8 +34,55 @@ from sweeprun.sweeps import (
 
 def _mapping_for(sweep, name="sweep"):
     sets = sweep.generate()
-    ids = list(SequentialNamer(NamerConfig(), len(sets)))
-    return build_mapping(sweep, sets, ids, sweep_name=name), sets, ids
+    return build_mapping(sweep, sweep_name=name), sets, list(sim_ids(len(sets)))
+
+
+class TestSimIds:
+    @pytest.mark.parametrize(
+        "total, first, last",
+        [(1, "0", "0"), (10, "0", "9"), (11, "00", "10"), (300, "000", "299"), (1001, "0000", "1000")],
+    )
+    def test_width_is_that_of_the_last_id(self, total, first, last):
+        ids = list(sim_ids(total))
+        assert len(ids) == total
+        assert (ids[0], ids[-1]) == (first, last)
+        assert ids == [str(k).zfill(len(last)) for k in range(total)]
+
+    @pytest.mark.parametrize("total", [1, 2, 9, 10, 99, 100, 101, 999, 1000, 1001, 4321])
+    def test_unique_one_width_and_sorted(self, total):
+        ids = list(sim_ids(total))
+        assert len(set(ids)) == total
+        assert len({len(sim_id) for sim_id in ids}) == 1
+        assert sorted(ids) == ids  # fixed padding: lexicographic == numeric
+        assert all(sim_id.isdigit() for sim_id in ids)
+
+    def test_deterministic(self):
+        assert list(sim_ids(1001)) == list(sim_ids(1001))
+
+    def test_makes_exactly_total_ids_as_they_are_read(self):
+        assert len(list(sim_ids(7))) == 7
+        ids = sim_ids(10**12)
+        assert (next(ids), next(ids)) == ("000000000000", "000000000001")
+
+    @pytest.mark.parametrize("total", [1, 10, 11, 300, 1001])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda total: CartesianSweep({"a": list(range(total)), "b": [0.5]}),
+            lambda total: FilteredCartesianSweep({"a": list(range(total + 5))}, filter="a >= 5"),
+            lambda total: SetSweep([{"a": k} for k in range(total)]),
+            lambda total: RandomSweep(count=total, distributions={"u": Uniform(0, 1)}, seed=5),
+        ],
+        ids=["cartesian", "filtered", "set", "random"],
+    )
+    def test_build_mapping_numbers_the_sets_in_generation_order(self, make, total):
+        sweep = make(total)
+        mapping = build_mapping(sweep)
+        ids = [sim_id for sim_id, _ in mapping.items()]
+        assert ids == list(sim_ids(total))
+        assert {len(sim_id) for sim_id in ids} == {len(str(total - 1))}
+        assert [params for _, params in mapping.items()] == sweep.generate()
+        assert build_mapping(sweep) == mapping
 
 
 class TestBuildMapping:
@@ -60,11 +107,6 @@ class TestBuildMapping:
         mapping, _sets, _ids = _mapping_for(sweep)
         assert isinstance(mapping, AssociationMapping)
         assert mapping.assignments == {"0": {"x": 2, "y": 1}}
-
-    def test_length_mismatch_rejected(self):
-        sweep = CartesianSweep({"a": [1, 2]})
-        with pytest.raises(ValueError, match="consistency"):
-            build_mapping(sweep, sweep.generate(), ["0"])
 
 
 class TestLookups:
@@ -364,8 +406,8 @@ def test_bijection_and_round_trip_over_randomized_sweeps():
     for _ in range(100):
         sweep = _random_sweep(rng)
         sets = sweep.generate()
-        ids = list(SequentialNamer(NamerConfig(), len(sets)))
-        mapping = build_mapping(sweep, sets, ids, sweep_name="prop")
+        ids = list(sim_ids(len(sets)))
+        mapping = build_mapping(sweep, sweep_name="prop")
         for params, sim_id in zip(sets, ids):
             found_id = mapping.lookup_by_params(params)
             round_tripped = mapping.lookup_by_id(found_id)

@@ -21,8 +21,7 @@ from sweeprun import files, filters
 from sweeprun.cli import REPORT_SCHEMA, SUMMARY_SCHEMA, _write_summary, main
 from sweeprun.collect import collect_scalars, export_csv
 from sweeprun.dispatch import JobRecord
-from sweeprun.mapping import build_mapping, read_mapping, serialize
-from sweeprun.naming import NamerConfig, SequentialNamer
+from sweeprun.mapping import build_mapping, read_mapping, serialize, sim_ids
 from sweeprun.sweeps import CartesianSweep, SetSweep
 
 
@@ -177,7 +176,7 @@ def test_dry_run_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatc
         # pathlib interns each path part in the interpreter's one table of
         # interned strings, which grows at points set by everything the process
         # interned before; holding the config names keeps that table still
-        names = [sys.intern(f"c_{sim_id}.txt") for sim_id in SequentialNamer(NamerConfig(), cells)]
+        names = [sys.intern(f"c_{sim_id}.txt") for sim_id in sim_ids(cells)]
         code, peaks[cells] = traced_peak(lambda: main(argv))
         del names
         assert code == 0
@@ -217,11 +216,8 @@ OUTPUTS = [
     ids=["cartesian", "association"],
 )
 def test_collect_files_equal_the_library_documents(workdir, sweep, capsys):
-    sets = sweep.generate()
-    ids = list(SequentialNamer(NamerConfig(), len(sets)))
-    (workdir / "m.json").write_text(
-        serialize(build_mapping(sweep, sets, ids, sweep_name="odd")), encoding="utf-8"
-    )
+    ids = list(sim_ids(sweep.length()))
+    (workdir / "m.json").write_text(serialize(build_mapping(sweep, sweep_name="odd")), encoding="utf-8")
     for k, sim_id in enumerate(ids):
         output = OUTPUTS[k % len(OUTPUTS)]
         if output is not None:
@@ -259,12 +255,10 @@ def test_collect_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatc
         directory = workdir / str(cells)
         directory.mkdir()
         sweep = CartesianSweep({"x": list(range(cells // 10)), "y": [k + 0.25 for k in range(10)]})
-        ids = list(SequentialNamer(NamerConfig(), cells))
-        mapping = build_mapping(sweep, sweep.generate(), ids, sweep_name="slope")
+        mapping = build_mapping(sweep, sweep_name="slope")
         (directory / "m.json").write_text(serialize(mapping), encoding="utf-8")
         del mapping
         monkeypatch.chdir(directory)
-        del ids
         code, peaks[cells] = traced_peak(
             lambda: main(["collect", "m.json", "--output-pattern", "out_{sim_id}.txt"])
         )
