@@ -1,0 +1,263 @@
+"""`sweeprun run`, end to end, against a reference that predicts what it
+leaves behind: every file, the summary (apart from its timestamps, durations
+and scheduler job IDs), the status lines and the exit code. The reference
+imports nothing from sweeprun; it spells simulation IDs, values, configs,
+the mapping, batch scripts and the summary from their documented formats.
+Each drawn case runs twice in one directory, the second time with or
+without --overwrite, so the conflict check is compared as well."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+import os
+import random
+import shlex
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sweeprun.cli import main
+
+NAME = "q"
+SUMMARY = f"{NAME}_summary.json"
+SUBMIT = "echo Submitted batch job 7 for"  # the script path follows
+PATTERNS = ["c_{sim_id}.txt", "d_{sim_id}/in.nml", "cfg/{n}_{sim_id}.txt", "{s}-{sim_id}.cfg"]
+DISPATCHERS = {
+    "dry": ["--dispatcher", "dry"],
+    "local": ["--max-parallel", "2"],
+    "local-dry": ["--dry-run"],
+    "slurm": ["--dispatcher", "slurm", "--submit-command", SUBMIT],
+    "slurm-dry": ["--dispatcher", "slurm", "--dry-run"],
+}
+SUMMARY_VOLATILE = ("started_at", "finished_at", "duration", "scheduler_job_id")
+
+REALS = [0.5, 2.0, -3.25, 1e-07, 1e16, 0.1]
+TEXT = st.text("ab _-'\"$é", min_size=1, max_size=3)
+
+
+# ---------------------------------------------------------------------------
+# the reference
+
+
+def spell(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def sim_ids(total: int) -> list[str]:
+    return [str(k).zfill(len(str(total - 1))) for k in range(total)]
+
+
+def command_for(names: list[str]) -> str:
+    """Writes the values it is given to a file, prints the ID, and fails when n is odd."""
+    values = " ".join(f"{{{name}}}" for name in names)
+    return f"printf '%s\\n' {values} > r_{{sim_id}}.txt; echo {{sim_id}}; exit $(( {{n}} % 2 ))"
+
+
+def render(pattern: str, params: dict, sim_id: str, text=str) -> str:
+    for name, value in params.items():
+        pattern = pattern.replace(f"{{{name}}}", text(spell(value)))
+    return pattern.replace("{sim_id}", sim_id)
+
+
+def template(k: int, used: list[str]) -> str:
+    """The source of the k-th template, which fills the parameters in `used`."""
+    fields = "".join(f"{name} = {{{name}}}\n" for name in used)
+    return f"# template {k}\n{fields}id = {{sim_id}}\nliteral {{{{braces}}}}\n"
+
+
+def config(source: str, params: dict, sim_id: str) -> str:
+    return render(source, params, sim_id).replace("{{", "{").replace("}}", "}")
+
+
+def expected_run(case, files: dict[str, bytes], overwrite: bool):
+    """(exit code, files after the run but the summary, the summary normalized
+    or None if it is not written, stdout, stderr)."""
+    sets, coords = case["sets"], case["coords"]
+    if not sets:
+        grid = len(list(itertools.product(*coords.values())))
+        return 1, files, None, "", f"error: filter rejected all {grid} parameter sets; nothing to run\n"
+    names, kind = list(sets[0]), case["dispatcher"]
+    ids = sim_ids(len(sets))
+    mapping_path = case["mapping_out"] or f"{NAME}_mapping.json"
+    err = ""
+    unused = [name for name in names if not any(name in used for used in case["used"])]
+    if unused:
+        err += f"warning: parameter(s) not used by any template: {', '.join(unused)}\n"
+    writes: dict[str, bytes] = {}
+    per_sim: list[list[str]] = []  # each simulation's files in the order the conflict check lists them
+    for sim_id, params in zip(ids, sets):
+        mine = []
+        for k, (pattern, used) in enumerate(zip(case["configs"], case["used"])):
+            path = render(pattern, params, sim_id)
+            writes[path] = config(template(k, used), params, sim_id).encode()
+            mine.append(path)
+        per_sim.append(mine)
+    command = command_for(names)
+    jobs = []
+    for sim_id, params, mine in zip(ids, sets, per_sim):
+        job = {"sim_id": sim_id, "command": render(command, params, sim_id, shlex.quote)}
+        if kind.startswith("slurm"):
+            script = f"#!/bin/sh\n#SBATCH --job-name={NAME}_{sim_id}\n#SBATCH --output={NAME}_{sim_id}.out\n\n"
+            writes[f"{NAME}_{sim_id}.sh"] = f"{script}{job['command']}\n".encode()
+            mine += [f"{NAME}_{sim_id}.sh", f"{NAME}_{sim_id}.out"]
+        if kind == "local":
+            writes[f"r_{sim_id}.txt"] = "".join(f"{spell(v)}\n" for v in params.values()).encode()
+            job.update(status="completed", exit_code=params["n"] % 2)
+            if case["capture"]:
+                writes.update({f"{NAME}_{sim_id}.out": f"{sim_id}\n".encode(), f"{NAME}_{sim_id}.err": b""})
+                mine += [f"{NAME}_{sim_id}.out", f"{NAME}_{sim_id}.err"]
+        else:
+            job["status"] = "submitted" if kind == "slurm" else "dry_run"
+        jobs.append(job)
+    fixed = [mapping_path, SUMMARY]
+    existing = [path for path in itertools.chain(*per_sim, fixed) if path in files]
+    if existing and not overwrite:
+        more = f" (and {len(existing) - 10} more)" if len(existing) > 10 else ""
+        listing = ", ".join(existing[:10])
+        err += f"error: refusing to overwrite existing files: {listing}{more}; pass --overwrite to replace them\n"
+        return 1, files, None, "", err
+
+    writes[mapping_path] = mapping_text(case, ids).encode()
+    failed = [job for job in jobs if job.get("exit_code")]
+    counts = {
+        "total": len(jobs),
+        "succeeded": sum(job.get("exit_code") == 0 for job in jobs),
+        "failed": len(failed),
+        "submitted": sum(job["status"] == "submitted" for job in jobs),
+        "dry_run": sum(job["status"] == "dry_run" for job in jobs),
+    }
+    summary = {"schema": "sweep-summary/1", "sweep_name": NAME, "dispatcher": kind.split("-")[0]}
+    summary.update(counts=counts, jobs=jobs)
+    out = f"wrote {len(jobs) * len(case['configs'])} config file(s) and mapping {mapping_path}\n"
+    if counts["dry_run"]:
+        out += f"dry run: {len(jobs)} job(s) not executed\n"
+    elif counts["submitted"]:
+        out += f"submitted {len(jobs)} job(s) via {SUBMIT}\n"
+    else:
+        out += f"ran {len(jobs)} job(s): {counts['succeeded']} succeeded, {len(failed)} failed\n"
+        err += "".join(f"  failed: {job['sim_id']} (exit code {job['exit_code']})\n" for job in failed)
+    out += f"summary written to {SUMMARY}\n"
+    return (3 if failed else 0), {**files, **writes}, summary, out, err
+
+
+def mapping_text(case, ids: list[str]) -> str:
+    if case["coords"] is not None and "filter" not in case["spec"]:
+        coords = case["coords"]
+        doc = {"schema": "sweep-mapping/1", "kind": "cartesian", "sweep_name": NAME, "dims": list(coords)}
+        doc.update(coords=coords, shape=[len(v) for v in coords.values()], sim_ids=ids)
+    else:
+        doc = {"schema": "sweep-mapping/1", "kind": "association", "sweep_name": NAME}
+        doc.update(parameter_names=list(case["sets"][0]), assignments=dict(zip(ids, case["sets"])))
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# drawn cases
+
+
+@st.composite
+def sweeps(draw) -> dict:
+    """A sweep spec, the parameter sets it runs in order, and its grid if it has one."""
+    kind = draw(st.sampled_from(["cartesian", "filtered", "set", "random"]))
+    has_x, has_s = draw(st.booleans()), draw(st.booleans())
+    if kind in ("cartesian", "filtered"):
+        coords = {"n": draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))}
+        if has_x:
+            coords["x"] = draw(st.lists(st.sampled_from(REALS), min_size=1, max_size=3, unique=True))
+        if has_s:
+            coords["s"] = draw(st.lists(TEXT, min_size=1, max_size=2, unique=True))
+        sets = [dict(zip(coords, cell)) for cell in itertools.product(*coords.values())]
+        spec = {"type": "cartesian", "parameters": coords}
+        if kind == "filtered":
+            least = draw(st.integers(0, 10))
+            spec["filter"] = f"n >= {least}"
+            sets = [params for params in sets if params["n"] >= least]
+        return {"spec": spec, "sets": sets, "coords": coords}
+    if kind == "set":
+        rows = draw(st.lists(st.tuples(st.integers(0, 9), st.sampled_from(REALS), TEXT), min_size=1, max_size=6, unique=True))
+        sets = [{"n": n, **({"x": x} if has_x else {}), **({"s": s} if has_s else {})} for n, x, s in rows]
+        sets = list({json.dumps(params): params for params in sets}.values())  # a set sweep repeats no set
+        return {"spec": {"type": "set", "sets": sets}, "sets": sets, "coords": None}
+    count, seed = draw(st.integers(1, 8)), draw(st.integers(0, 2**32))
+    options = draw(st.lists(TEXT, min_size=1, max_size=3))
+    distributions = {"n": {"int_uniform": [0, 9]}}
+    if has_x:
+        distributions["x"] = {"uniform": [-1, 1]}
+    if has_s:
+        distributions["s"] = {"choice": options}
+    rng, sets = random.Random(seed), []
+    for _ in range(count):
+        # the documented transforms; none reaches its upper bound, as random() < 1
+        params = {"n": int(rng.random() * 10)}
+        if has_x:
+            params["x"] = -1.0 + 2.0 * rng.random()
+        if has_s:
+            params["s"] = options[int(rng.random() * len(options))]
+        sets.append(params)
+    spec = {"type": "random", "count": count, "seed": seed, "distributions": distributions}
+    return {"spec": spec, "sets": sets, "coords": None}
+
+
+@st.composite
+def cases(draw) -> dict:
+    case = draw(sweeps())
+    names = list(case["sets"][0] if case["sets"] else case["coords"])
+    usable = [pattern for pattern in PATTERNS if "{s}" not in pattern or "s" in names]
+    case["configs"] = draw(st.lists(st.sampled_from(usable), min_size=1, max_size=2, unique=True))
+    case["used"] = [draw(st.lists(st.sampled_from(names), unique=True)) for _ in case["configs"]]
+    case["dispatcher"] = draw(st.sampled_from(list(DISPATCHERS)))
+    case["capture"] = draw(st.booleans())
+    case["mapping_out"] = draw(st.sampled_from([None, "m.json", "out/m.json"]))
+    case["second"] = draw(st.sampled_from(["again", "overwrite"]))
+    return case
+
+
+def tree() -> dict[str, bytes]:
+    return {path.as_posix(): path.read_bytes() for path in Path().rglob("*") if path.is_file()}
+
+
+def normalized(summary: dict) -> dict:
+    jobs = [{k: v for k, v in job.items() if k not in SUMMARY_VOLATILE} for job in summary["jobs"]]
+    return {**summary, "jobs": jobs}
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=cases())
+def test_run_leaves_what_the_reference_predicts(case):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        try:
+            Path("out").mkdir()
+            Path("sweep.json").write_text(json.dumps(case["spec"]), encoding="utf-8")
+            names = list(case["sets"][0] if case["sets"] else case["coords"])
+            argv = ["run", "--command", command_for(names), "--sweep-file", "sweep.json", "--name", NAME]
+            for k, (pattern, used) in enumerate(zip(case["configs"], case["used"])):
+                Path(f"t{k}.txt").write_text(template(k, used), encoding="utf-8")
+                argv += ["--config", pattern, "--template", f"t{k}.txt"]
+            argv += DISPATCHERS[case["dispatcher"]] + ["--capture"] * case["capture"]
+            if case["mapping_out"]:
+                argv += ["--mapping-out", case["mapping_out"]]
+
+            files = tree()
+            for overwrite in (False, case["second"] == "overwrite"):
+                code, files, summary, out, err = expected_run(case, files, overwrite)
+                assert run(argv + ["--overwrite"] * overwrite) == (code, out, err)
+                found = tree()
+                if summary is not None:
+                    assert normalized(json.loads(found[SUMMARY])) == summary
+                    files[SUMMARY] = found[SUMMARY]
+                assert found == files
+        finally:
+            os.chdir(cwd)
