@@ -91,14 +91,6 @@ class JobRecord:
             self.status == "completed" and self.exit_code != 0
         )
 
-    def to_dict(self) -> dict:
-        out = {"sim_id": self.sim_id, "command": self.command, "status": self.status}
-        for key in ("exit_code", "scheduler_job_id", "reason", "started_at", "finished_at", "duration"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
 
 @dataclass(frozen=True)
 class DispatcherConfig:
@@ -279,10 +271,11 @@ def dispatch_all(jobs: Collection[JobSpec], config: DispatcherConfig) -> Sequenc
 
     `jobs` may be any sized iterable. All configuration files must already
     be on disk (rendering and writing happen before any dispatch). Batch
-    scripts and capture files are written over any file at their paths: the
-    caller checks for conflicts before dispatching. Local jobs
-    run on a pool of max_parallel threads, each waiting on one shell at a
-    time; job failures are recorded, never raised. A dry dispatch (kind
+    scripts and capture files are written over any file at their paths:
+    `sweeprun.run.plan` checks for conflicts before `run.materialize` writes
+    and `run.dispatch` calls this. Local jobs run on a pool of max_parallel
+    threads, each waiting on one shell at a time; job failures are recorded,
+    never raised. A dry dispatch (kind
     "dry", or dry_run with the local kind) executes nothing and returns a
     view that makes each record from `jobs` as it is read, reporting a
     repeated sim_id then; every other dispatch reads `jobs` once, checks the

@@ -80,14 +80,19 @@ class SchedulerError(SweepRunError):
 
 
 class OutputConflictError(SweepRunError):
-    """Output files from a previous sweep are in the way and overwrite is off."""
+    """Output files from a previous sweep are in the way and overwrite is off.
+    `paths` holds the first ten and `count` all of them; those past the tenth
+    are counted, not held."""
 
     def __init__(self, paths):
-        self.paths = tuple(str(p) for p in paths)
-        listing = ", ".join(self.paths[:10])
-        more = f" (and {len(self.paths) - 10} more)" if len(self.paths) > 10 else ""
+        shown, count = [], 0
+        for count, path in enumerate(paths, 1):
+            if count <= 10:
+                shown.append(str(path))
+        self.paths, self.count = tuple(shown), count
+        more = f" (and {count - 10} more)" if count > 10 else ""
         super().__init__(
-            f"refusing to overwrite existing files: {listing}{more}; pass --overwrite to replace them"
+            f"refusing to overwrite existing files: {', '.join(shown)}{more}; pass --overwrite to replace them"
         )
 
 

@@ -22,17 +22,22 @@ and then cuts the file to their length, which gives the same bytes on disk.
 Neither function fsyncs, so after an OS crash a file may hold old or partial
 content; a run is then repeated with ``--overwrite``.
 
-Callers reach these functions through the module (``files.rewrite``), so
-replacing one attribute here reaches every caller. The mapping, summary,
-CSV and report are not written here: they are written whole to a temporary
-file and renamed (``cli._write_atomic``).
+The mapping, summary, CSV and report are not rewritten in place: each is
+written whole to a temporary file and renamed (`write_atomic`). Callers
+reach these functions through the module (``files.rewrite``), so replacing
+one attribute here reaches every caller.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+from pathlib import Path
+from typing import Callable, TypeVar
 
 _CHUNK = 1 << 16
+
+_T = TypeVar("_T")
 
 
 def read_bytes(path: str) -> bytes:
@@ -63,3 +68,45 @@ def rewrite(path: str, text: str) -> None:
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+
+
+def write_atomic(path: Path, content: str | Callable[[Path], _T]) -> _T | None:
+    """Write `content` (text, or a function that writes the file at the path
+    it is given) to a new temporary sibling, then rename it onto `path`, so
+    a process that fails or dies halfway leaves the previous document (or
+    none), never a truncated one. Nothing is fsynced, so an OS crash can still
+    lose the write. A symlink whose final target is a regular file or absent
+    is followed, and the rename replaces that target, so the link stays a
+    link; if the target's directory cannot be written, the target is written
+    in place. A special file (such as /dev/stdout), or a link to one, is
+    written in place, as the rename would replace it or fail. The temporary
+    name ends with the final name. Returns what the function returns."""
+    def write(target: Path):
+        if callable(content):
+            return content(target)
+        target.write_text(content, encoding="utf-8")
+        return None
+
+    linked = False
+    if path.is_symlink() and (path.is_file() or not path.exists()):
+        target = Path(os.path.realpath(path))
+        if target.is_file() or not os.path.lexists(target):  # not a link in a loop
+            path, linked = target, True
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        return write(path)
+    temporary = path.with_name(f".tmp.{os.urandom(4).hex()}.{path.name}")
+    try:
+        os.close(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except PermissionError:
+        if not linked:
+            raise
+        return write(path)
+    try:
+        if path.exists():
+            shutil.copymode(path, temporary)
+        result = write(temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+    return result

@@ -537,6 +537,37 @@ class TestRunPipeline:
         assert f" {directory} " in err
         assert sorted(workdir.rglob("*")) == before  # no config, mapping or summary, and no job ran
 
+    @pytest.mark.parametrize(
+        "directory, options, option",
+        [
+            ("tiny_summary.json", [], "--name"),
+            ("m.json", ["--mapping-out", "m.json"], "--mapping-out"),
+            ("tiny_mapping.json", [], "--mapping-out"),
+        ],
+        ids=["summary", "mapping-out", "mapping"],
+    )
+    def test_directory_at_the_summary_or_mapping_stops_an_overwrite_before_any_write(
+        self, workdir, tiny_setup, directory, options, option, capsys
+    ):
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "touch ran_{sim_id}"
+        (workdir / directory).mkdir()
+        before = sorted(workdir.rglob("*"))
+        assert main(argv + options + ["--overwrite"]) == 1
+        assert capsys.readouterr().err == f"error: {option}: {directory} is a directory, not a file to write\n"
+        assert sorted(workdir.rglob("*")) == before  # no config, mapping or summary, and no job ran
+
+    def test_special_file_at_the_mapping_is_written_in_place(self, workdir, tiny_setup, capsys):
+        assert main(tiny_setup + ["--mapping-out", os.devnull, "--overwrite"]) == 0
+        assert json.loads((workdir / "tiny_summary.json").read_text(encoding="utf-8"))["counts"]["total"] == 2
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_max_parallel_below_one_stops_the_run_before_any_write(self, workdir, tiny_setup, value, capsys):
+        before = sorted(workdir.rglob("*"))
+        assert main(tiny_setup + ["--max-parallel", value]) == 1
+        assert capsys.readouterr().err == f"error: max_parallel must be >= 1, got {value}\n"
+        assert sorted(workdir.rglob("*")) == before
+
     def test_failing_job_gives_exit_three_with_all_records(self, workdir):
         write_json(
             workdir / "sweep.json",

@@ -258,7 +258,3 @@ class TestRecordInvariants:
     def test_submitted_needs_job_id(self):
         with pytest.raises(ValueError):
             JobRecord(sim_id="0", command="x", status="submitted")
-
-    def test_to_dict_omits_empty_fields(self):
-        record = JobRecord(sim_id="0", command="x", status="dry_run")
-        assert record.to_dict() == {"sim_id": "0", "command": "x", "status": "dry_run"}

@@ -19,7 +19,9 @@ MODULES_AFTER_MAIN = (
     "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
 )
 
-NEVER_ON_COLLECT = {"sweeprun.dispatch", "sweeprun.filters", "subprocess", "concurrent.futures", "shlex"}
+NEVER_ON_COLLECT = {
+    "sweeprun.dispatch", "sweeprun.filters", "sweeprun.run", "subprocess", "concurrent.futures", "shlex"
+}
 NEVER_ON_DRY_RUN = {"sweeprun.collect", "sweeprun.filters", "subprocess", "concurrent.futures"}
 
 

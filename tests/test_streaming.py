@@ -6,8 +6,10 @@ row that is byte-identical to ``export_csv``."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import errno
 import json
+import os
 import sys
 import tempfile
 import tracemalloc
@@ -18,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweeprun import files, filters
-from sweeprun.cli import REPORT_SCHEMA, SUMMARY_SCHEMA, _write_summary, main
+from sweeprun.cli import REPORT_SCHEMA, main
 from sweeprun.collect import collect_scalars, export_csv
 from sweeprun.dispatch import JobRecord
 from sweeprun.mapping import build_mapping, read_mapping, serialize, sim_ids
+from sweeprun.run import SUMMARY_SCHEMA, _write_summary
 from sweeprun.sweeps import CartesianSweep, SetSweep
 
 
@@ -53,7 +56,7 @@ def reference_summary(name: str, kind: str, records) -> str:
             "submitted": sum(r.status == "submitted" for r in records),
             "dry_run": sum(r.status == "dry_run" for r in records),
         },
-        "jobs": [r.to_dict() for r in records],
+        "jobs": [{k: v for k, v in dataclasses.asdict(r).items() if v is not None} for r in records],
     }
     return json.dumps(summary, indent=2) + "\n"
 
@@ -186,6 +189,33 @@ def test_dry_run_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatc
     per_simulation = (peaks[6_000] - peaks[1_000]) / (6_000 - 1_000)
     assert per_simulation < 512, f"{per_simulation:.0f} B per simulation"
 
+
+
+def test_conflict_check_counts_existing_files_past_the_tenth(workdir, monkeypatch, capsys):
+    """10^5 configs from an earlier sweep are in the way: the error lists ten
+    and counts the rest, and the check holds none of the others."""
+    write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": {"a": list(range(1000)), "b": list(range(100))}})
+    (workdir / "template.txt").write_text("a={a} b={b}\n", encoding="utf-8")
+    argv = [
+        "run", "--command", "true {sim_id}", "--config", "c_{sim_id}.txt", "--template", "template.txt",
+        "--sweep-file", "sweep.json", "--name", "q", "--dispatcher", "dry",
+    ]
+
+    def exists(path):  # every config exists, and none is made; memory is traced from the first
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+        return True
+
+    monkeypatch.setattr(os.path, "exists", exists)
+    try:
+        assert main(argv) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("error: refusing to overwrite existing files: c_00000.txt, c_00001.txt, ")
+    assert err.endswith(", c_00009.txt (and 99990 more); pass --overwrite to replace them\n")
+    assert peak < 200_000, f"{peak} B"
 
 
 TEXT_VALUES = ["plain", "a,b", 'say "hi"', "two\nlines", "résumé ☃ 𝄞"]
