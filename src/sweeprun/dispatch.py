@@ -275,11 +275,10 @@ def dispatch_all(jobs: Collection[JobSpec], config: DispatcherConfig) -> Sequenc
     `sweeprun.run.plan` checks for conflicts before `run.materialize` writes
     and `run.dispatch` calls this. Local jobs run on a pool of max_parallel
     threads, each waiting on one shell at a time; job failures are recorded,
-    never raised. A dry dispatch (kind
-    "dry", or dry_run with the local kind) executes nothing and returns a
-    view that makes each record from `jobs` as it is read, reporting a
-    repeated sim_id then; every other dispatch reads `jobs` once, checks the
-    sim_ids first and returns a list.
+    never raised. A dry dispatch (kind "dry", or dry_run with the local kind)
+    executes nothing and returns a view that makes each record from `jobs`
+    as it is read, reporting a repeated sim_id then; every other dispatch
+    reads `jobs` once, checks the sim_ids first and returns a list.
     """
     if config.kind == "dry" or (config.kind == "local" and config.dry_run):
         return _DryRecords(jobs)

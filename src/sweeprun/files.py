@@ -23,7 +23,7 @@ Neither function fsyncs, so after an OS crash a file may hold old or partial
 content; a run is then repeated with ``--overwrite``.
 
 The mapping, summary, CSV and report are not rewritten in place: each is
-written whole to a temporary file and renamed (`write_atomic`). Callers
+written whole to a temporary file and renamed (``write_atomic``). Callers
 reach these functions through the module (``files.rewrite``), so replacing
 one attribute here reaches every caller.
 """

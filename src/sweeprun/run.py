@@ -153,7 +153,7 @@ def _require_distinct_outputs(
         yield from (path for path in fixed.values() if not overwrite and path.exists())
 
     found = existing()
-    for path in found:  # the pass goes on as the error counts the rest
+    for path in found:  # the error counts the rest, and the same-file check goes on meanwhile
         raise OutputConflictError(itertools.chain([path], found))
 
 
@@ -194,8 +194,8 @@ def plan(
         if os.path.isdir(path):
             raise SweepRunError(f"{option}: {path} is a directory, not a file to write")
     # zip stops after the configs, each spelled as Path spells it
-    configs = [(pattern, source) for (_, pattern), source in zip(outputs, sources)]
-    return Plan(mapping, config, command, configs, mapping_path, summary_path)
+    written = [(pattern, source) for (_, pattern), source in zip(outputs, sources)]
+    return Plan(mapping, config, command, written, mapping_path, summary_path)
 
 
 def materialize(plan: Plan) -> None:

@@ -194,7 +194,8 @@ def test_dry_run_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatc
 def test_conflict_check_counts_existing_files_past_the_tenth(workdir, monkeypatch, capsys):
     """10^5 configs from an earlier sweep are in the way: the error lists ten
     and counts the rest, and the check holds none of the others."""
-    write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": {"a": list(range(1000)), "b": list(range(100))}})
+    grid = {"a": list(range(1000)), "b": list(range(100))}
+    write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": grid})
     (workdir / "template.txt").write_text("a={a} b={b}\n", encoding="utf-8")
     argv = [
         "run", "--command", "true {sim_id}", "--config", "c_{sim_id}.txt", "--template", "template.txt",
