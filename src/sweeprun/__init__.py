@@ -51,6 +51,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 _NAME_AT_HOME = {"evaluate_filter": "evaluate", "parse_filter": "parse"}
+__all__ = ["__version__", "errors", *_HOME]
 
 
 def __getattr__(name: str):
@@ -66,40 +67,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "__version__",
-    "errors",
-    "load_sweep_spec",
-    "linspace",
-    "CartesianSweep",
-    "FilteredCartesianSweep",
-    "SetSweep",
-    "RandomSweep",
-    "Uniform",
-    "LogUniform",
-    "Normal",
-    "IntegerUniform",
-    "Choice",
-    "parse_filter",
-    "evaluate_filter",
-    "free_variables",
-    "extract_placeholders",
-    "render",
-    "format_value",
-    "JobSpec",
-    "JobRecord",
-    "DispatcherConfig",
-    "dispatch_all",
-    "render_batch_script",
-    "CartesianMapping",
-    "AssociationMapping",
-    "build_mapping",
-    "serialize",
-    "deserialize",
-    "read_mapping",
-    "CollectIssue",
-    "CollectedScalars",
-    "collect_scalars",
-    "export_csv",
-]

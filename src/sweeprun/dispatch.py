@@ -15,6 +15,8 @@ completion. The scheduler job ID is taken from the submit command's
 standard output as the first whitespace-delimited token containing a
 digit (a documented heuristic that covers sbatch and qsub).
 
+A dry run (kind "dry", or dry_run with any kind) is one generator: it
+writes each batch script (slurm/pbs) and makes each record as it is read.
 ``subprocess`` and the thread pool are imported where a dispatch starts its
 first process, so a dry run loads neither.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Collection, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -158,6 +160,29 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="milliseconds")
 
 
+def _record(job: JobSpec, status: str, started: str | None = None, t0: float = 0.0, **outcome) -> JobRecord:
+    """The record of `job`; one that started (at `started`, monotonic `t0`) ends now."""
+    if started is not None:
+        outcome.update(started_at=started, finished_at=_now_iso(), duration=time.monotonic() - t0)
+    return JobRecord(sim_id=job.sim_id, command=job.command, status=status, **outcome)
+
+
+def _unique(jobs: Iterable[JobSpec]) -> Iterator[JobSpec]:
+    """`jobs` as they are read; a repeated sim_id raises ValueError when it is reached."""
+    seen: set[str] = set()
+    for job in jobs:
+        if job.sim_id in seen:
+            raise ValueError("duplicate sim_ids in job list")
+        seen.add(job.sim_id)
+        yield job
+
+
+def _write_batch_script(job: JobSpec, config: DispatcherConfig) -> Path:
+    path = batch_script_path(job.workdir, config.sweep_name, job.sim_id)
+    files.rewrite(str(path), render_batch_script(job, config))
+    return path
+
+
 def _run_local_job(job: JobSpec, config: DispatcherConfig, run: Callable) -> JobRecord:
     """Run one job through `run` (``subprocess.run``) and record its outcome."""
     started = _now_iso()
@@ -170,24 +195,8 @@ def _run_local_job(job: JobSpec, config: DispatcherConfig, run: Callable) -> Job
         else:
             proc = run(job.command, shell=True, cwd=job.workdir)
     except OSError as exc:
-        return JobRecord(
-            sim_id=job.sim_id,
-            command=job.command,
-            status="spawn_failed",
-            reason=str(exc),
-            started_at=started,
-            finished_at=_now_iso(),
-            duration=time.monotonic() - t0,
-        )
-    return JobRecord(
-        sim_id=job.sim_id,
-        command=job.command,
-        status="completed",
-        exit_code=proc.returncode,
-        started_at=started,
-        finished_at=_now_iso(),
-        duration=time.monotonic() - t0,
-    )
+        return _record(job, "spawn_failed", started, t0, reason=str(exc))
+    return _record(job, "completed", started, t0, exit_code=proc.returncode)
 
 
 def _parse_scheduler_job_id(stdout: str) -> str | None:
@@ -197,95 +206,57 @@ def _parse_scheduler_job_id(stdout: str) -> str | None:
     return None
 
 
-def _dispatch_scheduler(jobs: Sequence[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
+def _dispatch_scheduler(jobs: list[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
+    import subprocess
+
     records: list[JobRecord] = []
     submit = config.resolved_submit_command
-    if not config.dry_run:
-        import subprocess
     for job in jobs:
-        script_path = batch_script_path(job.workdir, config.sweep_name, job.sim_id)
-        files.rewrite(str(script_path), render_batch_script(job, config))
-        if config.dry_run:
-            records.append(JobRecord(sim_id=job.sim_id, command=job.command, status="dry_run"))
-            continue
+        script_path = _write_batch_script(job, config)
         started = _now_iso()
         t0 = time.monotonic()
         try:
             proc = subprocess.run(
-                f"{submit} {script_path}",
-                shell=True,
-                cwd=job.workdir,
-                capture_output=True,
-                text=True,
+                f"{submit} {script_path}", shell=True, cwd=job.workdir, capture_output=True, text=True
             )
         except OSError as exc:
             raise SchedulerError(job.sim_id, f"could not run {submit!r}: {exc}", records) from exc
         if proc.returncode != 0:
             detail = proc.stderr.strip() or proc.stdout.strip() or "no output"
-            raise SchedulerError(
-                job.sim_id, f"{submit!r} exited with {proc.returncode}: {detail}", records
-            )
+            raise SchedulerError(job.sim_id, f"{submit!r} exited with {proc.returncode}: {detail}", records)
         job_id = _parse_scheduler_job_id(proc.stdout) or "unknown"
-        records.append(
-            JobRecord(
-                sim_id=job.sim_id,
-                command=job.command,
-                status="submitted",
-                scheduler_job_id=job_id,
-                started_at=started,
-                finished_at=_now_iso(),
-                duration=time.monotonic() - t0,
-            )
-        )
+        records.append(_record(job, "submitted", started, t0, scheduler_job_id=job_id))
     return records
 
 
-class _DryRecords(Sequence):
-    """The records of a dry dispatch, made from the jobs each time they are
-    read, so a dry run holds no record per job."""
-
-    def __init__(self, jobs: Collection[JobSpec]):
-        self._jobs = jobs
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
-    @staticmethod
-    def _record(job: JobSpec) -> JobRecord:
-        return JobRecord(sim_id=job.sim_id, command=job.command, status="dry_run")
-
-    def __getitem__(self, index: int) -> JobRecord:
-        return self._record(self._jobs[index])
-
-    def __iter__(self) -> Iterator[JobRecord]:
-        seen: set[str] = set()
-        for job in self._jobs:
-            if job.sim_id in seen:
-                raise ValueError("duplicate sim_ids in job list")
-            seen.add(job.sim_id)
-            yield self._record(job)
+def _dry_run(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterator[JobRecord]:
+    """A dry_run record per job as it is read, after its batch script for slurm/pbs."""
+    scripts = config.kind in ("slurm", "pbs")
+    for job in _unique(jobs):
+        if scripts:
+            _write_batch_script(job, config)
+        yield _record(job, "dry_run")
 
 
-def dispatch_all(jobs: Collection[JobSpec], config: DispatcherConfig) -> Sequence[JobRecord]:
+def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[JobRecord]:
     """Execute or submit every job; one record per job, input order preserved.
 
-    `jobs` may be any sized iterable. All configuration files must already
-    be on disk (rendering and writing happen before any dispatch). Batch
-    scripts and capture files are written over any file at their paths:
-    `sweeprun.run.plan` checks for conflicts before `run.materialize` writes
-    and `run.dispatch` calls this. Local jobs run on a pool of max_parallel
-    threads, each waiting on one shell at a time; job failures are recorded,
-    never raised. A dry dispatch (kind "dry", or dry_run with the local kind)
-    executes nothing and returns a view that makes each record from `jobs`
-    as it is read, reporting a repeated sim_id then; every other dispatch
-    reads `jobs` once, checks the sim_ids first and returns a list.
+    All configuration files must already be on disk (rendering and writing
+    happen before any dispatch). Batch scripts and capture files are written
+    over any file at their paths: `sweeprun.run.plan` checks for conflicts
+    before `run.materialize` writes and `run.dispatch` calls this. Local jobs
+    run on a pool of max_parallel threads, each waiting on one shell at a
+    time; job failures are recorded, never raised. A dispatch that runs
+    nothing (kind "dry", or dry_run with any kind) returns an iterator that
+    reads `jobs` once, as its records are read: it writes each job's batch
+    script (slurm/pbs) and makes its record then, and reports a repeated
+    sim_id when it reaches it, so it holds no record per job and has no len
+    or index. Every other dispatch reads `jobs` once, checks every sim_id
+    before its first job and returns a list.
     """
-    if config.kind == "dry" or (config.kind == "local" and config.dry_run):
-        return _DryRecords(jobs)
-    jobs = list(jobs)
-    ids = [j.sim_id for j in jobs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate sim_ids in job list")
+    if config.kind == "dry" or config.dry_run:
+        return _dry_run(jobs, config)
+    jobs = list(_unique(jobs))
     if config.kind in ("slurm", "pbs"):
         return _dispatch_scheduler(jobs, config)
     import subprocess

@@ -78,10 +78,6 @@ def _require_path_safe_values(mapping: Mapping, patterns: list[str]):
             )
 
 
-def _summary_path(name: str) -> Path:
-    return Path(f"{name}_summary.json")
-
-
 def _literal(text: str) -> str:
     """`text` as template text that renders to itself."""
     return text.replace("{", "{{").replace("}", "}}")
@@ -184,7 +180,7 @@ def plan(
             raise SweepRunError(message)
         warn(message)
     _require_path_safe_values(mapping, patterns)
-    summary_path = _summary_path(config.sweep_name)
+    summary_path = Path(f"{config.sweep_name}_summary.json")
     outputs = _outputs(config, patterns)
     _require_distinct_outputs({"mapping": mapping_path, "summary": summary_path}, outputs, mapping, overwrite)
     # the summary, batch scripts and captured output are made in --name's directory
@@ -212,10 +208,11 @@ def materialize(plan: Plan) -> None:
     files.write_atomic(plan.mapping_path, serialize(plan.mapping))
 
 
-def dispatch(plan: Plan) -> Sequence[JobRecord]:
-    """One job per simulation, in mapping order, through `dispatch_all`. The
-    jobs are made again on each pass, not held; a dry dispatch reads them
-    again as its records are read."""
+def dispatch(plan: Plan) -> Iterable[JobRecord]:
+    """One job per simulation, in mapping order, through `dispatch_all`; its
+    records, as `dispatch_all` returns them. Each job is made when it is read,
+    not held; the jobs stay sized (a `_Replayed`) because the benchmark's
+    tracer, bench/trace_cli.py, counts len(jobs) after `dispatch_all` returns."""
     workdir = Path.cwd()
     jobs = _Replayed(
         len(plan.mapping),
@@ -252,13 +249,12 @@ def _summary_entry(record: JobRecord) -> str:
     return entry + "\n    }"
 
 
-def _write_summary(name: str, kind: str, records: Iterable[JobRecord]) -> tuple[dict, Path]:
-    """Write <name>_summary.json, byte for byte as json.dumps(summary,
-    indent=2), one job at a time: the jobs go to a temporary file while they
-    are counted, then the head with the counts and the jobs are copied into
-    place. Returns the counts and the path."""
+def _write_summary(path: Path, name: str, kind: str, records: Iterable[JobRecord]) -> dict[str, int]:
+    """Write the summary of sweep `name` to `path`, byte for byte as
+    json.dumps(summary, indent=2), one job at a time: the jobs go to a
+    temporary file while they are counted, then the head with the counts and
+    the jobs are copied into place. Returns the counts."""
     counts = dict.fromkeys(("total", "succeeded", "failed", "submitted", "dry_run"), 0)
-    path = _summary_path(name)
     with tempfile.TemporaryFile(dir=path.parent) as jobs:
         # write-only text: a readable one resets its decoder on every write
         with open(jobs.fileno(), "w", encoding="utf-8", closefd=False) as entries:
@@ -285,9 +281,9 @@ def _write_summary(name: str, kind: str, records: Iterable[JobRecord]) -> tuple[
                 out.write(b"\n  ]\n}\n")
 
         files.write_atomic(path, write)
-    return counts, path
+    return counts
 
 
 def record(plan: Plan, records: Iterable[JobRecord]) -> dict[str, int]:
     """Write the summary of `records` to `plan.summary_path`; returns its counts."""
-    return _write_summary(plan.config.sweep_name, plan.config.kind, records)[0]
+    return _write_summary(plan.summary_path, plan.config.sweep_name, plan.config.kind, records)

@@ -4,7 +4,8 @@ and scheduler job IDs), the status lines and the exit code. The reference
 imports nothing from sweeprun; it spells simulation IDs, values, configs,
 the mapping, batch scripts and the summary from their documented formats.
 Each drawn case runs twice in one directory, the second time with or
-without --overwrite, so the conflict check is compared as well."""
+without --overwrite, so the conflict check is compared as well. Cases draw
+--strict, and a submit command that fails at a drawn job."""
 
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ DISPATCHERS = {
     "local-dry": ["--dry-run"],
     "slurm": ["--dispatcher", "slurm", "--submit-command", SUBMIT],
     "slurm-dry": ["--dispatcher", "slurm", "--dry-run"],
+    "slurm-fail": ["--dispatcher", "slurm", "--submit-command", "sh submit.sh"],
 }
 SUMMARY_VOLATILE = ("started_at", "finished_at", "duration", "scheduler_job_id")
 
@@ -50,6 +52,11 @@ def spell(value) -> str:
 
 def sim_ids(total: int) -> list[str]:
     return [str(k).zfill(len(str(total - 1))) for k in range(total)]
+
+
+def submit_script(sim_id: str) -> str:
+    """A submit command's script that fails on the batch script of `sim_id`."""
+    return f'case "$1" in */{NAME}_{sim_id}.sh) echo queue full >&2; exit 1;; esac\necho Submitted batch job 7\n'
 
 
 def command_for(names: list[str]) -> str:
@@ -86,6 +93,8 @@ def expected_run(case, files: dict[str, bytes], overwrite: bool):
     mapping_path = case["mapping_out"] or f"{NAME}_mapping.json"
     err = ""
     unused = [name for name in names if not any(name in used for used in case["used"])]
+    if unused and case["strict"]:
+        return 1, files, None, "", f"error: parameter(s) not used by any template: {', '.join(unused)}\n"
     if unused:
         err += f"warning: parameter(s) not used by any template: {', '.join(unused)}\n"
     writes: dict[str, bytes] = {}
@@ -98,12 +107,14 @@ def expected_run(case, files: dict[str, bytes], overwrite: bool):
             mine.append(path)
         per_sim.append(mine)
     command = command_for(names)
+    fail_at = case["fail_at"] if kind == "slurm-fail" else len(ids)  # the job whose submit fails; those before it are submitted
     jobs = []
     for sim_id, params, mine in zip(ids, sets, per_sim):
         job = {"sim_id": sim_id, "command": render(command, params, sim_id, shlex.quote)}
         if kind.startswith("slurm"):
             script = f"#!/bin/sh\n#SBATCH --job-name={NAME}_{sim_id}\n#SBATCH --output={NAME}_{sim_id}.out\n\n"
-            writes[f"{NAME}_{sim_id}.sh"] = f"{script}{job['command']}\n".encode()
+            if len(jobs) <= fail_at:
+                writes[f"{NAME}_{sim_id}.sh"] = f"{script}{job['command']}\n".encode()
             mine += [f"{NAME}_{sim_id}.sh", f"{NAME}_{sim_id}.out"]
         if kind == "local":
             writes[f"r_{sim_id}.txt"] = "".join(f"{spell(v)}\n" for v in params.values()).encode()
@@ -112,8 +123,9 @@ def expected_run(case, files: dict[str, bytes], overwrite: bool):
                 writes.update({f"{NAME}_{sim_id}.out": f"{sim_id}\n".encode(), f"{NAME}_{sim_id}.err": b""})
                 mine += [f"{NAME}_{sim_id}.out", f"{NAME}_{sim_id}.err"]
         else:
-            job["status"] = "submitted" if kind == "slurm" else "dry_run"
+            job["status"] = "dry_run" if kind.endswith("dry") else "submitted"
         jobs.append(job)
+    jobs = jobs[:fail_at]
     fixed = [mapping_path, SUMMARY]
     existing = [path for path in itertools.chain(*per_sim, fixed) if path in files]
     if existing and not overwrite:
@@ -133,7 +145,11 @@ def expected_run(case, files: dict[str, bytes], overwrite: bool):
     }
     summary = {"schema": "sweep-summary/1", "sweep_name": NAME, "dispatcher": kind.split("-")[0]}
     summary.update(counts=counts, jobs=jobs)
-    out = f"wrote {len(jobs) * len(case['configs'])} config file(s) and mapping {mapping_path}\n"
+    out = f"wrote {len(ids) * len(case['configs'])} config file(s) and mapping {mapping_path}\n"
+    if kind == "slurm-fail":
+        err += f"summary of {len(jobs)} submitted job(s) written to {SUMMARY}\n"
+        err += f"error: submission failed for simulation {ids[fail_at]!r}: 'sh submit.sh' exited with 1: queue full\n"
+        return 2, {**files, **writes}, summary, out, err
     if counts["dry_run"]:
         out += f"dry run: {len(jobs)} job(s) not executed\n"
     elif counts["submitted"]:
@@ -211,6 +227,8 @@ def cases(draw) -> dict:
     case["configs"] = draw(st.lists(st.sampled_from(usable), min_size=1, max_size=2, unique=True))
     case["used"] = [draw(st.lists(st.sampled_from(names), unique=True)) for _ in case["configs"]]
     case["dispatcher"] = draw(st.sampled_from(list(DISPATCHERS)))
+    case["fail_at"] = draw(st.integers(0, max(len(case["sets"]) - 1, 0)))
+    case["strict"] = draw(st.booleans())
     case["capture"] = draw(st.booleans())
     case["mapping_out"] = draw(st.sampled_from([None, "m.json", "out/m.json"]))
     case["second"] = draw(st.sampled_from(["again", "overwrite"]))
@@ -246,7 +264,9 @@ def test_run_leaves_what_the_reference_predicts(case):
             for k, (pattern, used) in enumerate(zip(case["configs"], case["used"])):
                 Path(f"t{k}.txt").write_text(template(k, used), encoding="utf-8")
                 argv += ["--config", pattern, "--template", f"t{k}.txt"]
-            argv += DISPATCHERS[case["dispatcher"]] + ["--capture"] * case["capture"]
+            argv += DISPATCHERS[case["dispatcher"]] + ["--capture"] * case["capture"] + ["--strict"] * case["strict"]
+            if case["dispatcher"] == "slurm-fail" and case["sets"]:
+                Path("submit.sh").write_text(submit_script(sim_ids(len(case["sets"]))[case["fail_at"]]), encoding="utf-8")
             if case["mapping_out"]:
                 argv += ["--mapping-out", case["mapping_out"]]
 

@@ -206,7 +206,8 @@ class TestSchedulerDispatch:
             kind="pbs", submit_command=submit, sweep_name="demo", dry_run=True
         )
         records = dispatch_all(jobs, config)
-        assert records[0].status == "dry_run"
+        assert not (workdir / "demo_000.sh").exists()  # written as its record is read
+        assert [r.status for r in records] == ["dry_run"]
         assert (workdir / "demo_000.sh").exists()
         assert not log.exists()
 
@@ -231,7 +232,7 @@ class TestDryDispatch:
                     yield _job(str(k), f"./ocean {k}", workdir)
 
         records = dispatch_all(Jobs(), DispatcherConfig(kind="dry"))
-        assert len(records) == 3 and made == []
+        assert made == []
         assert [(r.sim_id, r.command, r.status) for r in records] == [
             ("0", "./ocean 0", "dry_run"), ("1", "./ocean 1", "dry_run"), ("2", "./ocean 2", "dry_run"),
         ]
@@ -246,8 +247,25 @@ class TestDryDispatch:
     def test_local_dry_run_flag(self, workdir):
         jobs = [_job("0", "touch should_not_exist", workdir)]
         records = dispatch_all(jobs, DispatcherConfig(kind="local", dry_run=True))
-        assert records[0].status == "dry_run"
+        assert next(iter(records)).status == "dry_run"
         assert not (workdir / "should_not_exist").exists()
+
+
+@pytest.mark.parametrize("kind, dry_run", [("dry", False), ("local", True), ("slurm", True), ("pbs", True)])
+def test_run_dispatch_of_nothing_is_an_iterator_in_mapping_order(workdir, kind, dry_run):
+    from sweeprun import run
+    from sweeprun.sweeps import CartesianSweep
+
+    (workdir / "t.txt").write_text("a={a}\n", encoding="utf-8")
+    config = DispatcherConfig(kind=kind, dry_run=dry_run, sweep_name="it")
+    plan = run.plan(
+        CartesianSweep({"a": list(range(12))}), config, "echo {sim_id}", [("c_{sim_id}.txt", "t.txt")],
+        Path("it_mapping.json"), overwrite=False, strict=True, warn=print,
+    )
+    run.materialize(plan)
+    records = run.dispatch(plan)
+    assert iter(records) is records
+    assert [(r.sim_id, r.status) for r in records] == [(sim_id, "dry_run") for sim_id, _ in plan.mapping.items()]
 
 
 class TestRecordInvariants:

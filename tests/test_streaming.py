@@ -112,7 +112,8 @@ class TestSummaryWriter:
     @pytest.mark.parametrize("name", ["sweep", 'q"é ☃'])
     def test_streamed_summary_equals_one_dump(self, workdir, count, name):
         records = RECORDS[:count]
-        _counts, path = _write_summary(name, "local", iter(records))
+        path = Path(f"{name}_summary.json")
+        _write_summary(path, name, "local", iter(records))
         assert path.read_bytes() == reference_summary(name, "local", records).encode("utf-8")
 
     def test_failed_first_submission_writes_an_empty_job_list(self, workdir, tiny_setup, capsys):
@@ -131,7 +132,8 @@ class TestSummaryWriter:
     )
     def test_summary_of_drawn_records_equals_one_dump(self, name, kind, records):
         with tempfile.TemporaryDirectory() as directory, contextlib.chdir(directory):
-            counts, path = _write_summary(name, kind, iter(records))
+            path = Path(f"{name}_summary.json")
+            counts = _write_summary(path, name, kind, iter(records))
             assert path.read_bytes() == reference_summary(name, kind, records).encode("utf-8")
         assert counts == json.loads(reference_summary(name, kind, records))["counts"]
 

@@ -46,18 +46,20 @@ def test_a_traced_run_and_collect_open_every_span(workdir):
         encoding="utf-8",
     )
     (workdir / "template.txt").write_text("a={a} b={b}\n", encoding="utf-8")
+    run = ["run", "--command", "true {sim_id}", "--config", "c_{sim_id}.txt", "--template", "template.txt",
+           "--sweep-file", "sweep.json"]
     commands = {
-        "run": [
-            "run", "--command", "true {sim_id}", "--config", "c_{sim_id}.txt", "--template", "template.txt",
-            "--sweep-file", "sweep.json", "--name", "t", "--dispatcher", "dry",
-        ],
+        "run": [*run, "--name", "t", "--dispatcher", "dry"],
         "collect": ["collect", "t_mapping.json"],
+        # a dry run that writes batch scripts as its records are read
+        "slurm": [*run, "--name", "s", "--dispatcher", "slurm", "--dry-run", "--overwrite"],
     }
     opened: dict[str, int] = {}
+    reports = {}
     for command, argv in commands.items():
         proc = run_python([str(TRACE_CLI), f"{command}.json", "--", *argv], workdir)
-        report = json.loads((workdir / f"{command}.json").read_text(encoding="utf-8"))
-        assert report["exit_code"] == {"run": 0, "collect": 4}[command], proc.stderr
+        report = reports[command] = json.loads((workdir / f"{command}.json").read_text(encoding="utf-8"))
+        assert report["exit_code"] == {"run": 0, "collect": 4, "slurm": 0}[command], proc.stderr
         assert {point.split(":")[0] for point in report["absent"]} == set(GONE)
         for span, layer in report["layers"].items():
             opened[span] = opened.get(span, 0) + layer["calls"]
@@ -65,5 +67,9 @@ def test_a_traced_run_and_collect_open_every_span(workdir):
     gone = {span for module, _path, span in trace_cli.FUNCTION_SPANS if module in GONE}
     expected = {span for _module, _path, span in trace_cli.FUNCTION_SPANS} - gone - NOT_ON_THE_CLI
     assert {span for span in expected if not opened.get(span)} == set()
-    assert opened["cli.spec_load"] == 1
-    assert opened["mapping.build_mapping"] == 1
+    assert opened["cli.spec_load"] == 2
+    assert opened["mapping.build_mapping"] == 2
+    # the tracer reads len() of the jobs dispatch_all was given, after it returns
+    for command in ("run", "slurm"):
+        assert reports[command]["counters"]["dispatch.jobs"] == 4
+    assert sorted(path.name for path in workdir.glob("s_*.sh")) == [f"s_{k}.sh" for k in range(4)]
