@@ -1,19 +1,44 @@
 """Job dispatch: local bounded-parallel execution, batch-scheduler submission, dry runs.
 
-Commands run through the platform shell, so the sweep author's command
-string is honored verbatim (including pipes and redirections). A job that
-exits non-zero is recorded and the sweep continues; only a failing submit
-command (scheduler modes) aborts the whole dispatch; the SchedulerError
-carries the records of the jobs submitted before it. Note that under a
-shell, "command not found" surfaces as a completed record with exit code
-127 rather than a spawn failure; spawn_failed is reserved for OS-level
+A command means what ``/bin/sh -c <command>`` makes of it, so the sweep
+author's command string is honored verbatim (including pipes and
+redirections). A job that exits non-zero is recorded and the sweep
+continues; only a failing submit command (scheduler modes) aborts the whole
+dispatch; the SchedulerError carries the records of the jobs submitted
+before it.
+
+A command that is one plain simple command starts without the shell, as
+GNU make starts a recipe line: one process per job instead of two. Plain
+means blank-separated words of ``shlex``'s safe characters
+(``[A-Za-z0-9_@%+=:,./-]``) and single-quoted runs, which is what
+``shlex.quote`` makes of a value; a first word with no ``=`` (an
+assignment) that is not a reserved word or builtin of sh, dash or bash;
+and an environment with PATH set and no exported bash function
+(``BASH_FUNC_*``). The shell would split such a command into the same argv
+and exec it, so the outcome is the same:
+
+- a start that fails (a missing executable, one without execute
+  permission, a script with no ``#!`` line) has run nothing, and the
+  command is run again through the shell, so a missing executable is still
+  exit code 127 with the shell's message;
+- a job killed by signal N is recorded with exit code 128+N, as the shell
+  reports it; the one difference is that the shell's one-line report of
+  that death ("Killed", "Segmentation fault") is no longer written to the
+  job's standard error;
+- the job gets the PWD the shell would give it: the inherited one if it is
+  absolute and names the job's directory, else that directory's physical
+  path.
+
+Under a shell, "command not found" surfaces as a completed record with exit
+code 127 rather than a spawn failure; spawn_failed is reserved for OS-level
 failures to start the shell itself.
 
 Scheduler modes write one batch script per job and submit each with
-``<submit_command> <script_path>``. Submission never waits for job
-completion. The scheduler job ID is taken from the submit command's
-standard output as the first whitespace-delimited token containing a
-digit (a documented heuristic that covers sbatch and qsub).
+``<submit_command> <script_path>``, the path quoted for the shell.
+Submission never waits for job completion. The scheduler job ID is taken
+from the submit command's standard output as the first whitespace-delimited
+token containing a digit (a documented heuristic that covers sbatch and
+qsub).
 
 A dry run (kind "dry", or dry_run with any kind) is one generator: it
 writes each batch script (slurm/pbs) and makes each record as it is read.
@@ -24,6 +49,8 @@ first process, so a dry run loads neither.
 from __future__ import annotations
 
 import os
+import re
+import shlex
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -183,17 +210,89 @@ def _write_batch_script(job: JobSpec, config: DispatcherConfig) -> Path:
     return path
 
 
-def _run_local_job(job: JobSpec, config: DispatcherConfig, run: Callable) -> JobRecord:
-    """Run one job through `run` (``subprocess.run``) and record its outcome."""
+# one word of a plain command: shlex's safe characters and single-quoted runs
+_WORD = r"(?:[A-Za-z0-9_@%+=:,./-]|'[^']*')+"
+_PLAIN = re.compile(rf"[ \t]*{_WORD}(?:[ \t]+{_WORD})*[ \t]*")
+_WORDS = re.compile(_WORD)
+# reserved words and builtins of POSIX sh, dash and bash: the shell never execs these
+_SHELL_WORDS = frozenset(
+    "! { } [[ ]] case coproc do done elif else esac fi for function if in select then time until while "
+    ". : [ alias bg bind break builtin caller cd chdir command compgen complete compopt continue declare "
+    "dirs disown echo enable eval exec exit export false fc fg getopts hash help history jobs kill let local "
+    "logout mapfile newgrp popd printf pushd pwd read readarray readonly return set shift shopt source "
+    "suspend test times trap true type typeset ulimit umask unalias unset wait".split()
+)
+
+
+def _plain_argv(command: str) -> list[str] | None:
+    """The argv ``sh -c command`` would exec, if `command` is plain (see the
+    module docstring); None if it is anything else."""
+    if not _PLAIN.fullmatch(command):
+        return None
+    words = _WORDS.findall(command)
+    argv = [word.replace("'", "") for word in words]  # a quoted run holds no quote
+    if "=" in words[0] or not argv[0] or argv[0] in _SHELL_WORDS:
+        return None
+    return argv
+
+
+def _child_env(workdir: Path) -> dict[str, str] | None:
+    """The environment a shell started in `workdir` hands its command, or
+    None when that is this process's own: the shell keeps the inherited PWD
+    if it is absolute and names `workdir`, and sets it to the physical path
+    otherwise. A new environment is made from ``os.environ``, so it lacks a
+    variable set behind its back (readline sets LINES and COLUMNS so)."""
+    pwd = os.environ.get("PWD", "")
+    try:
+        if os.path.isabs(pwd) and os.path.samefile(pwd, workdir):
+            return None
+    except OSError:
+        pass
+    return {**os.environ, "PWD": os.path.realpath(workdir)}
+
+
+def _launcher(jobs: list[JobSpec]) -> Callable:
+    """``launch(command, cwd, **kwargs)`` for the processes of `jobs`:
+    ``subprocess.run`` on a plain command's argv, with the shell's exit code
+    for a signal death, and on anything else, or a plain command that could
+    not start, through the shell. The environment of each job's directory is
+    made here, once."""
+    import subprocess
+
+    run = subprocess.run
+    # without PATH, the shell searches its own default list, not Python's
+    if "PATH" not in os.environ or any(name.startswith("BASH_FUNC_") for name in os.environ):
+        envs = {}
+    else:
+        envs = {workdir: _child_env(workdir) for workdir in {job.workdir for job in jobs}}
+
+    def launch(command: str, cwd: Path, **kwargs):
+        argv = _plain_argv(command) if cwd in envs else None
+        if argv is not None:
+            try:
+                proc = run(argv, cwd=cwd, env=envs[cwd], **kwargs)
+            except OSError:  # nothing ran; the shell reports it as it always has
+                pass
+            else:
+                if proc.returncode < 0:
+                    proc.returncode = 128 - proc.returncode
+                return proc
+        return run(command, shell=True, cwd=cwd, **kwargs)
+
+    return launch
+
+
+def _run_local_job(job: JobSpec, config: DispatcherConfig, launch: Callable) -> JobRecord:
+    """Run one job through `launch` (see `_launcher`) and record its outcome."""
     started = _now_iso()
     t0 = time.monotonic()
     try:
         if config.capture:
             out_path, err_path = capture_paths(job.workdir, config.sweep_name, job.sim_id)
             with open(out_path, "wb") as out, open(err_path, "wb") as err:
-                proc = run(job.command, shell=True, cwd=job.workdir, stdout=out, stderr=err)
+                proc = launch(job.command, job.workdir, stdout=out, stderr=err)
         else:
-            proc = run(job.command, shell=True, cwd=job.workdir)
+            proc = launch(job.command, job.workdir)
     except OSError as exc:
         return _record(job, "spawn_failed", started, t0, reason=str(exc))
     return _record(job, "completed", started, t0, exit_code=proc.returncode)
@@ -207,18 +306,15 @@ def _parse_scheduler_job_id(stdout: str) -> str | None:
 
 
 def _dispatch_scheduler(jobs: list[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
-    import subprocess
-
     records: list[JobRecord] = []
     submit = config.resolved_submit_command
+    launch = _launcher(jobs)
     for job in jobs:
         script_path = _write_batch_script(job, config)
         started = _now_iso()
         t0 = time.monotonic()
         try:
-            proc = subprocess.run(
-                f"{submit} {script_path}", shell=True, cwd=job.workdir, capture_output=True, text=True
-            )
+            proc = launch(f"{submit} {shlex.quote(str(script_path))}", job.workdir, capture_output=True, text=True)
         except OSError as exc:
             raise SchedulerError(job.sim_id, f"could not run {submit!r}: {exc}", records) from exc
         if proc.returncode != 0:
@@ -245,7 +341,7 @@ def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[
     happen before any dispatch). Batch scripts and capture files are written
     over any file at their paths: `sweeprun.run.plan` checks for conflicts
     before `run.materialize` writes and `run.dispatch` calls this. Local jobs
-    run on a pool of max_parallel threads, each waiting on one shell at a
+    run on a pool of max_parallel threads, each waiting on one job at a
     time; job failures are recorded, never raised. A dispatch that runs
     nothing (kind "dry", or dry_run with any kind) returns an iterator that
     reads `jobs` once, as its records are read: it writes each job's batch
@@ -259,9 +355,9 @@ def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[
     jobs = list(_unique(jobs))
     if config.kind in ("slurm", "pbs"):
         return _dispatch_scheduler(jobs, config)
-    import subprocess
     from concurrent.futures import ThreadPoolExecutor
 
+    launch = _launcher(jobs)
     with ThreadPoolExecutor(max_workers=config.resolved_max_parallel) as pool:
-        futures = [pool.submit(_run_local_job, job, config, subprocess.run) for job in jobs]
+        futures = [pool.submit(_run_local_job, job, config, launch) for job in jobs]
         return [f.result() for f in futures]

@@ -5,7 +5,8 @@ imports nothing from sweeprun; it spells simulation IDs, values, configs,
 the mapping, batch scripts and the summary from their documented formats.
 Each drawn case runs twice in one directory, the second time with or
 without --overwrite, so the conflict check is compared as well. Cases draw
---strict, and a submit command that fails at a drawn job."""
+--strict, a submit command that fails at a drawn job, and a command that
+starts with or without the shell."""
 
 from __future__ import annotations
 
@@ -59,10 +60,24 @@ def submit_script(sim_id: str) -> str:
     return f'case "$1" in */{NAME}_{sim_id}.sh) echo queue full >&2; exit 1;; esac\necho Submitted batch job 7\n'
 
 
-def command_for(names: list[str]) -> str:
-    """Writes the values it is given to a file, prints the ID, and fails when n is odd."""
+def command_for(names: list[str], form: str) -> str:
+    """Writes the values it is given to a file, prints the ID, and fails when n
+    is odd: inline, or as `sh job.sh <values> <sim_id>`, which starts without
+    the shell unless a value holds a "'"."""
     values = " ".join(f"{{{name}}}" for name in names)
+    if form == "script":
+        return f"sh job.sh {values} {{sim_id}}"
     return f"printf '%s\\n' {values} > r_{{sim_id}}.txt; echo {{sim_id}}; exit $(( {{n}} % 2 ))"
+
+
+# job.sh for the "script" form; n is the first value, the sim_id the last argument
+JOB_SH = """for id; do :; done
+: > "r_$id.txt"
+n=$1
+while [ $# -gt 1 ]; do printf '%s\\n' "$1" >> "r_$id.txt"; shift; done
+echo "$id"
+exit $((n % 2))
+"""
 
 
 def render(pattern: str, params: dict, sim_id: str, text=str) -> str:
@@ -106,7 +121,7 @@ def expected_run(case, files: dict[str, bytes], overwrite: bool):
             writes[path] = config(template(k, used), params, sim_id).encode()
             mine.append(path)
         per_sim.append(mine)
-    command = command_for(names)
+    command = command_for(names, case["command"])
     fail_at = case["fail_at"] if kind == "slurm-fail" else len(ids)  # the job whose submit fails; those before it are submitted
     jobs = []
     for sim_id, params, mine in zip(ids, sets, per_sim):
@@ -230,6 +245,7 @@ def cases(draw) -> dict:
     case["fail_at"] = draw(st.integers(0, max(len(case["sets"]) - 1, 0)))
     case["strict"] = draw(st.booleans())
     case["capture"] = draw(st.booleans())
+    case["command"] = draw(st.sampled_from(["inline", "script"]))
     case["mapping_out"] = draw(st.sampled_from([None, "m.json", "out/m.json"]))
     case["second"] = draw(st.sampled_from(["again", "overwrite"]))
     return case
@@ -260,7 +276,9 @@ def test_run_leaves_what_the_reference_predicts(case):
             Path("out").mkdir()
             Path("sweep.json").write_text(json.dumps(case["spec"]), encoding="utf-8")
             names = list(case["sets"][0] if case["sets"] else case["coords"])
-            argv = ["run", "--command", command_for(names), "--sweep-file", "sweep.json", "--name", NAME]
+            argv = ["run", "--command", command_for(names, case["command"]), "--sweep-file", "sweep.json", "--name", NAME]
+            if case["command"] == "script":
+                Path("job.sh").write_text(JOB_SH, encoding="utf-8")
             for k, (pattern, used) in enumerate(zip(case["configs"], case["used"])):
                 Path(f"t{k}.txt").write_text(template(k, used), encoding="utf-8")
                 argv += ["--config", pattern, "--template", f"t{k}.txt"]

@@ -199,6 +199,14 @@ class TestSchedulerDispatch:
         ]
         assert not (workdir / "demo_003.sh").exists()
 
+    def test_a_script_path_with_a_space_is_one_argument(self, workdir):
+        home = workdir / "a b"
+        home.mkdir()
+        (home / "fake.sh").write_text('echo "Submitted batch job 7$#"; test -f "$1"\n', encoding="utf-8")
+        config = DispatcherConfig(kind="slurm", submit_command="sh fake.sh", sweep_name="demo")
+        records = dispatch_all([_job("000", "./model", home)], config)
+        assert [(r.status, r.scheduler_job_id) for r in records] == [("submitted", "71")]
+
     def test_dry_run_writes_scripts_but_never_submits(self, workdir, fake_scheduler):
         submit, log = fake_scheduler
         jobs = [_job("000", "./model 000", workdir)]

@@ -53,13 +53,15 @@ def test_a_traced_run_and_collect_open_every_span(workdir):
         "collect": ["collect", "t_mapping.json"],
         # a dry run that writes batch scripts as its records are read
         "slurm": [*run, "--name", "s", "--dispatcher", "slurm", "--dry-run", "--overwrite"],
+        # local jobs that start without the shell, one process each
+        "local": [*run, "--name", "l", "--command", "sh -c : {sim_id}", "--overwrite"],
     }
     opened: dict[str, int] = {}
     reports = {}
     for command, argv in commands.items():
         proc = run_python([str(TRACE_CLI), f"{command}.json", "--", *argv], workdir)
         report = reports[command] = json.loads((workdir / f"{command}.json").read_text(encoding="utf-8"))
-        assert report["exit_code"] == {"run": 0, "collect": 4, "slurm": 0}[command], proc.stderr
+        assert report["exit_code"] == {"run": 0, "collect": 4, "slurm": 0, "local": 0}[command], proc.stderr
         assert {point.split(":")[0] for point in report["absent"]} == set(GONE)
         for span, layer in report["layers"].items():
             opened[span] = opened.get(span, 0) + layer["calls"]
@@ -67,9 +69,12 @@ def test_a_traced_run_and_collect_open_every_span(workdir):
     gone = {span for module, _path, span in trace_cli.FUNCTION_SPANS if module in GONE}
     expected = {span for _module, _path, span in trace_cli.FUNCTION_SPANS} - gone - NOT_ON_THE_CLI
     assert {span for span in expected if not opened.get(span)} == set()
-    assert opened["cli.spec_load"] == 2
-    assert opened["mapping.build_mapping"] == 2
+    assert opened["cli.spec_load"] == 3
+    assert opened["mapping.build_mapping"] == 3
     # the tracer reads len() of the jobs dispatch_all was given, after it returns
-    for command in ("run", "slurm"):
+    for command in ("run", "slurm", "local"):
         assert reports[command]["counters"]["dispatch.jobs"] == 4
+    # each job's process is one span: the bench's per-job figures are read from these
+    assert reports["local"]["layers"]["dispatch.job"]["calls"] == 4
+    assert len(reports["local"]["job_seconds"]) == 4
     assert sorted(path.name for path in workdir.glob("s_*.sh")) == [f"s_{k}.sh" for k in range(4)]
