@@ -9,6 +9,12 @@ Subcommands:
 Exit codes: 0 success; 1 validation or usage error; 2 dispatch/scheduler
 failure; 3 one or more local simulations failed; 4 collection incomplete.
 
+This module only reads arguments, prints status lines and maps outcomes to
+exit codes. What a command checks and writes lives in the library: the
+stages of `run` in `sweeprun.run`, the write path of `collect` in
+`sweeprun.collect`, and the one rule for where a document (the mapping,
+summary, CSV or report) may be written in `files.require_documents`.
+
 Each command imports only the modules it runs: `run` (the stages of the run
 command) and `dispatch` are imported on the `run` path, `collect` by the
 collect command. A status line never decides a command's outcome: once the
@@ -19,21 +25,18 @@ to /dev/null.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
-import json
 import os
 import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from . import __version__, files
+from . import __version__
 from .errors import DISPATCHER_KINDS, SchedulerError, SweepRunError
 from .mapping import read_mapping, sim_ids
 from .spec import load_sweep_spec
 from .templates import format_value
 
-REPORT_SCHEMA = "sweep-collect-report/1"
 STDERR_ISSUE_LIMIT = 5  # collect lists this many issues on stderr; the report lists all
 
 
@@ -106,7 +109,7 @@ def _cmd_run(args) -> int:
                 _status(f"  failed: {record.sim_id} ({detail})", sys.stderr)
     _status(f"summary written to {plan.summary_path}")
 
-    return 3 if config.kind == "local" and not config.dry_run and counts["failed"] else 0
+    return 3 if counts["failed"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -139,51 +142,15 @@ def _cmd_preview(args) -> int:
 # collect
 
 
-def _require_distinct_files(paths: dict[str, Path]):
-    """Each named file must be absent or reachable (a symlink loop is
-    neither), checked before anything is read or written, and no two may be
-    one file once links and '..' are resolved: collect would write one over
-    the other."""
-    seen: dict[Path, str] = {}
-    for option, path in paths.items():
-        try:
-            path.stat()
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            raise SweepRunError(f"{option} {path}: {exc.strerror}") from None
-        resolved = path.resolve()
-        if resolved in seen:
-            raise SweepRunError(
-                f"{seen[resolved]} and {option} are the same file, {resolved}; give each its own path"
-            )
-        seen[resolved] = option
-
-
 def _cmd_collect(args) -> int:
-    """Reads each output and writes its CSV row in one pass; keeps only the
-    mapping and the issues."""
-    from .collect import write_csv
+    """Harvests through `collect.write_results` and reports the issues."""
+    from .collect import write_results
 
     mapping = read_mapping(args.mapping_file)
-    csv_path = Path(args.csv_out) if args.csv_out else Path(f"{mapping.sweep_name}_results.csv")
-    report_path = (
-        Path(args.report_out) if args.report_out else Path(f"{mapping.sweep_name}_collect_report.json")
-    )
-    _require_distinct_files(
-        {"MAPPING": Path(args.mapping_file), "--csv-out": csv_path, "--report-out": report_path}
-    )
-    reserved = {csv_path: "--csv-out", report_path: "--report-out"}
-    issues = files.write_atomic(csv_path, functools.partial(write_csv, mapping, args.output_pattern, reserved))
-    report = {
-        "schema": REPORT_SCHEMA,
-        "sweep_name": mapping.sweep_name,
-        "total": len(mapping),
-        "collected": len(mapping) - len(issues),
-        "missing": [{"sim_id": issue.sim_id, "path": issue.path, "reason": issue.reason} for issue in issues],
-    }
-    files.write_atomic(report_path, json.dumps(report, indent=2) + "\n")
-    _status(f"collected {report['collected']}/{report['total']} value(s) into {csv_path}")
+    csv_path = Path(args.csv_out or f"{mapping.sweep_name}_results.csv")
+    report_path = Path(args.report_out or f"{mapping.sweep_name}_collect_report.json")
+    issues = write_results(mapping, Path(args.mapping_file), args.output_pattern, csv_path, report_path)
+    _status(f"collected {len(mapping) - len(issues)}/{len(mapping)} value(s) into {csv_path}")
     if issues:
         for issue in issues[:STDERR_ISSUE_LIMIT]:
             _status(f"  missing {issue.sim_id}: {issue.reason} ({issue.path})", sys.stderr)

@@ -11,20 +11,20 @@ read as lone surrogates, so an undecodable first token is "not a number".
 
 One reader loop holds these rules. It takes each simulation's ID and
 values as text from `mapping.cells`, as `run` does. `collect_scalars`
-gathers what it reads into a dict; `write_csv` writes each simulation's CSV
-row as its output is read and keeps only the issues, so its memory does not
-grow with the number of simulations that produced a value. `write_csv`
-refuses an output that is one of the files it is told to keep, such as the
-CSV it writes.
+gathers what it reads into a dict; `write_results`, the `collect` command,
+writes each simulation's CSV row as its output is read and keeps only the
+issues, so its memory does not grow with the number of simulations that
+produced a value. It refuses an output that is the CSV or the report.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -32,6 +32,8 @@ from . import files, templates
 from .mapping import CartesianMapping, Mapping, cells
 
 __all__ = ["CollectIssue", "CollectedScalars", "collect_scalars", "export_csv"]
+
+REPORT_SCHEMA = "sweep-collect-report/1"
 
 
 @dataclass(frozen=True)
@@ -106,33 +108,28 @@ def _read_value(path: str) -> tuple[float | None, str | None]:
 _Harvested = tuple[str, dict[str, str], float | None, CollectIssue | None]
 
 
-def _harvest(mapping: Mapping, output_pattern: str, reserved: dict[Path, str]) -> Iterator[_Harvested]:
+def _harvest(mapping: Mapping, output_pattern: str, taken: dict[str, str]) -> Iterator[_Harvested]:
     """One entry per simulation in mapping order, each output read as its
-    entry is. The pattern is checked at once, before any output is read. An
-    output that is one of the `reserved` files raises ValueError naming the
-    file (by its value in `reserved`) and the sim_id; the output path is
-    taken with '.' and '..' applied as written, the reserved paths with
-    links followed."""
+    entry is. The pattern is checked before any output is read. An output
+    that is one of the `taken` files (resolved path -> option, as
+    `files.require_documents` returns them) raises ValueError naming the
+    option and the sim_id; the output path is taken with '.' and '..'
+    applied as written."""
     if "sim_id" not in templates.extract_placeholders(output_pattern):
         raise ValueError(f"output pattern {output_pattern!r} does not contain {{sim_id}}")
     here = os.getcwd()
-    taken = {os.path.realpath(path): name for path, name in reserved.items()}
     # a path names one of those files only if its last part is that file's name
     last_parts = {os.path.basename(path) for path in taken}
-
-    def read() -> Iterator[_Harvested]:
-        for sim_id, cell in cells(mapping):
-            path = templates.render(output_pattern, cell, sim_id)
-            if path.rpartition("/")[2] in last_parts:
-                name = taken.get(os.path.normpath(os.path.join(here, path)))
-                if name is not None:
-                    raise ValueError(
-                        f"{name} is the output of simulation {sim_id!r}, {path}; give it another path"
-                    )
-            value, reason = _read_value(path)
-            yield sim_id, cell, value, None if reason is None else CollectIssue(sim_id, path, reason)
-
-    return read()
+    for sim_id, cell in cells(mapping):
+        path = templates.render(output_pattern, cell, sim_id)
+        if path.rpartition("/")[2] in last_parts:
+            name = taken.get(os.path.normpath(os.path.join(here, path)))
+            if name is not None:
+                raise ValueError(
+                    f"{name} is the output of simulation {sim_id!r}, {path}; give it another path"
+                )
+        value, reason = _read_value(path)
+        yield sim_id, cell, value, None if reason is None else CollectIssue(sim_id, path, reason)
 
 
 def collect_scalars(mapping: Mapping, output_pattern: str) -> CollectedScalars:
@@ -174,20 +171,30 @@ def export_csv(collected: CollectedScalars) -> str:
     return buffer.getvalue()
 
 
-def write_csv(
-    mapping: Mapping, output_pattern: str, reserved: dict[Path, str], path: Path
+def write_results(
+    mapping: Mapping, mapping_path: Path, output_pattern: str, csv_path: Path, report_path: Path
 ) -> list[CollectIssue]:
-    """Harvest as `collect_scalars` does and write to `path` the text that
-    `export_csv` would return, one row as each output is read. Returns the
-    issues, the only thing kept per simulation. The pattern is checked
-    before `path` is opened; an output that is one of the `reserved` files
-    (such as the file `path` will become) raises ValueError."""
-    harvest = _harvest(mapping, output_pattern, reserved)
-    issues: list[CollectIssue] = []
-    with path.open("w", encoding="utf-8") as out:
-        writer = _csv_writer(out, mapping.parameter_names)
-        for _sim_id, cell, value, issue in harvest:
-            if issue is not None:
-                issues.append(issue)
-            writer.writerow(_csv_row(cell, value))
+    """Check the three paths with `files.require_documents`, then harvest as
+    `collect_scalars` does into `csv_path`, the text `export_csv` would
+    return, one row as each output is read, and write the report. Returns
+    the issues, the only thing kept per simulation."""
+    taken = files.require_documents(
+        {"MAPPING": mapping_path, "--csv-out": csv_path, "--report-out": report_path}
+    )
+    reserved = {path: option for path, option in taken.items() if option != "MAPPING"}
+
+    def write_csv(path: Path) -> list[CollectIssue]:
+        issues = []
+        with path.open("w", encoding="utf-8") as out:
+            writer = _csv_writer(out, mapping.parameter_names)
+            for _sim_id, cell, value, issue in _harvest(mapping, output_pattern, reserved):
+                if issue is not None:
+                    issues.append(issue)
+                writer.writerow(_csv_row(cell, value))
+        return issues
+
+    issues = files.write_atomic(csv_path, write_csv)
+    report = {"schema": REPORT_SCHEMA, "sweep_name": mapping.sweep_name, "total": len(mapping)}
+    report.update(collected=len(mapping) - len(issues), missing=[asdict(issue) for issue in issues])
+    files.write_atomic(report_path, json.dumps(report, indent=2) + "\n")
     return issues

@@ -22,10 +22,10 @@ and then cuts the file to their length, which gives the same bytes on disk.
 Neither function fsyncs, so after an OS crash a file may hold old or partial
 content; a run is then repeated with ``--overwrite``.
 
-The mapping, summary, CSV and report are not rewritten in place: each is
-written whole to a temporary file and renamed (``write_atomic``). Callers
-reach these functions through the module (``files.rewrite``), so replacing
-one attribute here reaches every caller.
+The mapping, summary, CSV and report are documents: each is checked by
+``require_documents`` before a command's first write, then written whole to
+a temporary file and renamed (``write_atomic``). Callers reach these
+functions through the module, so replacing one attribute reaches them all.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import os
 import shutil
 from pathlib import Path
 from typing import Callable, TypeVar
+
+from .errors import SweepRunError
 
 _CHUNK = 1 << 16
 
@@ -68,6 +70,34 @@ def rewrite(path: str, text: str) -> None:
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+
+
+def require_documents(documents: dict[str, Path]) -> dict[str, str]:
+    """Check where each document (option -> path) will be written, following
+    links as `write_atomic` does: it must be reachable or absent (a symlink
+    loop is neither), in an existing directory (so must a link's target), and
+    not a directory, and no two may be one file once links and '..' are
+    resolved. Raises SweepRunError naming the option; returns {resolved: option}."""
+    taken: dict[str, str] = {}
+    for option, path in documents.items():
+        try:
+            os.stat(path)
+        except (FileNotFoundError, NotADirectoryError):  # absent; its directory is checked below
+            pass
+        except OSError as exc:
+            raise SweepRunError(f"{option} {path}: {exc.strerror}") from None
+        resolved = os.path.realpath(path)
+        for directory in (path.parent, os.path.dirname(resolved)):
+            if not os.path.isdir(directory):
+                raise SweepRunError(f"{option}: no directory {directory} to write {path} in")
+        if os.path.isdir(path):
+            raise SweepRunError(f"{option}: {path} is a directory, not a file to write")
+        if resolved in taken:
+            raise SweepRunError(
+                f"{taken[resolved]} and {option} are the same file, {resolved}; give each its own path"
+            )
+        taken[resolved] = option
+    return taken
 
 
 def write_atomic(path: Path, content: str | Callable[[Path], _T]) -> _T | None:

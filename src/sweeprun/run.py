@@ -184,11 +184,7 @@ def plan(
     outputs = _outputs(config, patterns)
     _require_distinct_outputs({"mapping": mapping_path, "summary": summary_path}, outputs, mapping, overwrite)
     # the summary, batch scripts and captured output are made in --name's directory
-    for option, path in (("--name", summary_path), ("--mapping-out", mapping_path)):
-        if not os.path.isdir(path.parent):
-            raise SweepRunError(f"{option}: no directory {path.parent} to write {path} in")
-        if os.path.isdir(path):
-            raise SweepRunError(f"{option}: {path} is a directory, not a file to write")
+    files.require_documents({"--name": summary_path, "--mapping-out": mapping_path})
     # zip stops after the configs, each spelled as Path spells it
     written = [(pattern, source) for (_, pattern), source in zip(outputs, sources)]
     return Plan(mapping, config, command, written, mapping_path, summary_path)

@@ -557,6 +557,32 @@ class TestRunPipeline:
         assert capsys.readouterr().err == f"error: {option}: {directory} is a directory, not a file to write\n"
         assert sorted(workdir.rglob("*")) == before  # no config, mapping or summary, and no job ran
 
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["new", "overwrite"])
+    @pytest.mark.parametrize(
+        "link, target, options, message",
+        [
+            ("tiny_summary.json", "tiny_summary.json", [],
+             "--name tiny_summary.json: Too many levels of symbolic links"),
+            ("m.json", "m.json", ["--mapping-out", "m.json"],
+             "--mapping-out m.json: Too many levels of symbolic links"),
+            ("m.json", "tiny_summary.json", ["--mapping-out", "m.json"],
+             "--name and --mapping-out are the same file, {here}/tiny_summary.json; give each its own path"),
+            ("m.json", "nodir/m.json", ["--mapping-out", "m.json"],
+             "--mapping-out: no directory {here}/nodir to write m.json in"),
+        ],
+        ids=["summary-loop", "mapping-loop", "mapping-links-to-summary", "mapping-links-into-no-directory"],
+    )
+    def test_summary_and_mapping_are_checked_through_links_before_any_write(
+        self, workdir, tiny_setup, link, target, options, message, overwrite, capsys
+    ):
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "touch ran_{sim_id}"
+        (workdir / link).symlink_to(target)
+        before = sorted(workdir.rglob("*"))
+        assert main(argv + options + ["--overwrite"] * overwrite) == 1
+        assert capsys.readouterr().err == f"error: {message.format(here=os.path.realpath(workdir))}\n"
+        assert sorted(workdir.rglob("*")) == before  # no config, mapping or summary, and no job ran
+
     def test_special_file_at_the_mapping_is_written_in_place(self, workdir, tiny_setup, capsys):
         assert main(tiny_setup + ["--mapping-out", os.devnull, "--overwrite"]) == 0
         assert json.loads((workdir / "tiny_summary.json").read_text(encoding="utf-8"))["counts"]["total"] == 2
@@ -897,9 +923,14 @@ class TestCollectCommand:
             (["--csv-out", "tiny_collect_report.json"], ("--csv-out", "--report-out")),
             (["--report-out", "sub/../tiny_results.csv"], ("--csv-out", "--report-out")),
             (["--csv-out", "link.json"], ("MAPPING", "--csv-out")),
+            (["--report-out", "nodir/r.json"], ("--report-out: no directory nodir to write nodir/r.json in",)),
+            (["--report-out", "sub"], ("--report-out: sub is a directory, not a file to write",)),
+            (["--csv-out", "nodir/x.csv"], ("--csv-out: no directory nodir to write nodir/x.csv in",)),
+            (["--csv-out", "tiny_mapping.json/x.csv"], ("--csv-out: no directory tiny_mapping.json ",)),
         ],
         ids=["csv-is-mapping", "report-is-mapping", "csv-is-report", "csv-is-default-report",
-             "report-is-default-csv", "csv-links-to-mapping"],
+             "report-is-default-csv", "csv-links-to-mapping", "report-in-no-directory",
+             "report-is-a-directory", "csv-in-no-directory", "csv-under-a-file"],
     )
     def test_collect_never_writes_over_its_own_files(
         self, workdir, tiny_setup, monkeypatch, options, named, capsys

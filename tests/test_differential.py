@@ -1,16 +1,20 @@
-"""`sweeprun run`, end to end, against a reference that predicts what it
-leaves behind: every file, the summary (apart from its timestamps, durations
-and scheduler job IDs), the status lines and the exit code. The reference
-imports nothing from sweeprun; it spells simulation IDs, values, configs,
-the mapping, batch scripts and the summary from their documented formats.
-Each drawn case runs twice in one directory, the second time with or
-without --overwrite, so the conflict check is compared as well. Cases draw
---strict, a submit command that fails at a drawn job, and a command that
-starts with or without the shell."""
+"""`sweeprun run` and `sweeprun collect`, end to end, against a reference
+that predicts what they leave behind: every file, the summary (apart from
+its timestamps, durations and scheduler job IDs), the status lines and the
+exit code. The reference imports nothing from sweeprun; it spells simulation
+IDs, values, configs, the mapping, batch scripts, the summary, the CSV and
+the collect report from their documented formats. Each drawn case runs
+twice in one directory, the second time with or without --overwrite, so the
+conflict check is compared as well; a case that left a mapping is then
+collected. Cases draw --strict, a submit command that fails at a drawn job,
+and a command that starts with or without the shell. One fixed case always
+runs a local `sh job.sh` command, which starts without the shell, on values
+that need quoting."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -20,7 +24,7 @@ import shlex
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sweeprun.cli import main
@@ -176,6 +180,32 @@ def expected_run(case, files: dict[str, bytes], overwrite: bool):
     return (3 if failed else 0), {**files, **writes}, summary, out, err
 
 
+def expected_collect(case, files: dict[str, bytes]):
+    """(exit code, files after `collect <mapping_path> --output-pattern
+    r_{sim_id}.txt`, stdout, stderr). Each output holds the values of its
+    simulation one a line, n first, when a local job wrote it."""
+    sets = case["sets"]
+    csv_text, report = io.StringIO(), {"schema": "sweep-collect-report/1", "sweep_name": NAME, "total": len(sets)}
+    writer = csv.writer(csv_text, lineterminator="\n")
+    writer.writerow([*sets[0], "value"])
+    missing = []
+    for sim_id, params in zip(sim_ids(len(sets)), sets):
+        output = files.get(f"r_{sim_id}.txt")
+        if output is None:
+            missing.append({"sim_id": sim_id, "path": f"r_{sim_id}.txt", "reason": "cannot read output: No such file or directory"})
+        writer.writerow([*map(spell, params.values()), "" if output is None else spell(float(output.split()[0]))])
+    report.update(collected=len(sets) - len(missing), missing=missing)
+    csv_path, report_path = f"{NAME}_results.csv", f"{NAME}_collect_report.json"
+    files = {**files, csv_path: csv_text.getvalue().encode(), report_path: (json.dumps(report, indent=2) + "\n").encode()}
+    out = f"collected {report['collected']}/{len(sets)} value(s) into {csv_path}\n"
+    if not missing:
+        return 0, files, out + f"report written to {report_path}\n", ""
+    err = "".join(f"  missing {m['sim_id']}: {m['reason']} ({m['path']})\n" for m in missing[:5])
+    if len(missing) > 5:
+        err += f"  ... and {len(missing) - 5} more, see {report_path}\n"
+    return 4, files, out, err + f"report written to {report_path}\n"
+
+
 def mapping_text(case, ids: list[str]) -> str:
     if case["coords"] is not None and "filter" not in case["spec"]:
         coords = case["coords"]
@@ -266,8 +296,18 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+# a local `sh job.sh` run, which starts without the shell, on values that need quoting
+QUOTED_SETS = [{"n": 1, "s": "a b"}, {"n": 2, "s": '"$é'}]
+QUOTED_SCRIPT_CASE = {
+    "spec": {"type": "set", "sets": QUOTED_SETS}, "sets": QUOTED_SETS, "coords": None,
+    "configs": ["c_{sim_id}.txt"], "used": [["n", "s"]], "dispatcher": "local", "fail_at": 0,
+    "strict": False, "capture": True, "command": "script", "mapping_out": None, "second": "overwrite",
+}
+
+
 @settings(deadline=None, max_examples=100)
 @given(case=cases())
+@example(case=QUOTED_SCRIPT_CASE)
 def test_run_leaves_what_the_reference_predicts(case):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
@@ -297,5 +337,10 @@ def test_run_leaves_what_the_reference_predicts(case):
                     assert normalized(json.loads(found[SUMMARY])) == summary
                     files[SUMMARY] = found[SUMMARY]
                 assert found == files
+            mapping_path = case["mapping_out"] or f"{NAME}_mapping.json"
+            if mapping_path in files:
+                code, files, out, err = expected_collect(case, files)
+                assert run(["collect", mapping_path, "--output-pattern", "r_{sim_id}.txt"]) == (code, out, err)
+                assert tree() == files
         finally:
             os.chdir(cwd)

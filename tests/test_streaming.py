@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweeprun import files, filters
-from sweeprun.cli import REPORT_SCHEMA, main
-from sweeprun.collect import collect_scalars, export_csv
+from sweeprun.cli import main
+from sweeprun.collect import REPORT_SCHEMA, collect_scalars, export_csv
 from sweeprun.dispatch import JobRecord
 from sweeprun.mapping import build_mapping, read_mapping, serialize, sim_ids
 from sweeprun.run import SUMMARY_SCHEMA, _write_summary

@@ -21,7 +21,7 @@ GONE = {
 }
 
 # spans that `sweeprun collect` does not open: it writes the CSV row by row
-# through collect.write_csv, not through collect_scalars and export_csv
+# through collect.write_results, not through collect_scalars and export_csv
 NOT_ON_THE_CLI = {"collect.collect_scalars", "collect.export_csv"}
 
 
