@@ -1,16 +1,14 @@
 """sweeprun: parallel parameter sweeps over any external computational model.
 
-The pipeline: a sweep definition (built in code, or loaded from a JSON
-sweep-spec file with ``load_sweep_spec``) expands into an ordered list of
-parameter sets via ``sweep.generate()`` (or yields them one at a time via
-``sweep.iter_sets()``); ``build_mapping`` numbers the sets in that order,
-giving each a simulation ID, and records which parameter set each ID runs,
-for post-processing with ``collect_scalars``; ``render`` fills configuration
-templates per simulation; and ``dispatch_all`` runs one job per set (bounded
-local parallelism, generated batch-scheduler scripts, or a dry run). The
-``sweeprun`` commands treat the mapping as the plan: ``run`` builds it
-before writing any file and takes every simulation of every pass from it,
-and ``collect`` reads it back.
+One call runs a sweep: ``run_sweep(sweep, command, configs, dispatcher)``
+numbers the sweep's parameter sets (``build_mapping``), fills each config
+template per simulation (``render``), runs one job per set (``dispatch_all``:
+bounded local parallelism, batch-scheduler scripts, or a dry run), and writes
+the mapping and a run summary. A sweep is built in code or loaded from a
+JSON sweep-spec file (``load_sweep_spec``). ``write_results`` harvests one
+scalar output per simulation into a CSV and a report; ``collect_scalars``
+keeps them in memory. The commands ``sweeprun run`` and ``sweeprun collect``
+are one call of each.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import importlib
 # of its names is read (PEP 562), so `import sweeprun` loads no submodule and
 # each command loads only what it runs
 _HOMES = {
-    "collect": ("CollectIssue", "CollectedScalars", "collect_scalars", "export_csv"),
+    "collect": ("CollectIssue", "CollectedScalars", "collect_scalars", "export_csv", "write_results"),
     "dispatch": ("DispatcherConfig", "JobRecord", "JobSpec", "dispatch_all", "render_batch_script"),
     "filters": ("evaluate_filter", "free_variables", "parse_filter"),
     "mapping": (
@@ -34,6 +32,7 @@ _HOMES = {
         "read_mapping",
         "serialize",
     ),
+    "run": ("run_sweep",),
     "spec": ("load_sweep_spec",),
     "sweeps": (
         "CartesianSweep",

@@ -10,16 +10,16 @@ Exit codes: 0 success; 1 validation or usage error; 2 dispatch/scheduler
 failure; 3 one or more local simulations failed; 4 collection incomplete.
 
 This module only reads arguments, prints status lines and maps outcomes to
-exit codes. What a command checks and writes lives in the library: the
-stages of `run` in `sweeprun.run`, the write path of `collect` in
-`sweeprun.collect`, and the one rule for where a document (the mapping,
-summary, CSV or report) may be written in `files.require_documents`.
+exit codes. What a command checks and writes lives in the library: `run`
+is one call of `sweeprun.run.run_sweep`, `collect` one of
+`sweeprun.collect.write_results`, and the one rule for where a document
+(the mapping, summary, CSV or report) may be written is
+`files.require_documents`.
 
-Each command imports only the modules it runs: `run` (the stages of the run
-command) and `dispatch` are imported on the `run` path, `collect` by the
-collect command. A status line never decides a command's outcome: once the
-reader of standard output (or error) has gone, the rest of that stream goes
-to /dev/null.
+Each command imports only the modules it runs: `run` and `dispatch` are
+imported on the `run` path, `collect` by the collect command. A status
+line never decides a command's outcome: once the reader of standard output
+(or error) has gone, the rest of that stream goes to /dev/null.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ def _status(line: str, stream: TextIO | None = None):
 
 
 def _cmd_run(args) -> int:
-    """Calls the stages of `sweeprun.run` and reports each."""
-    from . import run
+    """Runs the sweep through `sweeprun.run.run_sweep` and reports its outcome."""
     from .dispatch import DispatcherConfig
+    from .run import run_sweep
 
     if len(args.config) != len(args.template):
         raise SweepRunError(
@@ -80,36 +80,26 @@ def _cmd_run(args) -> int:
         scheduler_directives=tuple(args.directive), sweep_name=args.name,
         capture=args.capture, dry_run=args.dry_run,
     )
-    sweep = load_sweep_spec(args.sweep_file, seed_override=args.seed)
-    mapping_path = Path(args.mapping_out) if args.mapping_out else Path(f"{args.name}_mapping.json")
-    plan = run.plan(
-        sweep, config, args.command, list(zip(args.config, args.template)), mapping_path,
+    outcome = run_sweep(
+        load_sweep_spec(args.sweep_file, seed_override=args.seed), args.command,
+        list(zip(args.config, args.template)), config, mapping_out=args.mapping_out,
         overwrite=args.overwrite, strict=args.strict,
         warn=lambda message: _status(f"warning: {message}", sys.stderr),
+        written=lambda count, path: _status(f"wrote {count} config file(s) and mapping {path}"),
     )
-    run.materialize(plan)
-    _status(f"wrote {len(plan.mapping) * len(plan.configs)} config file(s) and mapping {plan.mapping_path}")
-    try:
-        records = run.dispatch(plan)
-    except SchedulerError as exc:
-        run.record(plan, exc.records)
-        _status(f"summary of {len(exc.records)} submitted job(s) written to {plan.summary_path}", sys.stderr)
-        raise
-    counts = run.record(plan, records)
-
+    counts = outcome.counts
     if counts["dry_run"]:
         _status(f"dry run: {counts['dry_run']} job(s) not executed")
     elif counts["submitted"]:
         _status(f"submitted {counts['submitted']} job(s) via {config.resolved_submit_command}")
     else:
         _status(f"ran {counts['total']} job(s): {counts['succeeded']} succeeded, {counts['failed']} failed")
-        for record in records:
-            if record.failed:
-                detail = record.reason or f"exit code {record.exit_code}"
-                _status(f"  failed: {record.sim_id} ({detail})", sys.stderr)
-    _status(f"summary written to {plan.summary_path}")
+        for record in outcome.failed:
+            detail = record.reason or f"exit code {record.exit_code}"
+            _status(f"  failed: {record.sim_id} ({detail})", sys.stderr)
+    _status(f"summary written to {outcome.summary_path}")
 
-    return 3 if counts["failed"] else 0
+    return 3 if outcome.failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +228,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SchedulerError as exc:
+    except SchedulerError as exc:  # raised by `run` once the summary of exc.records is written
+        _status(f"summary of {len(exc.records)} submitted job(s) written to {exc.summary_path}", sys.stderr)
         _status(f"error: {exc}", sys.stderr)
         return 2
     except (SweepRunError, ValueError, OSError) as exc:

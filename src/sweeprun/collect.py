@@ -31,7 +31,7 @@ from typing import Iterator, TextIO
 from . import files, templates
 from .mapping import CartesianMapping, Mapping, cells
 
-__all__ = ["CollectIssue", "CollectedScalars", "collect_scalars", "export_csv"]
+__all__ = ["CollectIssue", "CollectedScalars", "collect_scalars", "export_csv", "write_results"]
 
 REPORT_SCHEMA = "sweep-collect-report/1"
 

@@ -339,16 +339,15 @@ def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[
 
     All configuration files must already be on disk (rendering and writing
     happen before any dispatch). Batch scripts and capture files are written
-    over any file at their paths: `sweeprun.run.plan` checks for conflicts
-    before `run.materialize` writes and `run.dispatch` calls this. Local jobs
-    run on a pool of max_parallel threads, each waiting on one job at a
-    time; job failures are recorded, never raised. A dispatch that runs
-    nothing (kind "dry", or dry_run with any kind) returns an iterator that
-    reads `jobs` once, as its records are read: it writes each job's batch
-    script (slurm/pbs) and makes its record then, and reports a repeated
-    sim_id when it reaches it, so it holds no record per job and has no len
-    or index. Every other dispatch reads `jobs` once, checks every sim_id
-    before its first job and returns a list.
+    over any file at their paths: `sweeprun.run_sweep` checks for conflicts
+    before its first write. Local jobs run on a pool of max_parallel
+    threads, each waiting on one job at a time; job failures are recorded,
+    never raised. A dispatch that runs nothing (kind "dry", or dry_run with
+    any kind) returns an iterator that reads `jobs` once, as its records are
+    read: it writes each job's batch script (slurm/pbs) and makes its record
+    then, and reports a repeated sim_id when it reaches it, so it holds no
+    record per job and has no len or index. Every other dispatch reads
+    `jobs` once, checks every sim_id before its first job and returns a list.
     """
     if config.kind == "dry" or config.dry_run:
         return _dry_run(jobs, config)

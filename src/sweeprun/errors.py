@@ -77,6 +77,7 @@ class SchedulerError(SweepRunError):
         super().__init__(f"submission failed for simulation {sim_id!r}: {message}")
         self.sim_id = sim_id
         self.records = tuple(records)
+        self.summary_path = None  # the summary of `records`, which run_sweep writes before raising this again
 
 
 class OutputConflictError(SweepRunError):

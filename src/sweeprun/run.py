@@ -1,5 +1,5 @@
-"""The `run` command as four stages, which ``sweeprun run`` calls in this
-order: `plan` builds the mapping and makes every check before any write;
+"""`run_sweep` runs a sweep (``sweeprun run`` is one call of it) in four
+stages: `plan` builds the mapping and makes every check before any write;
 `materialize` writes the configs, then the mapping; `dispatch` runs one job
 per simulation; `record` writes <name>_summary.json from the job records, or
 from those a SchedulerError carries. Every pass takes its simulations from
@@ -14,6 +14,7 @@ import os
 import shlex
 import shutil
 import tempfile
+import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import files
 from .dispatch import DispatcherConfig, JobRecord, JobSpec, dispatch_all
 from .dispatch import batch_script_path, capture_paths, scheduler_log_path
-from .errors import OutputConflictError, SweepRunError, UnfilledPlaceholderError
+from .errors import OutputConflictError, SchedulerError, SweepRunError, UnfilledPlaceholderError
 from .mapping import CartesianMapping, Mapping, build_mapping, cells, serialize
 from .sweeps import Sweep
 from .templates import _compile, extract_placeholders, render, unused_parameters
@@ -42,6 +43,17 @@ class Plan:
     configs: list[tuple[str, str]]  # (path pattern, template source)
     mapping_path: Path
     summary_path: Path
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What `run_sweep` wrote, the summary's counts, and the failed records in mapping order."""
+
+    mapping: Mapping
+    mapping_path: Path
+    summary_path: Path
+    counts: dict[str, int]
+    failed: list[JobRecord]
 
 
 class _Replayed:
@@ -155,13 +167,14 @@ def _require_distinct_outputs(
 
 def plan(
     sweep: Sweep, config: DispatcherConfig, command: str, configs: Sequence[tuple[str, str]],
-    mapping_path: Path, *, overwrite: bool, strict: bool, warn: Callable[[str], None],
+    mapping_path: str | Path | None, *, overwrite: bool, strict: bool, warn: Callable[[str], None],
 ) -> Plan:
     """Number the sweep's simulations and check the run before anything is
     written. Every placeholder of the command, the config path patterns and
     the templates (`configs` pairs each pattern with its template file) must
     be fillable; a parameter no template uses is passed to `warn`, or is an
-    error if `strict`. Every file the run writes must be distinct, absent
+    error if `strict`. Every file the run writes (the mapping at
+    `mapping_path`, by default <name>_mapping.json) must be distinct, absent
     unless `overwrite`, and have a directory to be written in."""
     if "sim_id" not in extract_placeholders(command):
         raise SweepRunError(f"--command must contain the {{sim_id}} placeholder: {command!r}")
@@ -180,6 +193,7 @@ def plan(
             raise SweepRunError(message)
         warn(message)
     _require_path_safe_values(mapping, patterns)
+    mapping_path = Path(mapping_path or f"{config.sweep_name}_mapping.json")
     summary_path = Path(f"{config.sweep_name}_summary.json")
     outputs = _outputs(config, patterns)
     _require_distinct_outputs({"mapping": mapping_path, "summary": summary_path}, outputs, mapping, overwrite)
@@ -245,26 +259,27 @@ def _summary_entry(record: JobRecord) -> str:
     return entry + "\n    }"
 
 
-def _write_summary(path: Path, name: str, kind: str, records: Iterable[JobRecord]) -> dict[str, int]:
-    """Write the summary of sweep `name` to `path`, byte for byte as
-    json.dumps(summary, indent=2), one job at a time: the jobs go to a
-    temporary file while they are counted, then the head with the counts and
-    the jobs are copied into place. Returns the counts."""
+def record(plan: Plan, records: Iterable[JobRecord]) -> Outcome:
+    """Write the summary of `records` to `plan.summary_path`, byte for byte
+    as json.dumps(summary, indent=2), in one pass over them: the jobs go to a
+    temporary file while they are counted and the failed ones are kept, then
+    the head with the counts and the jobs are copied into place."""
     counts = dict.fromkeys(("total", "succeeded", "failed", "submitted", "dry_run"), 0)
-    with tempfile.TemporaryFile(dir=path.parent) as jobs:
+    failed = []
+    with tempfile.TemporaryFile(dir=plan.summary_path.parent) as jobs:
         # write-only text: a readable one resets its decoder on every write
         with open(jobs.fileno(), "w", encoding="utf-8", closefd=False) as entries:
-            for record in records:
-                entries.write(_summary_entry(record))
+            for job in records:
+                entries.write(_summary_entry(job))
                 counts["total"] += 1
-                counts["succeeded"] += record.succeeded
-                counts["failed"] += record.failed
-                counts["submitted"] += record.status == "submitted"
-                counts["dry_run"] += record.status == "dry_run"
-        head = json.dumps(
-            {"schema": SUMMARY_SCHEMA, "sweep_name": name, "dispatcher": kind, "counts": counts, "jobs": []},
-            indent=2,
-        )
+                counts["succeeded"] += job.succeeded
+                if job.failed:
+                    failed.append(job)
+                counts["submitted"] += job.status == "submitted"
+                counts["dry_run"] += job.status == "dry_run"
+        counts["failed"] = len(failed)
+        summary = {"schema": SUMMARY_SCHEMA, "sweep_name": plan.config.sweep_name, "dispatcher": plan.config.kind}
+        head = json.dumps({**summary, "counts": counts, "jobs": []}, indent=2)
 
         def write(target: Path):
             with target.open("wb") as out:  # json.dumps and the entries are ASCII
@@ -276,10 +291,25 @@ def _write_summary(path: Path, name: str, kind: str, records: Iterable[JobRecord
                 shutil.copyfileobj(jobs, out)
                 out.write(b"\n  ]\n}\n")
 
-        files.write_atomic(path, write)
-    return counts
+        files.write_atomic(plan.summary_path, write)
+    return Outcome(plan.mapping, plan.mapping_path, plan.summary_path, counts, failed)
 
 
-def record(plan: Plan, records: Iterable[JobRecord]) -> dict[str, int]:
-    """Write the summary of `records` to `plan.summary_path`; returns its counts."""
-    return _write_summary(plan.summary_path, plan.config.sweep_name, plan.config.kind, records)
+def run_sweep(
+    sweep: Sweep, command: str, configs: Sequence[tuple[str, str]], dispatcher: DispatcherConfig, *,
+    mapping_out: str | Path | None = None, overwrite: bool = False, strict: bool = False,
+    warn: Callable[[str], None] = warnings.warn, written: Callable[[int, Path], None] = lambda count, path: None,
+) -> Outcome:
+    """Run one job of `command` per simulation of `sweep`, named `dispatcher.sweep_name`, after
+    writing its configs (`configs` pairs each path pattern with its template file) and mapping,
+    then `written(config count, mapping path)`; `warn` gets a parameter no template uses. A
+    SchedulerError is raised again once the summary of the jobs submitted before it is written."""
+    checked = plan(sweep, dispatcher, command, configs, mapping_out, overwrite=overwrite, strict=strict, warn=warn)
+    materialize(checked)
+    written(len(checked.mapping) * len(checked.configs), checked.mapping_path)
+    try:
+        records = dispatch(checked)
+    except SchedulerError as exc:
+        exc.summary_path = record(checked, exc.records).summary_path
+        raise
+    return record(checked, records)

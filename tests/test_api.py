@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sweeprun
+from sweeprun.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(sweeprun.__file__).resolve().parent
@@ -60,14 +61,31 @@ def test_readme_imports_are_exported():
     assert [name for name in names if name not in sweeprun.__all__] == []
 
 
-def test_readme_library_use_runs(workdir, capfd):
+def test_readme_library_use_runs(workdir, monkeypatch, capfd):
+    """The README's example and `run` then `collect` on the same inputs leave
+    the same files, byte for byte, apart from the summary's job times."""
     text = README.read_text(encoding="utf-8")
     code = re.search(r"## Library use\n.*?```python\n(.*?)```", text, re.DOTALL).group(1)
-    (workdir / "template.txt").write_text("x = {x}\ny = {y}\n", encoding="utf-8")
-    exec(compile(code, "README.md", "exec"), {})  # ./model does not exist: every job fails
-    rows = (workdir / "demo_results.csv").read_text(encoding="utf-8").splitlines()
-    assert rows[0] == "x,y,value" and rows.count(rows[0]) == 1
-    assert len(rows) == 1 + 6
+    trees = []
+    for directory in ("library", "cli"):
+        (workdir / directory).mkdir()
+        monkeypatch.chdir(workdir / directory)
+        Path("template.txt").write_text("x = {x}\ny = {y}\n", encoding="utf-8")
+        Path("sweep.json").write_text('{"type": "cartesian", "parameters": {"x": [1, 2, 3], "y": [0.1, 0.2]}}')
+        if directory == "library":
+            exec(compile(code, "README.md", "exec"), {})  # ./model does not exist: every job fails
+        else:
+            run = ["--command", "./model {sim_id}", "--config", "params_{sim_id}.nml", "--template", "template.txt"]
+            assert main(["run", *run, "--sweep-file", "sweep.json", "--name", "demo", "--max-parallel", "4"]) == 3
+            assert main(["collect", "demo_mapping.json"]) == 4
+        files = {path.name: path.read_bytes() for path in Path().iterdir()}
+        files["demo_summary.json"] = re.sub(
+            rb'("(?:started_at|finished_at|duration)": )[^,\n]*', rb"\1...", files["demo_summary.json"]
+        )
+        trees.append(files)
+    library, cli = trees
+    assert len(library) == 2 + 6 + 4  # the inputs, the configs, the mapping, summary, CSV and report
+    assert library == cli
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -619,6 +619,21 @@ class TestRunPipeline:
         }
         assert [j["exit_code"] for j in summary["jobs"]] == [0, 1, 0]
 
+    def test_failed_lines_come_from_the_pass_that_writes_the_summary(self, workdir, monkeypatch, capsys):
+        from sweeprun import run
+
+        dispatch_all = run.dispatch_all
+        # the real records, as a generator: a second pass over them finds none
+        monkeypatch.setattr(run, "dispatch_all", lambda jobs, config: (r for r in dispatch_all(jobs, config)))
+        write_json(workdir / "sweep.json", {"type": "set", "sets": [{"code": 2}, {"code": 0}, {"code": 3}]})
+        (workdir / "template.txt").write_text("code={code}\n", encoding="utf-8")
+        argv = [
+            "run", "--command", "exit {code} # {sim_id}", "--config", "conf_{sim_id}.txt",
+            "--template", "template.txt", "--sweep-file", "sweep.json", "--name", "fails",
+        ]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "  failed: 0 (exit code 2)\n  failed: 2 (exit code 3)\n"
+
     def test_scheduler_dry_run_writes_scripts(self, workdir, tiny_setup):
         argv = list(tiny_setup)
         argv[argv.index("--command") + 1] = "./model {sim_id}"
@@ -649,9 +664,10 @@ class TestRunPipeline:
         assert {j["scheduler_job_id"] for j in summary["jobs"]} == {"99"}
         assert (workdir / "tiny_0.sh").exists() and (workdir / "tiny_1.sh").exists()
 
-    def test_partial_submission_keeps_its_summary(self, workdir, tiny_setup, capsys):
-        spec = {"type": "cartesian", "parameters": {"a": [1, 2, 3, 4], "b": [10]}}
-        write_json(workdir / "sweep.json", spec)
+    @staticmethod
+    def queue_full_at_the_third_submit(workdir) -> str:
+        """A four-job sweep and a submit command that fails on its third call."""
+        write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": {"a": [1, 2, 3, 4], "b": [10]}})
         fake = workdir / "fake_sbatch.sh"
         fake.write_text(
             "#!/bin/sh\n"
@@ -661,16 +677,37 @@ class TestRunPipeline:
             'echo "Submitted batch job 10$n"\n',
             encoding="utf-8",
         )
-        argv = list(tiny_setup)
-        argv[argv.index("--command") + 1] = "./model {sim_id}"
-        assert main(argv + ["--dispatcher", "slurm", "--submit-command", f"sh {fake}"]) == 2
-        assert "queue full" in capsys.readouterr().err
+        return f"sh {fake}"
+
+    @staticmethod
+    def assert_summary_lists_jobs_0_and_1(workdir):
         summary = json.loads((workdir / "tiny_summary.json").read_text())
         assert summary["counts"]["submitted"] == 2
         assert [(j["sim_id"], j["status"], j["scheduler_job_id"]) for j in summary["jobs"]] == [
             ("0", "submitted", "101"),
             ("1", "submitted", "102"),
         ]
+
+    def test_partial_submission_keeps_its_summary(self, workdir, tiny_setup, capsys):
+        submit = self.queue_full_at_the_third_submit(workdir)
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "./model {sim_id}"
+        assert main(argv + ["--dispatcher", "slurm", "--submit-command", submit]) == 2
+        assert "queue full" in capsys.readouterr().err
+        self.assert_summary_lists_jobs_0_and_1(workdir)
+
+    def test_partial_submission_through_run_sweep_keeps_its_summary(self, workdir, tiny_setup):
+        from sweeprun import DispatcherConfig, run_sweep
+        from sweeprun.errors import SchedulerError
+
+        submit = self.queue_full_at_the_third_submit(workdir)
+        config = DispatcherConfig(kind="slurm", submit_command=submit, sweep_name="tiny")
+        configs = [("conf_{sim_id}.txt", "template.txt")]
+        with pytest.raises(SchedulerError, match="queue full") as failure:
+            run_sweep(load_sweep_spec("sweep.json"), "./model {sim_id}", configs, config)
+        assert [record.sim_id for record in failure.value.records] == ["0", "1"]
+        assert failure.value.summary_path == Path("tiny_summary.json")
+        self.assert_summary_lists_jobs_0_and_1(workdir)
 
     def test_escaped_braces_in_command(self, workdir, tiny_setup):
         argv = list(tiny_setup)

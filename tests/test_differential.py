@@ -7,9 +7,12 @@ the collect report from their documented formats. Each drawn case runs
 twice in one directory, the second time with or without --overwrite, so the
 conflict check is compared as well; a case that left a mapping is then
 collected. Cases draw --strict, a submit command that fails at a drawn job,
-and a command that starts with or without the shell. One fixed case always
-runs a local `sh job.sh` command, which starts without the shell, on values
-that need quoting."""
+and a command that starts with or without the shell. A drawn flag sends a
+case through one `run_sweep` call instead of `main`; its outcome, mapped to
+an exit code as `main` maps it, and its files are checked against the same
+reference, and its status lines are not. One fixed case always runs a local
+`sh job.sh` command, which starts without the shell, on values that need
+quoting."""
 
 from __future__ import annotations
 
@@ -27,7 +30,9 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sweeprun import DispatcherConfig, load_sweep_spec, run_sweep
 from sweeprun.cli import main
+from sweeprun.errors import SchedulerError, SweepRunError
 
 NAME = "q"
 SUMMARY = f"{NAME}_summary.json"
@@ -40,6 +45,15 @@ DISPATCHERS = {
     "slurm": ["--dispatcher", "slurm", "--submit-command", SUBMIT],
     "slurm-dry": ["--dispatcher", "slurm", "--dry-run"],
     "slurm-fail": ["--dispatcher", "slurm", "--submit-command", "sh submit.sh"],
+}
+# the DispatcherConfig fields that each entry of DISPATCHERS sets
+CONFIGS = {
+    "dry": {"kind": "dry"},
+    "local": {"max_parallel": 2},
+    "local-dry": {"dry_run": True},
+    "slurm": {"kind": "slurm", "submit_command": SUBMIT},
+    "slurm-dry": {"kind": "slurm", "dry_run": True},
+    "slurm-fail": {"kind": "slurm", "submit_command": "sh submit.sh"},
 }
 SUMMARY_VOLATILE = ("started_at", "finished_at", "duration", "scheduler_job_id")
 
@@ -278,6 +292,7 @@ def cases(draw) -> dict:
     case["command"] = draw(st.sampled_from(["inline", "script"]))
     case["mapping_out"] = draw(st.sampled_from([None, "m.json", "out/m.json"]))
     case["second"] = draw(st.sampled_from(["again", "overwrite"]))
+    case["through"] = draw(st.sampled_from(["main", "run_sweep"]))
     return case
 
 
@@ -296,18 +311,42 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def through_run_sweep(case, command: str, overwrite: bool) -> int:
+    """One `run_sweep` call on the files `main` reads; the exit code `main`
+    maps its outcome to."""
+    config = DispatcherConfig(sweep_name=NAME, capture=case["capture"], **CONFIGS[case["dispatcher"]])
+    configs = [(pattern, f"t{k}.txt") for k, pattern in enumerate(case["configs"])]
+    try:
+        outcome = run_sweep(
+            load_sweep_spec("sweep.json"), command, configs, config, mapping_out=case["mapping_out"],
+            overwrite=overwrite, strict=case["strict"], warn=lambda message: None,
+        )
+    except SchedulerError:
+        return 2
+    except SweepRunError:
+        return 1
+    return 3 if outcome.failed else 0
+
+
 # a local `sh job.sh` run, which starts without the shell, on values that need quoting
 QUOTED_SETS = [{"n": 1, "s": "a b"}, {"n": 2, "s": '"$é'}]
 QUOTED_SCRIPT_CASE = {
     "spec": {"type": "set", "sets": QUOTED_SETS}, "sets": QUOTED_SETS, "coords": None,
     "configs": ["c_{sim_id}.txt"], "used": [["n", "s"]], "dispatcher": "local", "fail_at": 0,
     "strict": False, "capture": True, "command": "script", "mapping_out": None, "second": "overwrite",
+    "through": "main",
+}
+# a submit command that fails at the second job, through `run_sweep`
+FAILED_SUBMIT_CASE = {
+    **QUOTED_SCRIPT_CASE, "configs": ["c_{sim_id}.txt", "cfg/{n}_{sim_id}.txt"], "used": [["n"], ["s"]],
+    "dispatcher": "slurm-fail", "fail_at": 1, "command": "inline", "second": "again", "through": "run_sweep",
 }
 
 
 @settings(deadline=None, max_examples=100)
 @given(case=cases())
 @example(case=QUOTED_SCRIPT_CASE)
+@example(case=FAILED_SUBMIT_CASE)
 def test_run_leaves_what_the_reference_predicts(case):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
@@ -316,7 +355,8 @@ def test_run_leaves_what_the_reference_predicts(case):
             Path("out").mkdir()
             Path("sweep.json").write_text(json.dumps(case["spec"]), encoding="utf-8")
             names = list(case["sets"][0] if case["sets"] else case["coords"])
-            argv = ["run", "--command", command_for(names, case["command"]), "--sweep-file", "sweep.json", "--name", NAME]
+            command = command_for(names, case["command"])
+            argv = ["run", "--command", command, "--sweep-file", "sweep.json", "--name", NAME]
             if case["command"] == "script":
                 Path("job.sh").write_text(JOB_SH, encoding="utf-8")
             for k, (pattern, used) in enumerate(zip(case["configs"], case["used"])):
@@ -331,7 +371,10 @@ def test_run_leaves_what_the_reference_predicts(case):
             files = tree()
             for overwrite in (False, case["second"] == "overwrite"):
                 code, files, summary, out, err = expected_run(case, files, overwrite)
-                assert run(argv + ["--overwrite"] * overwrite) == (code, out, err)
+                if case["through"] == "main":
+                    assert run(argv + ["--overwrite"] * overwrite) == (code, out, err)
+                else:
+                    assert through_run_sweep(case, command, overwrite) == code
                 found = tree()
                 if summary is not None:
                     assert normalized(json.loads(found[SUMMARY])) == summary

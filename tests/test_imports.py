@@ -18,6 +18,15 @@ MODULES_AFTER_MAIN = (
     "code = main(sys.argv[1:])\n"
     "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
 )
+# one dry `run_sweep` call on tiny_setup's files from `import sweeprun`, then the loaded modules
+MODULES_AFTER_RUN_SWEEP = (
+    "import json, sys, sweeprun\n"
+    "config = sweeprun.DispatcherConfig(kind='dry', sweep_name='tiny')\n"
+    "sweep = sweeprun.load_sweep_spec('sweep.json')\n"
+    "outcome = sweeprun.run_sweep(sweep, 'true {sim_id}', [('conf_{sim_id}.txt', 'template.txt')], config)\n"
+    "code = 0 if outcome.counts['dry_run'] == 2 else 1\n"
+    "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+)
 
 NEVER_ON_COLLECT = {
     "sweeprun.dispatch", "sweeprun.filters", "sweeprun.run", "subprocess", "concurrent.futures", "shlex"
@@ -25,8 +34,8 @@ NEVER_ON_COLLECT = {
 NEVER_ON_DRY_RUN = {"sweeprun.collect", "sweeprun.filters", "subprocess", "concurrent.futures"}
 
 
-def modules_after(argv: list[str], cwd) -> tuple[int, set[str]]:
-    proc = run_python(["-c", MODULES_AFTER_MAIN, *argv], cwd)
+def modules_after(argv: list[str], cwd, script: str = MODULES_AFTER_MAIN) -> tuple[int, set[str]]:
+    proc = run_python(["-c", script, *argv], cwd)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     return result["code"], set(result["modules"])
@@ -47,11 +56,14 @@ def test_collect_loads_neither_dispatch_nor_filters(workdir, tiny_setup, capsys)
 
 
 @pytest.mark.parametrize(
-    "options", [["--dispatcher", "dry"], ["--dry-run"], ["--dispatcher", "slurm", "--dry-run"]],
-    ids=["dry", "local-dry-run", "slurm-dry-run"],
+    "options", [["--dispatcher", "dry"], ["--dry-run"], ["--dispatcher", "slurm", "--dry-run"], None],
+    ids=["dry", "local-dry-run", "slurm-dry-run", "run_sweep"],
 )
 def test_dry_run_starts_no_process_machinery(workdir, tiny_setup, options):
-    code, modules = modules_after([*tiny_setup, *options], workdir)
+    if options is None:
+        code, modules = modules_after([], workdir, MODULES_AFTER_RUN_SWEEP)
+    else:
+        code, modules = modules_after([*tiny_setup, *options], workdir)
     assert code == 0
     assert "sweeprun.dispatch" in modules
     assert modules & NEVER_ON_DRY_RUN == set()

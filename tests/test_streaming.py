@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 from sweeprun import files, filters
 from sweeprun.cli import main
 from sweeprun.collect import REPORT_SCHEMA, collect_scalars, export_csv
-from sweeprun.dispatch import JobRecord
+from sweeprun.dispatch import DispatcherConfig, JobRecord
 from sweeprun.mapping import build_mapping, read_mapping, serialize, sim_ids
-from sweeprun.run import SUMMARY_SCHEMA, _write_summary
+from sweeprun.run import SUMMARY_SCHEMA, Plan, record
 from sweeprun.sweeps import CartesianSweep, SetSweep
 
 
@@ -41,6 +41,14 @@ def traced_peak(call) -> tuple[object, int]:
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def write_summary(name: str, kind: str, records) -> tuple[Path, dict, list]:
+    """`run.record` of `records` for sweep `name`: (summary path, counts, failed records)."""
+    path = Path(f"{name}_summary.json")
+    config = DispatcherConfig(kind=kind, sweep_name=name)
+    outcome = record(Plan(None, config, "", [], Path(f"{name}_mapping.json"), path), iter(records))
+    return path, outcome.counts, outcome.failed
 
 
 def reference_summary(name: str, kind: str, records) -> str:
@@ -112,8 +120,7 @@ class TestSummaryWriter:
     @pytest.mark.parametrize("name", ["sweep", 'q"é ☃'])
     def test_streamed_summary_equals_one_dump(self, workdir, count, name):
         records = RECORDS[:count]
-        path = Path(f"{name}_summary.json")
-        _write_summary(path, name, "local", iter(records))
+        path, _, _ = write_summary(name, "local", records)
         assert path.read_bytes() == reference_summary(name, "local", records).encode("utf-8")
 
     def test_failed_first_submission_writes_an_empty_job_list(self, workdir, tiny_setup, capsys):
@@ -132,10 +139,10 @@ class TestSummaryWriter:
     )
     def test_summary_of_drawn_records_equals_one_dump(self, name, kind, records):
         with tempfile.TemporaryDirectory() as directory, contextlib.chdir(directory):
-            path = Path(f"{name}_summary.json")
-            counts = _write_summary(path, name, kind, iter(records))
+            path, counts, failed = write_summary(name, kind, records)
             assert path.read_bytes() == reference_summary(name, kind, records).encode("utf-8")
         assert counts == json.loads(reference_summary(name, kind, records))["counts"]
+        assert failed == [r for r in records if r.failed]
 
     @pytest.mark.parametrize("dispatcher", ["dry", "local"])
     def test_run_summary_is_laid_out_as_one_dump(self, workdir, tiny_setup, dispatcher):
