@@ -137,10 +137,9 @@ def _cmd_collect(args) -> int:
     from .collect import write_results
 
     mapping = read_mapping(args.mapping_file)
-    csv_path = Path(args.csv_out or f"{mapping.sweep_name}_results.csv")
-    report_path = Path(args.report_out or f"{mapping.sweep_name}_collect_report.json")
-    issues = write_results(mapping, Path(args.mapping_file), args.output_pattern, csv_path, report_path)
-    _status(f"collected {len(mapping) - len(issues)}/{len(mapping)} value(s) into {csv_path}")
+    results = write_results(mapping, Path(args.mapping_file), args.output_pattern, args.csv_out, args.report_out)
+    issues, report_path = results.issues, results.report_path
+    _status(f"collected {len(mapping) - len(issues)}/{len(mapping)} value(s) into {results.csv_path}")
     if issues:
         for issue in issues[:STDERR_ISSUE_LIMIT]:
             _status(f"  missing {issue.sim_id}: {issue.reason} ({issue.path})", sys.stderr)

@@ -31,7 +31,7 @@ from typing import Iterator, TextIO
 from . import files, templates
 from .mapping import CartesianMapping, Mapping, cells
 
-__all__ = ["CollectIssue", "CollectedScalars", "collect_scalars", "export_csv", "write_results"]
+__all__ = ["CollectIssue", "CollectedScalars", "Results", "collect_scalars", "export_csv", "write_results"]
 
 REPORT_SCHEMA = "sweep-collect-report/1"
 
@@ -171,13 +171,30 @@ def export_csv(collected: CollectedScalars) -> str:
     return buffer.getvalue()
 
 
+@dataclass(frozen=True)
+class Results:
+    """What `write_results` wrote, and the issues it found in mapping order."""
+
+    csv_path: Path
+    report_path: Path
+    issues: list[CollectIssue]
+
+
 def write_results(
-    mapping: Mapping, mapping_path: Path, output_pattern: str, csv_path: Path, report_path: Path
-) -> list[CollectIssue]:
+    mapping: Mapping,
+    mapping_path: Path,
+    output_pattern: str,
+    csv_path: str | Path | None = None,
+    report_path: str | Path | None = None,
+) -> Results:
     """Check the three paths with `files.require_documents`, then harvest as
-    `collect_scalars` does into `csv_path`, the text `export_csv` would
-    return, one row as each output is read, and write the report. Returns
-    the issues, the only thing kept per simulation."""
+    `collect_scalars` does into `csv_path` (by default
+    <sweep_name>_results.csv), the text `export_csv` would return, one row as
+    each output is read, and write the report (by default
+    <sweep_name>_collect_report.json). The issues are the only thing kept per
+    simulation."""
+    csv_path = Path(csv_path or f"{mapping.sweep_name}_results.csv")
+    report_path = Path(report_path or f"{mapping.sweep_name}_collect_report.json")
     taken = files.require_documents(
         {"MAPPING": mapping_path, "--csv-out": csv_path, "--report-out": report_path}
     )
@@ -197,4 +214,4 @@ def write_results(
     report = {"schema": REPORT_SCHEMA, "sweep_name": mapping.sweep_name, "total": len(mapping)}
     report.update(collected=len(mapping) - len(issues), missing=[asdict(issue) for issue in issues])
     files.write_atomic(report_path, json.dumps(report, indent=2) + "\n")
-    return issues
+    return Results(csv_path, report_path, issues)

@@ -38,7 +38,8 @@ Scheduler modes write one batch script per job and submit each with
 Submission never waits for job completion. The scheduler job ID is taken
 from the submit command's standard output as the first whitespace-delimited
 token containing a digit (a documented heuristic that covers sbatch and
-qsub).
+qsub). A submit's output is read from files when it exits, so output that a
+process it left running writes later is not part of it.
 
 A dry run (kind "dry", or dry_run with any kind) is one generator: it
 writes each batch script (slurm/pbs) and makes each record as it is read.
@@ -305,23 +306,47 @@ def _parse_scheduler_job_id(stdout: str) -> str | None:
     return None
 
 
+def _output(file, encoding: str) -> str:
+    """What ``text=True`` makes of the bytes a process wrote to `file`:
+    strictly decoded, with universal newlines."""
+    file.seek(0)
+    return file.read().decode(encoding).replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _dispatch_scheduler(jobs: list[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
+    """Submit each job in turn. Every submit writes its standard output and
+    error to one pair of unlinked files made beside the first batch script,
+    emptied before each submit and read when it exits."""
+    import locale
+    import tempfile
+    from contextlib import ExitStack
+
     records: list[JobRecord] = []
     submit = config.resolved_submit_command
     launch = _launcher(jobs)
-    for job in jobs:
-        script_path = _write_batch_script(job, config)
-        started = _now_iso()
-        t0 = time.monotonic()
-        try:
-            proc = launch(f"{submit} {shlex.quote(str(script_path))}", job.workdir, capture_output=True, text=True)
-        except OSError as exc:
-            raise SchedulerError(job.sim_id, f"could not run {submit!r}: {exc}", records) from exc
-        if proc.returncode != 0:
-            detail = proc.stderr.strip() or proc.stdout.strip() or "no output"
-            raise SchedulerError(job.sim_id, f"{submit!r} exited with {proc.returncode}: {detail}", records)
-        job_id = _parse_scheduler_job_id(proc.stdout) or "unknown"
-        records.append(_record(job, "submitted", started, t0, scheduler_job_id=job_id))
+    encoding = locale.getpreferredencoding(False)  # what text=True decodes with
+    with ExitStack() as stack:
+        outputs = []
+        for job in jobs:
+            script_path = _write_batch_script(job, config)
+            if not outputs:
+                outputs = [stack.enter_context(tempfile.TemporaryFile(dir=job.workdir)) for _ in range(2)]
+            for file in outputs:
+                file.seek(0)
+                file.truncate()
+            started = _now_iso()
+            t0 = time.monotonic()
+            line = f"{submit} {shlex.quote(str(script_path))}"
+            try:
+                proc = launch(line, job.workdir, stdout=outputs[0], stderr=outputs[1])
+            except OSError as exc:
+                raise SchedulerError(job.sim_id, f"could not run {submit!r}: {exc}", records) from exc
+            stdout, stderr = (_output(file, encoding) for file in outputs)
+            if proc.returncode != 0:
+                detail = stderr.strip() or stdout.strip() or "no output"
+                raise SchedulerError(job.sim_id, f"{submit!r} exited with {proc.returncode}: {detail}", records)
+            job_id = _parse_scheduler_job_id(stdout) or "unknown"
+            records.append(_record(job, "submitted", started, t0, scheduler_job_id=job_id))
     return records
 
 

@@ -28,7 +28,7 @@ import operator
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import (
     FilterArithmeticError,
@@ -48,6 +48,7 @@ __all__ = [
     "parse",
     "free_variables",
     "evaluate",
+    "prune",
 ]
 
 
@@ -452,3 +453,107 @@ def _compile(node: FilterExpr) -> Callable[[Mapping], object]:
             raise FilterArithmeticError(str(exc)) from None
 
     return arithmetic
+
+
+# ---------------------------------------------------------------------------
+# pruning: a filter that cannot raise on a grid is tested conjunct by conjunct
+
+_VALUE_KINDS = frozenset({int, float, str})
+_BOOLEAN = frozenset({bool})
+_INT_LIMIT = 2**1023  # an integer below this becomes a real without overflow
+
+
+class _Unproven(Exception):
+    """The static check cannot prove that a node never raises on the grid."""
+
+
+def _kinds(node: FilterExpr, axes: Mapping) -> tuple[frozenset, int]:
+    """The exact types `node` takes over the grid `axes` (name -> values) and
+    a bound on the magnitude of its integer values. Raises _Unproven where an
+    operator could get an operand it rejects, at a ``/``, and where an integer
+    mixed with a real could reach _INT_LIMIT."""
+    if isinstance(node, (NumberLit, TextLit, Var)):
+        values = axes.get(node.name, ()) if isinstance(node, Var) else (node.value,)
+        kinds = frozenset(map(type, values))
+        if not kinds or not kinds <= _VALUE_KINDS:  # a subclass is not proven
+            raise _Unproven
+        return kinds, max((abs(v) for v in values if type(v) is int), default=0)
+    if isinstance(node, Unary):
+        kinds, bound = _kinds(node.operand, axes)
+        if kinds <= (_BOOLEAN if node.op == "not" else _PLAIN_NUMBERS):
+            return kinds, bound
+        raise _Unproven
+    left, left_bound = _kinds(node.left, axes)
+    right, right_bound = _kinds(node.right, axes)
+    both = left | right
+    if node.op in ("and", "or") and both <= _BOOLEAN:
+        return _BOOLEAN, 0
+    if node.op in _COMPARISONS and (both <= _PLAIN_NUMBERS or both == {str}):
+        return _BOOLEAN, 0  # an integer compares with a real exactly
+    if node.op in ("add", "sub", "mul") and both <= _PLAIN_NUMBERS:
+        if (int in left and float in right and left_bound >= _INT_LIMIT) or (
+            float in left and int in right and right_bound >= _INT_LIMIT
+        ):
+            raise _Unproven
+        bound = left_bound * right_bound if node.op == "mul" else left_bound + right_bound
+        kinds = {int} if int in left and int in right else set()
+        return frozenset(kinds | (both & {float})), min(bound, _INT_LIMIT)
+    raise _Unproven
+
+
+def _conjuncts(expr: FilterExpr) -> list[FilterExpr]:
+    """The operands of `expr`'s top-level ``and`` chain, left to right."""
+    if isinstance(expr, Binary) and expr.op == "and":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [expr]
+
+
+def prune(expr: FilterExpr, parameters: Mapping[str, tuple]) -> Iterator[dict] | None:
+    """The sets of the grid `parameters` (name -> values, declaration order)
+    that `expr` keeps, one at a time in row-major order; None when a static
+    check cannot prove that no part of `expr` raises on any grid point.
+
+    A proven filter is true exactly where each conjunct of its ``and`` chain
+    is. A conjunct over one parameter is tested once per value of that axis
+    and shrinks it before enumeration; any other is tested once per
+    combination of the parameters up to its last one, and where it is false
+    the whole sub-grid below is skipped. Every test calls `evaluate`.
+    """
+    try:
+        if _kinds(expr, parameters)[0] != _BOOLEAN:
+            return None
+        conjuncts = _conjuncts(expr)
+    except (_Unproven, RecursionError):
+        return None
+    names = list(parameters)
+    axes = {name: list(values) for name, values in parameters.items()}
+    tests: list[list[FilterExpr]] = [[] for _ in names]  # by the position of their last parameter
+    for conjunct in conjuncts:
+        used = free_variables(conjunct)
+        if len(used) == 1:
+            [name] = used
+            axes[name] = [value for value in axes[name] if evaluate(conjunct, {name: value})]
+        elif not used:
+            if not evaluate(conjunct, {}):
+                return iter(())
+        else:
+            tests[max(map(names.index, used))].append(conjunct)
+    if not all(axes.values()):
+        return iter(())
+    env: dict = {}
+    last = len(names) - 1
+
+    def sets(k: int) -> Iterator[dict]:
+        name, here = names[k], tests[k]
+        for value in axes[name]:
+            env[name] = value  # the names enter env in declaration order
+            for conjunct in here:
+                if not evaluate(conjunct, env):
+                    break
+            else:
+                if k == last:
+                    yield dict(env)
+                else:
+                    yield from sets(k + 1)
+
+    return sets(0)

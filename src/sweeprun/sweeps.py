@@ -332,6 +332,9 @@ class FilteredCartesianSweep(CartesianSweep):
     def _survivors(self) -> Iterator[ParameterSet]:
         from . import filters
 
+        pruned = filters.prune(self.filter, self.parameters)
+        if pruned is not None:  # the filter cannot raise: tested conjunct by conjunct
+            return pruned
         # each grid point is tested as it is made, so rejected sets are never held
         return (params for params in super().iter_sets() if filters.evaluate(self.filter, params))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import subprocess
 import time
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from sweeprun.dispatch import (
     DispatcherConfig,
     JobRecord,
     JobSpec,
+    _parse_scheduler_job_id,
     batch_script_path,
     dispatch_all,
     render_batch_script,
@@ -206,6 +208,51 @@ class TestSchedulerDispatch:
         config = DispatcherConfig(kind="slurm", submit_command="sh fake.sh", sweep_name="demo")
         records = dispatch_all([_job("000", "./model", home)], config)
         assert [(r.status, r.scheduler_job_id) for r in records] == [("submitted", "71")]
+
+    @pytest.mark.parametrize(
+        "output",
+        [
+            "Submitted batch job 42\\r\\nfile d\\047attente: été\\n",
+            "n°42 soumis\\r\\nSubmitted batch job 42\\r\\n",
+        ],
+        ids=["ascii-first", "non-ascii-first"],
+    )
+    def test_submit_output_reads_as_text_mode_reads_it(self, workdir, output):
+        (workdir / "submit.sh").write_text(f"printf '{output}'\n", encoding="utf-8")
+        config = DispatcherConfig(kind="slurm", submit_command="sh submit.sh", sweep_name="demo")
+        [record] = dispatch_all([_job("000", "./model", workdir)], config)
+        piped = subprocess.run(["sh", "submit.sh", "demo_000.sh"], cwd=workdir, capture_output=True, text=True)
+        assert record.scheduler_job_id == _parse_scheduler_job_id(piped.stdout)
+        assert sorted(path.name for path in workdir.iterdir()) == ["demo_000.sh", "submit.sh"]
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "printf 'ok\\n'; printf 'queue full é\\r\\n  retry\\r' >&2; exit 3",
+            "printf '\\r\\nrejected: n°5\\r\\n'; exit 1",
+            "exit 2",
+        ],
+        ids=["stderr", "stdout-only", "no-output"],
+    )
+    def test_failing_submit_message_reads_as_text_mode_reads_it(self, workdir, script):
+        (workdir / "submit.sh").write_text(script + "\n", encoding="utf-8")
+        config = DispatcherConfig(kind="slurm", submit_command="sh submit.sh", sweep_name="demo")
+        with pytest.raises(SchedulerError) as failure:
+            dispatch_all([_job("000", "./model", workdir)], config)
+        piped = subprocess.run(["sh", "submit.sh", "demo_000.sh"], cwd=workdir, capture_output=True, text=True)
+        detail = piped.stderr.strip() or piped.stdout.strip() or "no output"
+        assert str(failure.value) == str(
+            SchedulerError("000", f"'sh submit.sh' exited with {piped.returncode}: {detail}", ())
+        )
+
+    def test_each_submit_reads_only_its_own_output(self, workdir):
+        (workdir / "submit.sh").write_text(
+            'case "$1" in *_000.sh) echo "Submitted batch job 1234567 on a long line";; *) echo queued;; esac\n',
+            encoding="utf-8",
+        )
+        config = DispatcherConfig(kind="slurm", submit_command="sh submit.sh", sweep_name="demo")
+        records = dispatch_all([_job("000", "./model", workdir), _job("001", "./model", workdir)], config)
+        assert [r.scheduler_job_id for r in records] == ["1234567", "unknown"]
 
     def test_dry_run_writes_scripts_but_never_submits(self, workdir, fake_scheduler):
         submit, log = fake_scheduler

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sweeprun.errors import (
+    EmptySweepError,
     FilterArithmeticError,
     FilterTypeError,
     SweepRunError,
@@ -18,9 +19,9 @@ from sweeprun.errors import (
     UnboundVariableError,
     UnfilledPlaceholderError,
 )
-from sweeprun.filters import Binary, NumberLit, TextLit, Unary, Var, evaluate, parse
+from sweeprun.filters import Binary, NumberLit, TextLit, Unary, Var, evaluate, free_variables, parse, prune
 from sweeprun.mapping import AssociationMapping, build_mapping, cells
-from sweeprun.sweeps import CartesianSweep
+from sweeprun.sweeps import CartesianSweep, FilteredCartesianSweep
 from sweeprun.templates import extract_placeholders, format_grid, format_value, render
 
 BIG = "1" + "0" * 400  # an integer literal too large for a 64-bit real
@@ -364,3 +365,53 @@ def _evaluation(fn, expr, env):
 @given(_trees(6), ENVS)
 def test_evaluate_agrees_with_reference(expr, env):
     assert _evaluation(evaluate, expr, env) == _evaluation(_reference_evaluate, expr, env)
+
+
+# ---------------------------------------------------------------------------
+# a pruned filtered sweep against testing every grid point with the reference
+
+AXIS_INTS = st.one_of(st.integers(-3, 3), st.sampled_from([10**400, _Int(2)]))
+AXIS_REALS = st.one_of(st.floats(-4, 4), st.sampled_from([1.5, 1e308, _Real(0.5)]))
+
+
+def _axis(values):
+    return st.lists(values, min_size=1, max_size=3, unique_by=lambda v: (type(v), v))
+
+
+# mostly the kind the trees use each name for, so that many filters pass the static check
+MIXED_AXES = _axis(st.one_of(AXIS_INTS, AXIS_REALS, TEXTS))
+NUMBER_AXES = st.one_of(_axis(AXIS_INTS), _axis(AXIS_REALS), MIXED_AXES)
+TEXT_AXES = st.one_of(_axis(TEXTS), MIXED_AXES)
+
+
+def _reference_sets(parameters, expr):
+    grid = CartesianSweep(parameters)
+    kept = [params for params in grid.iter_sets() if _reference_evaluate(expr, params)]
+    if not kept:
+        raise EmptySweepError(f"filter rejected all {grid.length()} parameter sets; nothing to run")
+    return kept
+
+
+@settings(deadline=None, max_examples=400)
+@given(_trees(5), st.data())
+def test_pruned_sweep_agrees_with_testing_every_point(expr, data):
+    used = sorted(free_variables(expr))
+    assume(len(used) <= 3)
+    unused = [name for name in ("x", "y", "z", "s") if name not in used]
+    extra = data.draw(st.lists(st.sampled_from(unused), unique=True, max_size=3 - len(used)))
+    names = data.draw(st.permutations(used + extra))
+    assume(names)
+    parameters = {name: data.draw(TEXT_AXES if name == "s" else NUMBER_AXES) for name in names}
+    expected = _evaluation(_reference_sets, parameters, expr)
+    sweep = FilteredCartesianSweep(parameters, expr)
+    refused = prune(sweep.filter, sweep.parameters) is None
+    per_point = []
+    real_iter_sets = CartesianSweep.iter_sets
+    CartesianSweep.iter_sets = lambda self: per_point.append(1) or real_iter_sets(self)
+    try:
+        assert _evaluation(lambda sweep, _: sweep.generate(), sweep, None) == expected
+    finally:
+        CartesianSweep.iter_sets = real_iter_sets
+    assert bool(per_point) == refused
+    if expected[0] is not EmptySweepError and expected[0] != "returned":
+        assert refused  # a filter that raises on the grid is never pruned
