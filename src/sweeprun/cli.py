@@ -183,7 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sweep-file", required=True, metavar="FILE", help="JSON sweep spec")
     run.add_argument("--name", default="sweep", help="sweep name used in output filenames")
     run.add_argument("--dispatcher", choices=DISPATCHER_KINDS, default="local")
-    run.add_argument("--max-parallel", type=int, metavar="N", help="local pool size (default: usable CPUs)")
+    run.add_argument(
+        "--max-parallel", type=int, metavar="N", help="at most N local jobs at once (default: usable CPUs)"
+    )
     run.add_argument("--seed", type=int, help="override the sweep file's random seed")
     run.add_argument("--strict", action="store_true", help="unused parameters become errors")
     run.add_argument("--overwrite", action="store_true", help="replace files from a previous sweep")

@@ -1,4 +1,4 @@
-"""Job dispatch: local bounded-parallel execution, batch-scheduler submission, dry runs.
+"""Job dispatch: local jobs (at most max_parallel at once), batch-scheduler submission, dry runs.
 
 A command means what ``/bin/sh -c <command>`` makes of it, so the sweep
 author's command string is honored verbatim (including pipes and
@@ -43,8 +43,8 @@ process it left running writes later is not part of it.
 
 A dry run (kind "dry", or dry_run with any kind) is one generator: it
 writes each batch script (slurm/pbs) and makes each record as it is read.
-``subprocess`` and the thread pool are imported where a dispatch starts its
-first process, so a dry run loads neither.
+``subprocess`` is imported where a dispatch starts its first process, so a
+dry run does not load it.
 """
 
 from __future__ import annotations
@@ -307,10 +307,12 @@ def _parse_scheduler_job_id(stdout: str) -> str | None:
 
 
 def _output(file, encoding: str) -> str:
-    """What ``text=True`` makes of the bytes a process wrote to `file`:
-    strictly decoded, with universal newlines."""
+    """What ``text=True`` makes of the bytes a process wrote to `file`, with
+    universal newlines, except that a byte `encoding` cannot decode becomes
+    U+FFFD instead of an error."""
     file.seek(0)
-    return file.read().decode(encoding).replace("\r\n", "\n").replace("\r", "\n")
+    text = file.read().decode(encoding, errors="replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _dispatch_scheduler(jobs: list[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
@@ -359,29 +361,79 @@ def _dry_run(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterator[JobR
         yield _record(job, "dry_run")
 
 
+def _dispatch_local(jobs: list[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
+    """Run `jobs` on the calling thread and on max_parallel - 1 helper
+    threads (none at max_parallel 1), each taking the next job in order when
+    its last one ends; the records are kept by index. The first exception a
+    job raises, on any thread, stops the handing-out of jobs and is raised
+    here once every helper has ended. On the main thread under Python's own
+    SIGINT handler, a SIGINT stops the handing-out as it arrives, not when
+    the KeyboardInterrupt leaves ``subprocess.run``, which first waits up to
+    0.25 s for its child."""
+    import signal
+    import threading
+
+    launch = _launcher(jobs)
+    records: list[JobRecord | None] = [None] * len(jobs)
+    todo = enumerate(jobs)
+    lock = threading.Lock()
+    raised: list[BaseException] = []  # nonempty once the handing-out has stopped
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    item = None if raised else next(todo, None)
+                if item is None:
+                    return
+                index, job = item
+                records[index] = _run_local_job(job, config, launch)
+        except BaseException as exc:
+            raised.append(exc)
+
+    def interrupt(signum, frame):  # Python's own SIGINT handler, stopping the handing-out first
+        raised.append(KeyboardInterrupt())
+        raise raised[-1]
+
+    slots = min(config.resolved_max_parallel, len(jobs))
+    helpers = [threading.Thread(target=work) for _ in range(slots - 1)]
+    previous = signal.getsignal(signal.SIGINT)
+    trap = previous is signal.default_int_handler and threading.current_thread() is threading.main_thread()
+    if trap:
+        signal.signal(signal.SIGINT, interrupt)
+    try:
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+    finally:
+        if trap:
+            signal.signal(signal.SIGINT, previous)
+    if raised:
+        raise raised[0]
+    return records
+
+
 def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[JobRecord]:
     """Execute or submit every job; one record per job, input order preserved.
 
     All configuration files must already be on disk (rendering and writing
     happen before any dispatch). Batch scripts and capture files are written
     over any file at their paths: `sweeprun.run_sweep` checks for conflicts
-    before its first write. Local jobs run on a pool of max_parallel
-    threads, each waiting on one job at a time; job failures are recorded,
-    never raised. A dispatch that runs nothing (kind "dry", or dry_run with
-    any kind) returns an iterator that reads `jobs` once, as its records are
-    read: it writes each job's batch script (slurm/pbs) and makes its record
-    then, and reports a repeated sim_id when it reaches it, so it holds no
-    record per job and has no len or index. Every other dispatch reads
-    `jobs` once, checks every sim_id before its first job and returns a list.
+    before its first write. Local jobs run at most max_parallel at once, on
+    the calling thread and max_parallel - 1 helper threads that each wait on
+    one job at a time; job failures are recorded, never raised. A dispatch
+    that runs nothing (kind "dry", or dry_run with any kind) returns an
+    iterator that reads `jobs` once, as its records are read: it writes each
+    job's batch script (slurm/pbs) and makes its record then, and reports a
+    repeated sim_id when it reaches it, so it holds no record per job and has
+    no len or index. Every other dispatch reads `jobs` once, checks every
+    sim_id before its first job and returns a list.
     """
     if config.kind == "dry" or config.dry_run:
         return _dry_run(jobs, config)
     jobs = list(_unique(jobs))
     if config.kind in ("slurm", "pbs"):
         return _dispatch_scheduler(jobs, config)
-    from concurrent.futures import ThreadPoolExecutor
-
-    launch = _launcher(jobs)
-    with ThreadPoolExecutor(max_workers=config.resolved_max_parallel) as pool:
-        futures = [pool.submit(_run_local_job, job, config, launch) for job in jobs]
-        return [f.result() for f in futures]
+    return _dispatch_local(jobs, config)

@@ -709,6 +709,34 @@ class TestRunPipeline:
         assert failure.value.summary_path == Path("tiny_summary.json")
         self.assert_summary_lists_jobs_0_and_1(workdir)
 
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_an_undecodable_submit_output_loses_no_job(self, workdir, tiny_setup, code, capsys):
+        """A byte the locale cannot decode reads as U+FFFD, so the submit's
+        exit code alone decides whether the run goes on."""
+        write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": {"a": [1, 2, 3, 4], "b": [10]}})
+        fake = workdir / "fake_sbatch.sh"
+        fake.write_text(
+            "#!/bin/sh\n"
+            "n=$(( $(cat calls 2>/dev/null || echo 0) + 1 ))\n"
+            "echo $n > calls\n"
+            f"if [ $n -eq 3 ]; then printf '\\377\\n' >&2; [ {code} -eq 0 ] || exit {code}; fi\n"
+            'echo "Submitted batch job 10$n"\n',
+            encoding="utf-8",
+        )
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "./model {sim_id}"
+        result = main(argv + ["--dispatcher", "slurm", "--submit-command", f"sh {fake}"])
+        if code:
+            assert result == 2
+            assert "exited with 1: \ufffd" in capsys.readouterr().err
+            self.assert_summary_lists_jobs_0_and_1(workdir)
+        else:
+            assert result == 0
+            summary = json.loads((workdir / "tiny_summary.json").read_text())
+            assert [(j["sim_id"], j["scheduler_job_id"]) for j in summary["jobs"]] == [
+                ("0", "101"), ("1", "102"), ("2", "103"), ("3", "104")
+            ]
+
     def test_escaped_braces_in_command(self, workdir, tiny_setup):
         argv = list(tiny_setup)
         argv[argv.index("--command") + 1] = "echo {{sim_id}} {sim_id}"

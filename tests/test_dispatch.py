@@ -1,15 +1,19 @@
-"""Dispatcher behavior: local pool, batch scripts, scheduler submission, dry runs."""
+"""Dispatcher behavior: local jobs, batch scripts, scheduler submission, dry runs."""
 
 from __future__ import annotations
 
 import os
 import subprocess
+import sys
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from stubmodel import read_high_water
+from sweeprun import dispatch
 from sweeprun.dispatch import (
     DispatcherConfig,
     JobRecord,
@@ -147,6 +151,69 @@ class TestLocalDispatch:
         jobs = [_job("0", "true", workdir), _job("0", "true", workdir)]
         with pytest.raises(ValueError, match="duplicate"):
             dispatch_all(jobs, DispatcherConfig())
+
+    def test_every_job_runs_once_under_thread_switches(self, workdir):
+        """More slots than CPUs and a thread switch every microsecond: each
+        job still runs once and its record lands at its own index."""
+        jobs = [_job(str(i), f"echo {i} >> ran", workdir) for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.sim_id for r in records] == [str(i) for i in range(200)]
+        assert all(r.succeeded for r in records)
+        assert sorted(map(int, (workdir / "ran").read_text().split())) == list(range(200))
+
+    def test_one_slot_starts_no_thread(self, workdir, monkeypatch):
+        def start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        jobs = [_job(str(i), "true", workdir) for i in range(3)]
+        records = dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=1))
+        assert [r.succeeded for r in records] == [True] * 3
+
+    def test_an_error_on_a_helper_thread_reaches_the_caller(self, workdir, monkeypatch):
+        """A job that raises something other than OSError (here a NUL in its
+        command) stops the dispatch, whichever thread ran it."""
+        run_local_job = dispatch._run_local_job
+        raised_on = []
+
+        def run(job, config, launch):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.2)  # so the helper takes every job after the first
+            try:
+                return run_local_job(job, config, launch)
+            except ValueError:
+                raised_on.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(dispatch, "_run_local_job", run)
+        jobs = [_job(str(i), "true", workdir) for i in range(9)] + [_job("9", "true \0", workdir)]
+        with pytest.raises(ValueError, match="null byte"):
+            dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=2))
+        assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+
+    def test_memory_held_per_job(self, workdir, monkeypatch):
+        """A local dispatch holds about a job and a record per simulation."""
+        monkeypatch.setenv("PWD", str(workdir))  # each job inherits the environment, as a user's run does
+        config = DispatcherConfig(kind="local", max_parallel=2)
+
+        def peak(count: int) -> int:
+            jobs = [_job(str(i), "/bin/true", workdir) for i in range(count)]
+            tracemalloc.start()
+            try:
+                records = dispatch_all(jobs, config)
+                assert len(records) == count
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # imports and first-use caches
+        per_job = (peak(1000) - peak(100)) / 900
+        assert per_job < 1024, f"{per_job:.0f} B per job"
 
 
 @pytest.fixture
