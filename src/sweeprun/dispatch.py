@@ -38,8 +38,10 @@ Scheduler modes write one batch script per job and submit each with
 Submission never waits for job completion. The scheduler job ID is taken
 from the submit command's standard output as the first whitespace-delimited
 token containing a digit (a documented heuristic that covers sbatch and
-qsub). A submit's output is read from files when it exits, so output that a
-process it left running writes later is not part of it.
+qsub). A submit's output is read as text from files when it exits, so
+output that a process it left running writes later is not part of it; it is
+decoded as ``text=True`` decodes a pipe, with U+FFFD for a byte the
+encoding cannot decode.
 
 A dry run (kind "dry", or dry_run with any kind) is one generator: it
 writes each batch script (slurm/pbs) and makes each record as it is read.
@@ -52,6 +54,7 @@ from __future__ import annotations
 import os
 import re
 import shlex
+import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -306,33 +309,28 @@ def _parse_scheduler_job_id(stdout: str) -> str | None:
     return None
 
 
-def _output(file, encoding: str) -> str:
-    """What ``text=True`` makes of the bytes a process wrote to `file`, with
-    universal newlines, except that a byte `encoding` cannot decode becomes
-    U+FFFD instead of an error."""
-    file.seek(0)
-    text = file.read().decode(encoding, errors="replace")
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def _dispatch_scheduler(jobs: list[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
     """Submit each job in turn. Every submit writes its standard output and
     error to one pair of unlinked files made beside the first batch script,
-    emptied before each submit and read when it exits."""
-    import locale
+    emptied before each submit and read when it exits, as ``text=True``
+    reads a pipe (its encoding, universal newlines) but with U+FFFD for a
+    byte that encoding cannot decode."""
     import tempfile
     from contextlib import ExitStack
 
     records: list[JobRecord] = []
     submit = config.resolved_submit_command
     launch = _launcher(jobs)
-    encoding = locale.getpreferredencoding(False)  # what text=True decodes with
+    # what text=True decodes with: UTF-8 in Python's UTF-8 mode (which the C
+    # locale turns on, though that locale's own encoding is ASCII), else the locale's
+    encoding = "utf-8" if sys.flags.utf8_mode else "locale"
     with ExitStack() as stack:
         outputs = []
         for job in jobs:
             script_path = _write_batch_script(job, config)
             if not outputs:
-                outputs = [stack.enter_context(tempfile.TemporaryFile(dir=job.workdir)) for _ in range(2)]
+                options = {"encoding": encoding, "errors": "replace", "dir": job.workdir}
+                outputs = [stack.enter_context(tempfile.TemporaryFile("w+", **options)) for _ in range(2)]
             for file in outputs:
                 file.seek(0)
                 file.truncate()
@@ -343,7 +341,9 @@ def _dispatch_scheduler(jobs: list[JobSpec], config: DispatcherConfig) -> list[J
                 proc = launch(line, job.workdir, stdout=outputs[0], stderr=outputs[1])
             except OSError as exc:
                 raise SchedulerError(job.sim_id, f"could not run {submit!r}: {exc}", records) from exc
-            stdout, stderr = (_output(file, encoding) for file in outputs)
+            for file in outputs:
+                file.seek(0)
+            stdout, stderr = (file.read() for file in outputs)
             if proc.returncode != 0:
                 detail = stderr.strip() or stdout.strip() or "no output"
                 raise SchedulerError(job.sim_id, f"{submit!r} exited with {proc.returncode}: {detail}", records)

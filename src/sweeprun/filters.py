@@ -1,9 +1,10 @@
 """Predicate language for filtered Cartesian sweeps.
 
 A filter is a boolean expression over the swept parameters, e.g.
-``x > y and not (mode == 'fast')``. This module provides the lexer, a
-recursive-descent parser producing an immutable AST, and an evaluator
-that compiles each AST once into a tree of closures.
+``x > y and not (mode == 'fast')``. This module provides the lexer (one
+regular expression), a precedence-climbing parser over one operator table
+producing an immutable AST, an evaluator that compiles each AST once into a
+tree of closures, and `prune`, the one walk of a filtered grid.
 
 Precedence, lowest to highest: ``or`` < ``and`` < ``not`` < comparisons
 (``< <= > >= == !=``, non-associative) < ``+ -`` < ``* /`` < unary minus.
@@ -86,14 +87,27 @@ FilterExpr = Union[NumberLit, TextLit, Var, Unary, Binary]
 MAX_DEPTH = 64
 
 _KEYWORDS = frozenset({"and", "or", "not"})
-_NUMBER_RE = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
-_ONE_CHAR_OPS = "<>+-*/()"
+# one token after any blanks, tried in this order; a lone quote or any other
+# character ("bad") is an error at that character, and "end" ends the input
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:(?P<text>'[^']*')"
+    r"|(?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op><=|>=|==|!=|[<>+\-*/()])"
+    r"|(?P<bad>.)|(?P<end>\Z))",
+    re.DOTALL,
+)
 
-_CMP_OPS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "==": "eq", "!=": "ne"}
-_ADD_OPS = {"+": "add", "-": "sub"}
-_MUL_OPS = {"*": "mul", "/": "div"}
+# binary operators by token text: (precedence, op), higher binding tighter,
+# all left-associative except the comparisons, which do not chain. A run of
+# ``not`` binds between ``and`` and the comparisons, unary minus above ``*``.
+_BINARY = {
+    "or": (1, "or"), "and": (2, "and"),
+    "<": (4, "lt"), "<=": (4, "le"), ">": (4, "gt"), ">=": (4, "ge"), "==": (4, "eq"), "!=": (4, "ne"),
+    "+": (5, "add"), "-": (5, "sub"), "*": (6, "mul"), "/": (6, "div"),
+}
+_NOT = 3
+_COMPARISON = 4
 
 
 @dataclass(frozen=True)
@@ -110,41 +124,23 @@ def _syntax_error(source: str, pos: int, message: str) -> FilterSyntaxError:
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "'":
-            j = source.find("'", i + 1)
-            if j == -1:
-                raise _syntax_error(source, i, "unterminated text literal")
-            tokens.append(_Token("text", source[i + 1 : j], i))
-            i = j + 1
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        two = source[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(_Token("op", two, i))
-            i += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise _syntax_error(source, i, f"unexpected character {c!r}")
-    tokens.append(_Token("end", "", n))
-    return tokens
+    while True:
+        m = _TOKEN_RE.match(source, i)
+        kind = m.lastgroup
+        if kind == "end":
+            tokens.append(_Token("end", "", len(source)))
+            return tokens
+        i = m.end()
+        text = m.group(kind)
+        if kind == "bad":
+            message = "unterminated text literal" if text == "'" else f"unexpected character {text!r}"
+            raise _syntax_error(source, m.start(kind), message)
+        tokens.append(_Token(kind, text[1:-1] if kind == "text" else text, m.start(kind)))
+
+
+def _binding(token: _Token) -> tuple[int, str]:
+    """(precedence, op) of `token` as a binary operator; precedence 0 if it is none."""
+    return (0, "") if token.kind == "text" else _BINARY.get(token.text, (0, ""))
 
 
 def _height(expr: FilterExpr) -> int:
@@ -184,70 +180,38 @@ class _Parser:
         return expr
 
     def parse(self) -> FilterExpr:
-        expr = self.parse_or()
+        expr = self.parse_expr(1)
         token = self.peek()
         if token.kind != "end":
             raise self.error(token, "end of input")
         return expr
 
-    def parse_or(self) -> FilterExpr:
-        expr = self.parse_and()
-        while self.peek().kind == "ident" and self.peek().text == "or":
-            token = self.advance()
-            expr = self.node(token, Binary("or", expr, self.parse_and()))
-        return expr
-
-    def parse_and(self) -> FilterExpr:
-        expr = self.parse_not()
-        while self.peek().kind == "ident" and self.peek().text == "and":
-            token = self.advance()
-            expr = self.node(token, Binary("and", expr, self.parse_not()))
-        return expr
-
-    def parse_not(self) -> FilterExpr:
-        nots = []
-        while self.peek().kind == "ident" and self.peek().text == "not":
-            nots.append(self.advance())
-        expr = self.parse_comparison()
-        for token in reversed(nots):
-            expr = self.node(token, Unary("not", expr))
-        return expr
-
-    def parse_comparison(self) -> FilterExpr:
-        left = self.parse_additive()
-        token = self.peek()
-        if token.kind == "op" and token.text in _CMP_OPS:
+    def parse_expr(self, floor: int) -> FilterExpr:
+        """Operands joined by the binary operators of precedence `floor` or higher."""
+        expr = self.parse_prefix(floor)
+        while True:
+            token = self.peek()
+            precedence, op = _binding(token)
+            if precedence < floor:
+                return expr
             self.advance()
-            right = self.parse_additive()
+            right = self.parse_expr(precedence + 1)
             again = self.peek()
-            if again.kind == "op" and again.text in _CMP_OPS:
-                raise _syntax_error(
-                    self.source, again.pos, "chained comparisons are not supported"
-                )
-            return self.node(token, Binary(_CMP_OPS[token.text], left, right))
-        return left
+            if precedence == _COMPARISON and _binding(again)[0] == _COMPARISON:
+                raise _syntax_error(self.source, again.pos, "chained comparisons are not supported")
+            expr = self.node(token, Binary(op, expr, right))
 
-    def parse_additive(self) -> FilterExpr:
-        expr = self.parse_multiplicative()
-        while self.peek().kind == "op" and self.peek().text in _ADD_OPS:
-            token = self.advance()
-            expr = self.node(token, Binary(_ADD_OPS[token.text], expr, self.parse_multiplicative()))
-        return expr
-
-    def parse_multiplicative(self) -> FilterExpr:
-        expr = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in _MUL_OPS:
-            token = self.advance()
-            expr = self.node(token, Binary(_MUL_OPS[token.text], expr, self.parse_unary()))
-        return expr
-
-    def parse_unary(self) -> FilterExpr:
-        minuses = []
-        while self.peek().kind == "op" and self.peek().text == "-":
-            minuses.append(self.advance())
-        expr = self.parse_atom()
-        for token in reversed(minuses):
-            expr = self.node(token, Unary("neg", expr))
+    def parse_prefix(self, floor: int) -> FilterExpr:
+        """A run of ``not`` over a comparison where an ``and`` operand may start
+        (`floor` up to _NOT), else a run of unary minus over an atom."""
+        negation = floor <= _NOT and self.peek().kind == "ident" and self.peek().text == "not"
+        sign, op = ("not", "not") if negation else ("-", "neg")
+        signs = []
+        while self.peek().kind != "text" and self.peek().text == sign:
+            signs.append(self.advance())
+        expr = self.parse_expr(_COMPARISON) if negation else self.parse_atom()
+        for token in reversed(signs):
+            expr = self.node(token, Unary(op, expr))
         return expr
 
     def parse_atom(self) -> FilterExpr:
@@ -270,7 +234,7 @@ class _Parser:
             self.parens += 1
             if self.parens > MAX_DEPTH:
                 raise self.too_deep(token)
-            expr = self.parse_or()
+            expr = self.parse_expr(1)
             self.parens -= 1
             closing = self.advance()
             if not (closing.kind == "op" and closing.text == ")"):
@@ -508,27 +472,38 @@ def _conjuncts(expr: FilterExpr) -> list[FilterExpr]:
     return [expr]
 
 
-def prune(expr: FilterExpr, parameters: Mapping[str, tuple]) -> Iterator[dict] | None:
-    """The sets of the grid `parameters` (name -> values, declaration order)
-    that `expr` keeps, one at a time in row-major order; None when a static
-    check cannot prove that no part of `expr` raises on any grid point.
-
-    A proven filter is true exactly where each conjunct of its ``and`` chain
-    is. A conjunct over one parameter is tested once per value of that axis
-    and shrinks it before enumeration; any other is tested once per
-    combination of the parameters up to its last one, and where it is false
-    the whole sub-grid below is skipped. Every test calls `evaluate`.
-    """
+def _split(expr: FilterExpr, parameters: Mapping[str, tuple]) -> list[FilterExpr] | None:
+    """The operands of `expr`'s top-level ``and`` chain, when a static check
+    proves that `expr` is boolean and no part of it raises on any point of the
+    grid `parameters`; else None."""
     try:
-        if _kinds(expr, parameters)[0] != _BOOLEAN:
-            return None
-        conjuncts = _conjuncts(expr)
+        if _kinds(expr, parameters)[0] == _BOOLEAN:
+            return _conjuncts(expr)
     except (_Unproven, RecursionError):
-        return None
+        pass
+    return None
+
+
+def prune(expr: FilterExpr, parameters: Mapping[str, tuple]) -> Iterator[dict]:
+    """The sets of the grid `parameters` (name -> values, declaration order,
+    at least one name) that `expr` keeps, one at a time in row-major order.
+
+    A filter the static check proves (`_split`) is true exactly where each
+    conjunct of its ``and`` chain is. A conjunct over one parameter is tested
+    once per value of that axis and shrinks it before enumeration; any other
+    is tested once per combination of the parameters up to its last one, and
+    where it is false the whole sub-grid below is skipped. A filter the check
+    refuses is tested whole at every grid point, in row-major order, so it
+    raises where the first point it cannot evaluate is reached. Every test
+    calls `evaluate`.
+    """
+    conjuncts = _split(expr, parameters)
     names = list(parameters)
     axes = {name: list(values) for name, values in parameters.items()}
     tests: list[list[FilterExpr]] = [[] for _ in names]  # by the position of their last parameter
-    for conjunct in conjuncts:
+    if conjuncts is None:  # refused: the whole filter at every grid point
+        tests[-1].append(expr)
+    for conjunct in conjuncts or ():
         used = free_variables(conjunct)
         if len(used) == 1:
             [name] = used

@@ -15,7 +15,7 @@ import shlex
 import shutil
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -30,7 +30,7 @@ from .templates import _compile, extract_placeholders, render, unused_parameters
 
 SUMMARY_SCHEMA = "sweep-summary/1"
 # the fields of JobRecord after sim_id, command and status, in its order
-_OPTIONAL_FIELDS = ("exit_code", "scheduler_job_id", "reason", "started_at", "finished_at", "duration")
+_OPTIONAL_FIELDS = tuple(field.name for field in fields(JobRecord))[3:]
 
 
 @dataclass(frozen=True)

@@ -309,7 +309,9 @@ class FilteredCartesianSweep(CartesianSweep):
 
     The filter may be given as source text or a pre-parsed AST; every free
     variable must be a declared parameter. Enumeration order is preserved.
-    Only the surviving sets are held in memory. The filter language
+    Every pass walks the grid through `filters.prune`, which tests a filter
+    it can prove safe conjunct by conjunct and any other whole at every grid
+    point; only the surviving sets are made. The filter language
     (`sweeprun.filters`) is imported when a filtered sweep is built.
     """
 
@@ -329,23 +331,18 @@ class FilteredCartesianSweep(CartesianSweep):
             names = ", ".join(sorted(unknown))
             raise ValueError(f"filter references undeclared parameters: {names}")
 
-    def _survivors(self) -> Iterator[ParameterSet]:
+    def length(self) -> int:
         from . import filters
 
-        pruned = filters.prune(self.filter, self.parameters)
-        if pruned is not None:  # the filter cannot raise: tested conjunct by conjunct
-            return pruned
-        # each grid point is tested as it is made, so rejected sets are never held
-        return (params for params in super().iter_sets() if filters.evaluate(self.filter, params))
-
-    def length(self) -> int:
-        return sum(1 for _ in self._survivors())
+        return sum(1 for _ in filters.prune(self.filter, self.parameters))
 
     def iter_sets(self) -> Iterator[ParameterSet]:
         """The surviving sets one at a time; raises EmptySweepError at the end
         if the filter kept none."""
+        from . import filters
+
         kept = 0
-        for params in self._survivors():
+        for params in filters.prune(self.filter, self.parameters):
             kept += 1
             yield params
         if not kept:
@@ -354,7 +351,11 @@ class FilteredCartesianSweep(CartesianSweep):
             )
 
     def generate(self) -> list[ParameterSet]:
-        """The surviving sets; raises EmptySweepError if the filter kept none."""
+        """The surviving sets; raises EmptySweepError if the filter kept none.
+
+        This restates `CartesianSweep.generate` because the benchmark's tracer
+        (``bench/trace_cli.py``) times each class's own ``generate`` attribute,
+        and ``tests/test_trace_points.py`` checks that this one resolves."""
         return list(self.iter_sets())
 
 

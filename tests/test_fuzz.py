@@ -1,25 +1,31 @@
 """Fuzzing: the filter language and the template scanner reject any input
 with sweeprun's own errors, never with a Python exception; the compiled
-template renderer agrees with a character-by-character reference, and the
-compiled filter evaluator agrees with a tree-walking reference."""
+template renderer agrees with a character-by-character reference, the
+compiled filter evaluator agrees with a tree-walking reference, and the
+filter lexer and parser agree with a character loop and a recursive-descent
+parser with one method per precedence level."""
 
 from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sweeprun import filters
 from sweeprun.errors import (
     EmptySweepError,
     FilterArithmeticError,
+    FilterSyntaxError,
     FilterTypeError,
     SweepRunError,
     TemplateSyntaxError,
     UnboundVariableError,
     UnfilledPlaceholderError,
 )
-from sweeprun.filters import Binary, NumberLit, TextLit, Unary, Var, evaluate, free_variables, parse, prune
+from sweeprun.filters import MAX_DEPTH, Binary, NumberLit, TextLit, Unary, Var, evaluate, free_variables, parse
+from sweeprun.filters import _KEYWORDS, _height, _split, _syntax_error, _Token, _tokenize
 from sweeprun.mapping import AssociationMapping, build_mapping, cells
 from sweeprun.sweeps import CartesianSweep, FilteredCartesianSweep
 from sweeprun.templates import extract_placeholders, format_grid, format_value, render
@@ -392,6 +398,19 @@ def _reference_sets(parameters, expr):
     return kept
 
 
+def _reference_calls(parameters, expr):
+    """(filter, set) per evaluation when every grid point is tested in
+    row-major order, up to the first point the filter raises on."""
+    calls = []
+    for params in CartesianSweep(parameters).iter_sets():
+        calls.append((expr, repr(params)))
+        try:
+            _reference_evaluate(expr, params)
+        except Exception:
+            break
+    return calls
+
+
 @settings(deadline=None, max_examples=400)
 @given(_trees(5), st.data())
 def test_pruned_sweep_agrees_with_testing_every_point(expr, data):
@@ -404,14 +423,242 @@ def test_pruned_sweep_agrees_with_testing_every_point(expr, data):
     parameters = {name: data.draw(TEXT_AXES if name == "s" else NUMBER_AXES) for name in names}
     expected = _evaluation(_reference_sets, parameters, expr)
     sweep = FilteredCartesianSweep(parameters, expr)
-    refused = prune(sweep.filter, sweep.parameters) is None
-    per_point = []
-    real_iter_sets = CartesianSweep.iter_sets
-    CartesianSweep.iter_sets = lambda self: per_point.append(1) or real_iter_sets(self)
+    refused = _split(sweep.filter, sweep.parameters) is None
+    calls = []
+    real_evaluate = filters.evaluate
+    filters.evaluate = lambda expr, env: calls.append((expr, repr(env))) or real_evaluate(expr, env)
     try:
         assert _evaluation(lambda sweep, _: sweep.generate(), sweep, None) == expected
     finally:
-        CartesianSweep.iter_sets = real_iter_sets
-    assert bool(per_point) == refused
+        filters.evaluate = real_evaluate
+    if refused:  # tested whole at every grid point
+        assert calls == _reference_calls(parameters, sweep.filter)
     if expected[0] is not EmptySweepError and expected[0] != "returned":
-        assert refused  # a filter that raises on the grid is never pruned
+        assert refused  # a filter that raises on the grid is never split
+
+
+# ---------------------------------------------------------------------------
+# reference lexer and parser: a character loop, and one recursive-descent
+# method per precedence level
+
+_NUMBER_RE = re.compile(r"(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
+_ONE_CHAR_OPS = "<>+-*/()"
+
+_CMP_OPS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "==": "eq", "!=": "ne"}
+_ADD_OPS = {"+": "add", "-": "sub"}
+_MUL_OPS = {"*": "mul", "/": "div"}
+
+
+def _reference_tokenize(source: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if c == "'":
+            j = source.find("'", i + 1)
+            if j == -1:
+                raise _syntax_error(source, i, "unterminated text literal")
+            tokens.append(_Token("text", source[i + 1 : j], i))
+            i = j + 1
+            continue
+        m = _NUMBER_RE.match(source, i)
+        if m:
+            tokens.append(_Token("number", m.group(), i))
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(source, i)
+        if m:
+            tokens.append(_Token("ident", m.group(), i))
+            i = m.end()
+            continue
+        two = source[i : i + 2]
+        if two in _TWO_CHAR_OPS:
+            tokens.append(_Token("op", two, i))
+            i += 2
+            continue
+        if c in _ONE_CHAR_OPS:
+            tokens.append(_Token("op", c, i))
+            i += 1
+            continue
+        raise _syntax_error(source, i, f"unexpected character {c!r}")
+    tokens.append(_Token("end", "", n))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _reference_tokenize(source)
+        self.pos = 0
+        self.parens = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def error(self, token: _Token, expected: str) -> FilterSyntaxError:
+        found = "end of input" if token.kind == "end" else repr(token.text)
+        return _syntax_error(self.source, token.pos, f"expected {expected}, found {found}")
+
+    def too_deep(self, token: _Token) -> FilterSyntaxError:
+        return _syntax_error(self.source, token.pos, f"filter nests deeper than {MAX_DEPTH} levels")
+
+    def node(self, token: _Token, expr: FilterExpr) -> FilterExpr:
+        """`expr`, built at operator `token`, unless it is deeper than MAX_DEPTH."""
+        if _height(expr) > MAX_DEPTH:
+            raise self.too_deep(token)
+        return expr
+
+    def parse(self) -> FilterExpr:
+        expr = self.parse_or()
+        token = self.peek()
+        if token.kind != "end":
+            raise self.error(token, "end of input")
+        return expr
+
+    def parse_or(self) -> FilterExpr:
+        expr = self.parse_and()
+        while self.peek().kind == "ident" and self.peek().text == "or":
+            token = self.advance()
+            expr = self.node(token, Binary("or", expr, self.parse_and()))
+        return expr
+
+    def parse_and(self) -> FilterExpr:
+        expr = self.parse_not()
+        while self.peek().kind == "ident" and self.peek().text == "and":
+            token = self.advance()
+            expr = self.node(token, Binary("and", expr, self.parse_not()))
+        return expr
+
+    def parse_not(self) -> FilterExpr:
+        nots = []
+        while self.peek().kind == "ident" and self.peek().text == "not":
+            nots.append(self.advance())
+        expr = self.parse_comparison()
+        for token in reversed(nots):
+            expr = self.node(token, Unary("not", expr))
+        return expr
+
+    def parse_comparison(self) -> FilterExpr:
+        left = self.parse_additive()
+        token = self.peek()
+        if token.kind == "op" and token.text in _CMP_OPS:
+            self.advance()
+            right = self.parse_additive()
+            again = self.peek()
+            if again.kind == "op" and again.text in _CMP_OPS:
+                raise _syntax_error(
+                    self.source, again.pos, "chained comparisons are not supported"
+                )
+            return self.node(token, Binary(_CMP_OPS[token.text], left, right))
+        return left
+
+    def parse_additive(self) -> FilterExpr:
+        expr = self.parse_multiplicative()
+        while self.peek().kind == "op" and self.peek().text in _ADD_OPS:
+            token = self.advance()
+            expr = self.node(token, Binary(_ADD_OPS[token.text], expr, self.parse_multiplicative()))
+        return expr
+
+    def parse_multiplicative(self) -> FilterExpr:
+        expr = self.parse_unary()
+        while self.peek().kind == "op" and self.peek().text in _MUL_OPS:
+            token = self.advance()
+            expr = self.node(token, Binary(_MUL_OPS[token.text], expr, self.parse_unary()))
+        return expr
+
+    def parse_unary(self) -> FilterExpr:
+        minuses = []
+        while self.peek().kind == "op" and self.peek().text == "-":
+            minuses.append(self.advance())
+        expr = self.parse_atom()
+        for token in reversed(minuses):
+            expr = self.node(token, Unary("neg", expr))
+        return expr
+
+    def parse_atom(self) -> FilterExpr:
+        token = self.advance()
+        if token.kind == "number":
+            text = token.text
+            if "." in text or "e" in text or "E" in text:
+                return NumberLit(float(text))
+            try:
+                return NumberLit(int(text))
+            except ValueError:  # longer than Python's integer-to-text limit
+                raise _syntax_error(self.source, token.pos, "integer literal is too long") from None
+        if token.kind == "text":
+            return TextLit(token.text)
+        if token.kind == "ident":
+            if token.text in _KEYWORDS:
+                raise self.error(token, "a value")
+            return Var(token.text)
+        if token.kind == "op" and token.text == "(":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise self.too_deep(token)
+            expr = self.parse_or()
+            self.parens -= 1
+            closing = self.advance()
+            if not (closing.kind == "op" and closing.text == ")"):
+                raise self.error(closing, "')'")
+            return expr
+        raise self.error(token, "a value")
+
+
+def _reference_parse(source: str) -> FilterExpr:
+    if not source.strip():
+        raise FilterSyntaxError("expression is empty", 0)
+    return _ReferenceParser(source).parse()
+
+
+# filter tokens and keywords, glued or apart, with characters the lexer rejects
+SOURCE_PIECES = [
+    *FILTER_TOKENS, "'", "'a b'", "''", "!", "@", "=", "e", "E", "1.", ".5", "e+3", ".", "\x0b", "\x0c", "é",
+    "x1", "_", "andor", " ", "\t", "\r", "\n",
+]
+
+
+def _parse_outcome(fn, source):
+    try:
+        return "returned", repr(fn(source))
+    except FilterSyntaxError as exc:
+        return exc.offset, str(exc)
+
+
+@settings(deadline=None, max_examples=1_000)
+@given(st.lists(st.sampled_from(SOURCE_PIECES), max_size=30).map("".join))
+def test_lexer_and_parser_agree_with_reference(source):
+    assert _parse_outcome(_tokenize, source) == _parse_outcome(_reference_tokenize, source)
+    assert _parse_outcome(parse, source) == _parse_outcome(_reference_parse, source)
+
+
+@pytest.mark.parametrize("depth", [63, 64, 65])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda d: "(" * d + "x" + ")" * d,
+        lambda d: "not " * d + "x",
+        lambda d: "-" * d + "x",
+        lambda d: "not " * d + "-" * d + "x",
+        lambda d: "x" + " + x" * d,
+        lambda d: "x" + " and x" * d,
+        lambda d: "x" + " or x" * d,
+        lambda d: "(" * d + "x" + ") * x" * d,
+        lambda d: "x" + " + x" * (d - 1) + " < x < x",
+        lambda d: "(x < " * d + "x" + ")" * d,
+    ],
+    ids=["parens", "not", "minus", "not-minus", "sum", "and", "or", "product", "chain", "nested-comparisons"],
+)
+def test_deep_filters_agree_with_reference(shape, depth):
+    source = shape(depth)
+    assert _parse_outcome(parse, source) == _parse_outcome(_reference_parse, source)

@@ -1,7 +1,8 @@
 """A filtered sweep whose filter provably cannot raise is tested conjunct by
 conjunct (`filters.prune`): the kept sets, their order and the empty-sweep
 error are those of testing every grid point, with far fewer evaluations.
-Filters the check cannot clear are tested at every grid point."""
+A filter the check cannot clear is tested whole at every grid point by the
+same walk."""
 
 from __future__ import annotations
 
@@ -30,10 +31,12 @@ def slurm_keep(p) -> bool:
 
 @pytest.fixture
 def evaluations(monkeypatch) -> list:
-    """One entry per call of `filters.evaluate`."""
+    """(filter, a copy of the set) per call of `filters.evaluate`."""
     calls = []
     real_evaluate = filters.evaluate
-    monkeypatch.setattr(filters, "evaluate", lambda *args: calls.append(1) or real_evaluate(*args))
+    monkeypatch.setattr(
+        filters, "evaluate", lambda expr, env: calls.append((expr, dict(env))) or real_evaluate(expr, env)
+    )
     return calls
 
 
@@ -74,34 +77,35 @@ def test_an_axis_emptied_by_a_conjunct_is_the_full_grid_error(evaluations):
         ({"s": ["x", "y"], "a": [3]}, "s < 'y' and a != 2"),
     ],
 )
-def test_filters_the_check_clears_are_pruned(parameters, source):
+def test_filters_the_check_clears_are_pruned(parameters, source, evaluations):
     sweep = FilteredCartesianSweep(parameters, source)
-    assert filters.prune(sweep.filter, sweep.parameters) is not None
-    reference = [p for p in CartesianSweep(parameters).iter_sets() if filters.evaluate(sweep.filter, p)]
-    assert sweep.generate() == reference
+    conjuncts = filters._split(sweep.filter, sweep.parameters)
+    assert conjuncts is not None
+    kept = sweep.generate()
+    assert evaluations and all(any(expr is c for c in conjuncts) for expr, _env in evaluations)
+    assert kept == [p for p in CartesianSweep(parameters).iter_sets() if filters.evaluate(sweep.filter, p)]
 
 
 @pytest.mark.parametrize(
-    "parameters, source, error",
+    "parameters, source, error, points",
     [
-        ({"a": [1, 0], "b": [2]}, "b / a > 0 and b > 1", FilterArithmeticError),
-        ({"a": [1, "x"]}, "a > 0 and a < 5", FilterTypeError),
-        ({"a": [2, 10**400], "b": [1.5]}, "a + b > 0 and a > 1", FilterArithmeticError),
-        ({"a": [1, 2]}, "a + 1", FilterTypeError),
-        ({"a": [2, 1], "b": [1]}, "a > 1 and (a or b > 0)", FilterTypeError),
-        ({"a": [2, _Int(1)], "b": [1.5]}, "a > 1 and b > 1", None),
+        ({"a": [1, 0], "b": [2]}, "b / a > 0 and b > 1", FilterArithmeticError, 2),
+        ({"a": [1, "x"]}, "a > 0 and a < 5", FilterTypeError, 2),
+        ({"a": [2, 10**400], "b": [1.5]}, "a + b > 0 and a > 1", FilterArithmeticError, 2),
+        ({"a": [1, 2]}, "a + 1", FilterTypeError, 1),
+        ({"a": [2, 1], "b": [1]}, "a > 1 and (a or b > 0)", FilterTypeError, 1),
+        ({"a": [2, _Int(1)], "b": [1.5]}, "a > 1 and b > 1", None, 2),
     ],
     ids=["division", "text-and-number", "int-beyond-real", "non-boolean-root", "non-boolean-operand", "subclass"],
 )
-def test_filters_the_check_refuses_are_tested_per_point(parameters, source, error, monkeypatch):
+def test_filters_the_check_refuses_are_tested_per_point(parameters, source, error, points, evaluations):
     sweep = FilteredCartesianSweep(parameters, source)
-    assert filters.prune(sweep.filter, sweep.parameters) is None
-    points = []
-    real_iter_sets = CartesianSweep.iter_sets
-    monkeypatch.setattr(CartesianSweep, "iter_sets", lambda self: points.append(1) or real_iter_sets(self))
+    assert filters._split(sweep.filter, sweep.parameters) is None
     if error is None:
         assert sweep.generate() == [{"a": 2, "b": 1.5}]
     else:
         with pytest.raises(error):
             sweep.generate()
-    assert points == [1]
+    # the whole filter at each grid point in row-major order, up to the first that raises
+    tested = list(CartesianSweep(parameters).iter_sets())[:points]
+    assert evaluations == [(sweep.filter, params) for params in tested]
