@@ -51,6 +51,7 @@ dry run does not load it.
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import shlex
@@ -63,6 +64,7 @@ from pathlib import Path
 
 from . import files
 from .errors import DISPATCHER_KINDS, SchedulerError
+from .mapping import SimIds
 
 __all__ = [
     "JobSpec",
@@ -199,9 +201,21 @@ def _record(job: JobSpec, status: str, started: str | None = None, t0: float = 0
 
 
 def _unique(jobs: Iterable[JobSpec]) -> Iterator[JobSpec]:
-    """`jobs` as they are read; a repeated sim_id raises ValueError when it is reached."""
-    seen: set[str] = set()
-    for job in jobs:
+    """`jobs` as they are read; a repeated sim_id raises ValueError when it is
+    reached. While the k-th sim_id is the k-th of `mapping.sim_ids` at the
+    width of the first, none can repeat, and none is made or kept; from the
+    first that is not, the sim_ids read so far are kept."""
+    jobs = iter(jobs)
+    for count, job in enumerate(jobs):
+        if count == 0:  # every ID of the first one's width; no sweep reaches 10**18 simulations
+            formula = SimIds(10 ** min(len(job.sim_id) if isinstance(job.sim_id, str) else 1, 18))
+        if formula.number(job.sim_id) != count:
+            break
+        yield job
+    else:
+        return
+    seen = set(itertools.islice(formula, count))
+    for job in itertools.chain([job], jobs):
         if job.sim_id in seen:
             raise ValueError("duplicate sim_ids in job list")
         seen.add(job.sim_id)
@@ -429,7 +443,8 @@ def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[
     job's batch script (slurm/pbs) and makes its record then, and reports a
     repeated sim_id when it reaches it, so it holds no record per job and has
     no len or index. Every other dispatch reads `jobs` once, checks every
-    sim_id before its first job and returns a list.
+    sim_id before its first job and returns a list. The repeat check keeps
+    no sim_id while they are those of `mapping.sim_ids`, in order.
     """
     if config.kind == "dry" or config.dry_run:
         return _dry_run(jobs, config)

@@ -485,8 +485,9 @@ def _split(expr: FilterExpr, parameters: Mapping[str, tuple]) -> list[FilterExpr
 
 
 def prune(expr: FilterExpr, parameters: Mapping[str, tuple]) -> Iterator[dict]:
-    """The sets of the grid `parameters` (name -> values, declaration order,
-    at least one name) that `expr` keeps, one at a time in row-major order.
+    """The sets of the grid `parameters` (name -> values, declaration order)
+    that `expr` keeps, one at a time in row-major order; a grid of no names
+    has one set, the empty one.
 
     A filter the static check proves (`_split`) is true exactly where each
     conjunct of its ``and`` chain is. A conjunct over one parameter is tested
@@ -501,8 +502,6 @@ def prune(expr: FilterExpr, parameters: Mapping[str, tuple]) -> Iterator[dict]:
     names = list(parameters)
     axes = {name: list(values) for name, values in parameters.items()}
     tests: list[list[FilterExpr]] = [[] for _ in names]  # by the position of their last parameter
-    if conjuncts is None:  # refused: the whole filter at every grid point
-        tests[-1].append(expr)
     for conjunct in conjuncts or ():
         used = free_variables(conjunct)
         if len(used) == 1:
@@ -515,6 +514,10 @@ def prune(expr: FilterExpr, parameters: Mapping[str, tuple]) -> Iterator[dict]:
             tests[max(map(names.index, used))].append(conjunct)
     if not all(axes.values()):
         return iter(())
+    if not names:  # one point, where a refused filter is tested whole
+        return (env for env in [{}] if conjuncts is not None or evaluate(expr, env))
+    if conjuncts is None:  # refused: the whole filter at every grid point
+        tests[-1].append(expr)
     env: dict = {}
     last = len(names) - 1
 

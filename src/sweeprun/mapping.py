@@ -5,9 +5,11 @@ dimensions are the swept parameter names, the coordinates are the value
 lists, and the cells hold simulation IDs in row-major order (last dimension
 fastest). Every other sweep type uses a flat association table from
 simulation ID to parameter set. Simulations are numbered in generation
-order by `sim_ids`. The sweep types own the rules for names and
-values: a Cartesian mapping's coords must form a valid `CartesianSweep` and
-an association mapping's sets a valid `SetSweep` (which may repeat a set).
+order by `sim_ids`, a sequence that makes each ID when it is read, and
+that is all a Cartesian mapping holds of its IDs. The sweep types own the
+rules for names and values: a Cartesian mapping's coords must form a valid
+`CartesianSweep` and an association mapping's sets a valid `SetSweep`
+(which may repeat a set).
 
 `cells` lists a mapping's simulations with their values as text; the
 ``run`` and ``collect`` commands take every simulation from it.
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Union
@@ -50,6 +54,66 @@ __all__ = [
 ]
 
 SCHEMA_TAG = "sweep-mapping/1"
+# the last three digits of an ID, in order: a wider ID is a prefix and one of these
+_TAILS = tuple(f"{k:03d}" for k in range(1000))
+# the end of a Cartesian document as json.dumps(indent=2) writes it, with no ID and with some
+_IDS_EMPTY = '\n  "sim_ids": []\n}'
+_IDS_OPEN, _IDS_SEP, _IDS_CLOSE = '\n  "sim_ids": [\n    "', '",\n    "', '"\n  ]\n}\n'
+
+
+class SimIds(Sequence):
+    """The IDs of `total` simulations (see `sim_ids`), each made when it is
+    read; equal to any sequence of the same IDs, such as their tuple."""
+
+    __slots__ = ("total", "width")
+
+    def __init__(self, total: int):
+        self.total = total
+        self.width = len(str(total - 1))
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __getitem__(self, k: int) -> str:
+        return f"{range(self.total)[k]:0{self.width}d}"
+
+    def number(self, sim_id) -> int | None:
+        """The position of `sim_id`, read from its digits; None if it is not one of these IDs."""
+        if isinstance(sim_id, str) and len(sim_id) == self.width and sim_id.isascii() and sim_id.isdigit():
+            k = int(sim_id)
+            return k if k < self.total else None
+        return None
+
+    def index(self, sim_id) -> int:
+        k = self.number(sim_id)
+        if k is None:
+            raise ValueError(f"{sim_id!r} is not in sim_ids")
+        return k
+
+    def __eq__(self, other):
+        if isinstance(other, SimIds):
+            return self.total == other.total
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(other) == self.total and all(map(operator.eq, self, other))
+
+    def _runs(self) -> Iterator[tuple[str, tuple[str, ...]]]:
+        """(prefix, tails): the IDs in runs of up to 1000 that differ only in their last three digits."""
+        if self.width <= 3:
+            yield "", tuple(map(self.__getitem__, range(self.total)))
+        else:
+            for p in range(-(-self.total // 1000)):
+                yield f"{p:0{self.width - 3}d}", _TAILS[: self.total - 1000 * p]
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain.from_iterable(map(prefix.__add__, tails) for prefix, tails in self._runs())
+
+    def joined(self, sep: str) -> Iterator[str]:
+        """The IDs joined by `sep`, a run at a time: every piece but the first
+        opens with `sep`, so the pieces concatenate to the whole."""
+        for k, (prefix, tails) in enumerate(self._runs()):
+            joiner = sep + prefix
+            yield (joiner if k else prefix) + joiner.join(tails)
 
 
 @dataclass(frozen=True)
@@ -57,11 +121,13 @@ class CartesianMapping:
     sweep_name: str
     dims: tuple[str, ...]
     coords: dict[str, tuple[ParamValue, ...]]
-    sim_ids: tuple[str, ...]
+    sim_ids: Sequence[str]  # the formula's `SimIds` kept as they are; any other IDs become a tuple
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "sim_ids", tuple(self.sim_ids))
+        formula = isinstance(self.sim_ids, SimIds)
+        if not formula:
+            object.__setattr__(self, "sim_ids", tuple(self.sim_ids))
         if len(self.dims) != len(self.coords) or set(self.dims) != set(self.coords):
             raise ValueError(f"dims {list(self.dims)} do not match coords keys {list(self.coords)}")
         grid = CartesianSweep({d: self.coords[d] for d in self.dims})
@@ -73,9 +139,9 @@ class CartesianMapping:
                 f"{len(self.sim_ids)} sim_ids do not fill shape {list(self.shape)} "
                 f"({grid.length()} cells)"
             )
-        # a sorted copy puts repeats side by side, in a list instead of a hash
-        # set; zero-padded sequential IDs are already sorted, so this is linear
-        if any(a == b for a, b in itertools.pairwise(sorted(self.sim_ids))):
+        # the formula's IDs are distinct; a sorted copy of any others puts
+        # repeats side by side, in a list instead of a hash set
+        if not formula and any(a == b for a, b in itertools.pairwise(sorted(self.sim_ids))):
             raise ValueError("duplicate sim_ids")
 
     @property
@@ -119,14 +185,18 @@ class CartesianMapping:
             yield sim_id, dict(zip(self.dims, combo))
 
     def lookup_by_id(self, sim_id: str) -> ParameterSet:
-        # built on the first lookup: a run writes its mapping and never looks anything up
-        index = self.__dict__.get("_index")
-        if index is None:
-            index = {sid: i for i, sid in enumerate(self.sim_ids)}
-            object.__setattr__(self, "_index", index)
-        if sim_id not in index:
+        if isinstance(self.sim_ids, SimIds):  # the formula's IDs are read from their digits
+            flat = self.sim_ids.number(sim_id)
+        else:
+            # built on the first lookup: a run writes its mapping and never looks anything up
+            index = self.__dict__.get("_index")
+            if index is None:
+                index = {sid: i for i, sid in enumerate(self.sim_ids)}
+                object.__setattr__(self, "_index", index)
+            flat = index.get(sim_id)
+        if flat is None:
             raise KeyError(f"unknown simulation id {sim_id!r}")
-        return self.parameter_set_at(index[sim_id])
+        return self.parameter_set_at(flat)
 
     def lookup_by_params(self, params: ParameterSet) -> str:
         if set(params) != set(self.dims):
@@ -190,11 +260,12 @@ class AssociationMapping:
 Mapping = Union[CartesianMapping, AssociationMapping]
 
 
-def sim_ids(total: int) -> Iterator[str]:
-    """The IDs of `total` simulations, made as they are read: 0 to total-1,
-    zero-padded to the width of the last, so that text order is number order
-    and shell globs over output files sort as the sweep does."""
-    return map(f"{{:0{len(str(total - 1))}d}}".format, range(total))
+def sim_ids(total: int) -> SimIds:
+    """The IDs of `total` simulations, as a sequence that makes each one when
+    it is read: 0 to total-1, zero-padded to the width of the last, so that
+    text order is number order and shell globs over output files sort as the
+    sweep does."""
+    return SimIds(total)
 
 
 def build_mapping(sweep: Sweep, *, sweep_name: str = "sweep") -> Mapping:
@@ -229,28 +300,39 @@ def cells(
     )
 
 
+def _head(mapping: CartesianMapping) -> str:
+    """What `serialize` writes for `mapping` before its first ID."""
+    doc = {
+        "schema": SCHEMA_TAG,
+        "kind": "cartesian",
+        "sweep_name": mapping.sweep_name,
+        "dims": list(mapping.dims),
+        "coords": {d: list(mapping.coords[d]) for d in mapping.dims},
+        "shape": list(mapping.shape),
+        "sim_ids": [],
+    }
+    return json.dumps(doc, indent=2, allow_nan=False)[: -len(_IDS_EMPTY)] + _IDS_OPEN
+
+
 def serialize(mapping: Mapping) -> str:
-    """Deterministic JSON text for a mapping (trailing newline included)."""
+    """Deterministic JSON text for a mapping (trailing newline included), as
+    ``json.dumps(indent=2)`` writes it; `sim_ids` are joined a run at a time."""
     if isinstance(mapping, CartesianMapping):
-        doc = {
-            "schema": SCHEMA_TAG,
-            "kind": "cartesian",
-            "sweep_name": mapping.sweep_name,
-            "dims": list(mapping.dims),
-            "coords": {d: list(mapping.coords[d]) for d in mapping.dims},
-            "shape": list(mapping.shape),
-            "sim_ids": list(mapping.sim_ids),
-        }
-    elif isinstance(mapping, AssociationMapping):
-        doc = {
-            "schema": SCHEMA_TAG,
-            "kind": "association",
-            "sweep_name": mapping.sweep_name,
-            "parameter_names": list(mapping.parameter_names),
-            "assignments": {sid: dict(ps) for sid, ps in mapping.assignments.items()},
-        }
-    else:
+        ids = mapping.sim_ids
+        if isinstance(ids, SimIds):
+            pieces = ids.joined(_IDS_SEP)
+        else:
+            pieces = [_IDS_SEP.join(json.dumps(sim_id)[1:-1] for sim_id in ids)]
+        return "".join(itertools.chain([_head(mapping)], pieces, [_IDS_CLOSE]))
+    if not isinstance(mapping, AssociationMapping):
         raise TypeError(f"not a mapping: {mapping!r}")
+    doc = {
+        "schema": SCHEMA_TAG,
+        "kind": "association",
+        "sweep_name": mapping.sweep_name,
+        "parameter_names": list(mapping.parameter_names),
+        "assignments": {sid: dict(ps) for sid, ps in mapping.assignments.items()},
+    }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
@@ -273,7 +355,42 @@ def _construct(cls, **fields) -> Mapping:
 def deserialize(text: str) -> Mapping:
     """Parse a mapping document. The mapping classes apply the sweep rules to
     its contents; this checks the document: schema, kind, field types, and
-    the redundant `shape` and `parameter_names` against what they restate."""
+    the redundant `shape` and `parameter_names` against what they restate.
+    The text `serialize` writes for `sim_ids` is read back with them."""
+    mapping = _read_formula(text)
+    return _parse(text) if mapping is None else mapping
+
+
+def _read_formula(text: str) -> CartesianMapping | None:
+    """The mapping in `text` if `text` is what `serialize` writes for a
+    mapping with `sim_ids`, else None: their count follows from the length
+    and the first ID, they are compared a run at a time, and only the head
+    is parsed."""
+    at = text.find(_IDS_OPEN)
+    start, end = at + len(_IDS_OPEN), len(text) - len(_IDS_CLOSE)
+    if at < 0 or start > end or not text.endswith(_IDS_CLOSE):
+        return None
+    width = text.find('"', start) - start
+    total, spare = divmod(end - start + len(_IDS_SEP), width + len(_IDS_SEP))
+    ids = SimIds(total)
+    if spare or ids.width != width:
+        return None
+    pos = start
+    for piece in ids.joined(_IDS_SEP):
+        if not text.startswith(piece, pos):
+            return None
+        pos += len(piece)
+    try:
+        mapping = _parse(text[:at] + _IDS_EMPTY, ids)
+    except MappingFormatError:
+        return None
+    if isinstance(mapping, CartesianMapping) and _head(mapping) == text[:start]:
+        return mapping
+    return None
+
+
+def _parse(text: str, ids: SimIds | None = None) -> Mapping:
+    """`deserialize` by ``json.loads``; with `ids`, those are the sim_ids of a Cartesian document."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -289,7 +406,7 @@ def deserialize(text: str) -> Mapping:
         dims = doc.get("dims")
         coords = doc.get("coords")
         shape = doc.get("shape")
-        sim_ids = doc.get("sim_ids")
+        sim_ids = doc.get("sim_ids") if ids is None else ids
         _require(
             isinstance(dims, list) and all(isinstance(d, str) for d in dims),
             "dims must be a list of names",
@@ -304,7 +421,7 @@ def deserialize(text: str) -> Mapping:
             "shape must be a list of integers",
         )
         _require(
-            isinstance(sim_ids, list) and all(isinstance(s, str) for s in sim_ids),
+            ids is not None or (isinstance(sim_ids, list) and all(isinstance(s, str) for s in sim_ids)),
             "sim_ids must be a list of text IDs",
         )
         mapping = _construct(

@@ -11,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stubmodel import read_high_water
 from sweeprun import dispatch
@@ -365,6 +367,37 @@ class TestDryDispatch:
         records = dispatch_all(jobs, DispatcherConfig(kind="dry"))
         with pytest.raises(ValueError, match="duplicate"):
             list(records)
+
+    def test_dry_repeat_check_of_sim_ids_that_are_not_text(self, workdir):
+        records = dispatch_all([_job(k, "true", workdir) for k in (0, 1, 0)], DispatcherConfig(kind="dry"))
+        assert next(records).sim_id == 0 and next(records).sim_id == 1
+        with pytest.raises(ValueError, match="duplicate"):
+            next(records)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(0, 1_100),
+        st.lists(st.sampled_from(["0", "1", "2", "9", "10", "00", "01", "0000", "0999", "1000", "1001", "x", "٣", ""])),
+    )
+    def test_dry_repeat_check_agrees_with_a_set(self, formula_count, tail):
+        """Formula IDs (kept by none) and then any IDs: a repeat is reported where a set finds it."""
+        width = len(str(max(formula_count - 1, 0)))
+        ids = [f"{k:0{width}d}" for k in range(formula_count)] + tail
+        seen, repeat = set(), None
+        for k, sim_id in enumerate(ids):
+            if sim_id in seen:
+                repeat = k
+                break
+            seen.add(sim_id)
+        records = dispatch_all((_job(sim_id, "true", Path(".")) for sim_id in ids), DispatcherConfig(kind="dry"))
+        read = []
+        if repeat is None:
+            read = [record.sim_id for record in records]
+        else:
+            with pytest.raises(ValueError, match="duplicate"):
+                for record in records:
+                    read.append(record.sim_id)
+        assert read == ids[:repeat]
 
     def test_local_dry_run_flag(self, workdir):
         jobs = [_job("0", "touch should_not_exist", workdir)]

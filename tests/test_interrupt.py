@@ -3,6 +3,11 @@
 ``sweeprun run`` runs in a fresh interpreter, as a user starts it, and gets
 SIGINT while its jobs run. What the run then records and how it exits are
 not settled yet, so only the jobs' own start times are checked here.
+
+The child starts with SIGINT at its default action, as an interactive
+shell starts a command. A process started in the background by a
+non-interactive shell (``pytest &``) starts with SIGINT ignored, and a
+child would inherit that and rightly ignore the signal.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ def test_no_job_starts_after_sigint(workdir, max_parallel):
     proc = subprocess.Popen(
         [sys.executable, "-m", "sweeprun.cli", *argv],
         cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         # the signal comes halfway through the third round of jobs (about 1 s in), so it falls

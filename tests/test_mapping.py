@@ -56,12 +56,27 @@ class TestSimIds:
         assert sorted(ids) == ids  # fixed padding: lexicographic == numeric
         assert all(sim_id.isdigit() for sim_id in ids)
 
+    @pytest.mark.parametrize("total", [1, 10, 11, 999, 1000, 1001, 2500])
+    def test_a_sequence_equal_to_the_tuple_of_its_ids(self, total):
+        ids = sim_ids(total)
+        held = tuple(ids)
+        assert ids == held and held == ids and ids == list(held) and ids == sim_ids(total)
+        assert ids != held[:-1] and ids != sim_ids(total + 1) and ids != "0"
+        assert (len(ids), ids[0], ids[-1], ids[total // 2]) == (total, held[0], held[-1], held[total // 2])
+        assert [ids.index(sim_id) for sim_id in held] == list(range(total))
+        assert held[-1] in ids and str(total).zfill(len(held[0])) not in ids
+        with pytest.raises(IndexError):
+            ids[total]
+        with pytest.raises(ValueError):
+            ids.index("x")
+
     def test_deterministic(self):
         assert list(sim_ids(1001)) == list(sim_ids(1001))
 
     def test_makes_exactly_total_ids_as_they_are_read(self):
         assert len(list(sim_ids(7))) == 7
-        ids = sim_ids(10**12)
+        assert len(sim_ids(10**12)) == 10**12
+        ids = iter(sim_ids(10**12))
         assert (next(ids), next(ids)) == ("000000000000", "000000000001")
 
     @pytest.mark.parametrize("total", [1, 10, 11, 300, 1001])
@@ -125,6 +140,22 @@ class TestLookups:
         mapping, _sets, _ids = _mapping_for(sweep)
         with pytest.raises(KeyError):
             mapping.lookup_by_id("zzz")
+
+    def test_lookup_by_id_on_a_million_cells_reads_the_id(self):
+        mapping = build_mapping(CartesianSweep({"a": list(range(1000)), "b": [k + 0.5 for k in range(1000)]}))
+        assert mapping.lookup_by_id("000000") == {"a": 0, "b": 0.5}
+        assert mapping.lookup_by_id("001002") == {"a": 1, "b": 2.5}
+        assert mapping.lookup_by_id("999999") == {"a": 999, "b": 999.5}
+        assert "_index" not in vars(mapping)  # no index of every ID
+        held = CartesianMapping("sweep", ("a",), {"a": [1, 2]}, ["0", "1"])
+        assert held.lookup_by_id("1") == {"a": 2}
+        # the same message as for IDs held in a tuple
+        for unknown in ["1000000", "99999", "0000000", "00000a", "+00001", " 00001", "٠٠٠٠٠١", "", 5, None]:
+            with pytest.raises(KeyError) as computed:
+                mapping.lookup_by_id(unknown)
+            with pytest.raises(KeyError) as from_tuple:
+                held.lookup_by_id(unknown)
+            assert computed.value.args == from_tuple.value.args == (f"unknown simulation id {unknown!r}",)
 
     def test_lookup_by_params(self):
         sweep = CartesianSweep({"a": [1, 2], "b": [10]})

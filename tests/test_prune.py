@@ -6,6 +6,7 @@ same walk."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -109,3 +110,26 @@ def test_filters_the_check_refuses_are_tested_per_point(parameters, source, erro
     # the whole filter at each grid point in row-major order, up to the first that raises
     tested = list(CartesianSweep(parameters).iter_sets())[:points]
     assert evaluations == [(sweep.filter, params) for params in tested]
+
+
+@pytest.mark.parametrize(
+    "source, kept, error, evaluated",
+    [
+        ("1 < 2", [{}], None, 1),
+        ("2 < 1", [], None, 1),
+        ("1 < 2 and 2 > 1", [{}], None, 2),
+        ("1 / 2 > 0", [{}], None, 1),  # refused: tested whole, once
+        ("1 / 0 > 0", None, FilterArithmeticError, 1),
+        ("1 + 1", None, FilterTypeError, 1),
+    ],
+)
+def test_a_grid_of_no_parameters_is_one_empty_set(source, kept, error, evaluated, evaluations):
+    """itertools.product() of no axes is one point, the empty set: kept where the filter holds there."""
+    assert list(itertools.product()) == [()]
+    expr = filters.parse(source)
+    if error is None:
+        assert list(filters.prune(expr, {})) == kept
+    else:
+        with pytest.raises(error):
+            list(filters.prune(expr, {}))
+    assert [env for _expr, env in evaluations] == [{}] * evaluated
