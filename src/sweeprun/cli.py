@@ -29,7 +29,7 @@ import itertools
 import os
 import sys
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from . import __version__
 from .errors import DISPATCHER_KINDS, SchedulerError, SweepRunError
@@ -37,7 +37,7 @@ from .mapping import read_mapping, sim_ids
 from .spec import load_sweep_spec
 from .templates import format_value
 
-STDERR_ISSUE_LIMIT = 5  # collect lists this many issues on stderr; the report lists all
+STDERR_ISSUE_LIMIT = 5  # failed jobs or issues listed on stderr; the summary or report lists all
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -59,6 +59,15 @@ def _status(line: str, stream: TextIO | None = None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
+
+
+def _problems(lines: Iterable[str], count: int, document: Path):
+    """Print the first `STDERR_ISSUE_LIMIT` of `lines` to standard error and,
+    if `count` is more, how many more `document` lists."""
+    for line in itertools.islice(lines, STDERR_ISSUE_LIMIT):
+        _status(line, sys.stderr)
+    if count > STDERR_ISSUE_LIMIT:
+        _status(f"  ... and {count - STDERR_ISSUE_LIMIT} more, see {document}", sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +103,11 @@ def _cmd_run(args) -> int:
         _status(f"submitted {counts['submitted']} job(s) via {config.resolved_submit_command}")
     else:
         _status(f"ran {counts['total']} job(s): {counts['succeeded']} succeeded, {counts['failed']} failed")
-        for record in outcome.failed:
-            detail = record.reason or f"exit code {record.exit_code}"
-            _status(f"  failed: {record.sim_id} ({detail})", sys.stderr)
+        failed = (f"  failed: {r.sim_id} ({r.reason or f'exit code {r.exit_code}'})" for r in outcome.failed)
+        _problems(failed, counts["failed"], outcome.summary_path)
     _status(f"summary written to {outcome.summary_path}")
 
-    return 3 if outcome.failed else 0
+    return 3 if counts["failed"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +146,11 @@ def _cmd_collect(args) -> int:
 
     mapping = read_mapping(args.mapping_file)
     results = write_results(mapping, Path(args.mapping_file), args.output_pattern, args.csv_out, args.report_out)
-    issues, report_path = results.issues, results.report_path
-    _status(f"collected {len(mapping) - len(issues)}/{len(mapping)} value(s) into {results.csv_path}")
-    if issues:
-        for issue in issues[:STDERR_ISSUE_LIMIT]:
-            _status(f"  missing {issue.sim_id}: {issue.reason} ({issue.path})", sys.stderr)
-        more = len(issues) - STDERR_ISSUE_LIMIT
-        if more > 0:
-            _status(f"  ... and {more} more, see {report_path}", sys.stderr)
+    counts, report_path = results.counts, results.report_path
+    _status(f"collected {counts['collected']}/{counts['total']} value(s) into {results.csv_path}")
+    if counts["missing"]:
+        missing = (f"  missing {i.sim_id}: {i.reason} ({i.path})" for i in results.issues)
+        _problems(missing, counts["missing"], report_path)
         _status(f"report written to {report_path}", sys.stderr)
         return 4
     _status(f"report written to {report_path}")

@@ -12,23 +12,24 @@ read as lone surrogates, so an undecodable first token is "not a number".
 One reader loop holds these rules. It takes each simulation's ID and
 values as text from `mapping.cells`, as `run` does. `collect_scalars`
 gathers what it reads into a dict; `write_results`, the `collect` command,
-writes each simulation's CSV row as its output is read and keeps only the
-issues, so its memory does not grow with the number of simulations that
-produced a value. It refuses an output that is the CSV or the report.
+writes each simulation's CSV row and each issue's report entry as its
+output is read, so its memory does not grow with the number of
+simulations, whether their outputs are readable or not. It refuses an
+output that is the CSV or the report.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from . import files, templates
+from .errors import KEPT
 from .mapping import CartesianMapping, Mapping, cells
 
 __all__ = ["CollectIssue", "CollectedScalars", "Results", "collect_scalars", "export_csv", "write_results"]
@@ -173,10 +174,12 @@ def export_csv(collected: CollectedScalars) -> str:
 
 @dataclass(frozen=True)
 class Results:
-    """What `write_results` wrote, and the issues it found in mapping order."""
+    """What `write_results` wrote, the report's counts (total, collected and
+    missing, the number of issues), and the first `KEPT` issues in mapping order."""
 
     csv_path: Path
     report_path: Path
+    counts: dict[str, int]
     issues: list[CollectIssue]
 
 
@@ -191,27 +194,29 @@ def write_results(
     `collect_scalars` does into `csv_path` (by default
     <sweep_name>_results.csv), the text `export_csv` would return, one row as
     each output is read, and write the report (by default
-    <sweep_name>_collect_report.json). The issues are the only thing kept per
-    simulation."""
+    <sweep_name>_collect_report.json), each issue spooled to a
+    `files.Listing` as it is found. Nothing is kept per simulation."""
     csv_path = Path(csv_path or f"{mapping.sweep_name}_results.csv")
     report_path = Path(report_path or f"{mapping.sweep_name}_collect_report.json")
     taken = files.require_documents(
         {"MAPPING": mapping_path, "--csv-out": csv_path, "--report-out": report_path}
     )
     reserved = {path: option for path, option in taken.items() if option != "MAPPING"}
+    issues: list[CollectIssue] = []
 
-    def write_csv(path: Path) -> list[CollectIssue]:
-        issues = []
-        with path.open("w", encoding="utf-8") as out:
-            writer = _csv_writer(out, mapping.parameter_names)
-            for _sim_id, cell, value, issue in _harvest(mapping, output_pattern, reserved):
-                if issue is not None:
-                    issues.append(issue)
-                writer.writerow(_csv_row(cell, value))
-        return issues
+    with files.Listing() as missing:
+        def write_csv(path: Path):
+            with path.open("w", encoding="utf-8") as out:
+                writer = _csv_writer(out, mapping.parameter_names)
+                for _sim_id, cell, value, issue in _harvest(mapping, output_pattern, reserved):
+                    if issue is not None:
+                        missing.add(issue)
+                        if len(issues) < KEPT:
+                            issues.append(issue)
+                    writer.writerow(_csv_row(cell, value))
 
-    issues = files.write_atomic(csv_path, write_csv)
-    report = {"schema": REPORT_SCHEMA, "sweep_name": mapping.sweep_name, "total": len(mapping)}
-    report.update(collected=len(mapping) - len(issues), missing=[asdict(issue) for issue in issues])
-    files.write_atomic(report_path, json.dumps(report, indent=2) + "\n")
-    return Results(csv_path, report_path, issues)
+        files.write_atomic(csv_path, write_csv)
+        counts = {"total": len(mapping), "collected": len(mapping) - missing.count, "missing": missing.count}
+        # the report lists the missing outputs where `counts` counts them
+        missing.write(report_path, {"schema": REPORT_SCHEMA, "sweep_name": mapping.sweep_name, **counts, "missing": []})
+    return Results(csv_path, report_path, counts, issues)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 # the dispatcher kinds: the parser's choices, and the kinds DispatcherConfig accepts
 DISPATCHER_KINDS = ("local", "slurm", "pbs", "dry")
+# how many paths, failed records or issues an error or a result holds; the rest are counted
+KEPT = 10
 
 
 def _byte_offset(source: str, pos: int) -> int:
@@ -82,16 +84,16 @@ class SchedulerError(SweepRunError):
 
 class OutputConflictError(SweepRunError):
     """Output files from a previous sweep are in the way and overwrite is off.
-    `paths` holds the first ten and `count` all of them; those past the tenth
-    are counted, not held."""
+    `paths` holds the first `KEPT` and `count` all of them; the rest are
+    counted, not held."""
 
     def __init__(self, paths):
         shown, count = [], 0
         for count, path in enumerate(paths, 1):
-            if count <= 10:
+            if count <= KEPT:
                 shown.append(str(path))
         self.paths, self.count = tuple(shown), count
-        more = f" (and {count - 10} more)" if count > 10 else ""
+        more = f" (and {count - KEPT} more)" if count > KEPT else ""
         super().__init__(
             f"refusing to overwrite existing files: {', '.join(shown)}{more}; pass --overwrite to replace them"
         )

@@ -24,14 +24,19 @@ content; a run is then repeated with ``--overwrite``.
 
 The mapping, summary, CSV and report are documents: each is checked by
 ``require_documents`` before a command's first write, then written whole to
-a temporary file and renamed (``write_atomic``). Callers reach these
-functions through the module, so replacing one attribute reaches them all.
+a temporary file and renamed (``write_atomic``). The summary and the report
+end in a list with one entry per job or issue, which a `Listing` spools to
+disk as it grows. Callers reach these functions through the module, so
+replacing one attribute reaches them all.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
+import tempfile
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -100,23 +105,16 @@ def require_documents(documents: dict[str, Path]) -> dict[str, str]:
     return taken
 
 
-def write_atomic(path: Path, content: str | Callable[[Path], _T]) -> _T | None:
-    """Write `content` (text, or a function that writes the file at the path
-    it is given) to a new temporary sibling, then rename it onto `path`, so
-    a process that fails or dies halfway leaves the previous document (or
-    none), never a truncated one. Nothing is fsynced, so an OS crash can still
-    lose the write. A symlink whose final target is a regular file or absent
-    is followed, and the rename replaces that target, so the link stays a
-    link; if the target's directory cannot be written, the target is written
-    in place. A special file (such as /dev/stdout), or a link to one, is
-    written in place, as the rename would replace it or fail. The temporary
-    name ends with the final name. Returns what the function returns."""
-    def write(target: Path):
-        if callable(content):
-            return content(target)
-        target.write_text(content, encoding="utf-8")
-        return None
-
+def write_atomic(path: Path, write: Callable[[Path], _T]) -> _T:
+    """Call `write` on a new temporary sibling of `path`, then rename it onto
+    `path`, so a process that fails or dies halfway leaves the previous
+    document (or none), never a truncated one. Nothing is fsynced, so an OS
+    crash can still lose the write. A symlink whose final target is a regular
+    file or absent is followed, and the rename replaces that target, so the
+    link stays a link; if the target's directory cannot be written, the
+    target is written in place. A special file (such as /dev/stdout), or a
+    link to one, is written in place, as the rename would replace it or fail.
+    The temporary name ends with the final name. Returns what `write` returns."""
     linked = False
     if path.is_symlink() and (path.is_file() or not path.exists()):
         target = Path(os.path.realpath(path))
@@ -140,3 +138,53 @@ def write_atomic(path: Path, content: str | Callable[[Path], _T]) -> _T | None:
         temporary.unlink(missing_ok=True)
         raise
     return result
+
+
+class Listing:
+    """The entries of a JSON document's last value, a list, spooled to an
+    unlinked temporary file as each is added, so that `write` writes the
+    document byte for byte as json.dumps(document, indent=2) + "\n" without
+    holding the list. The spool is made in the system's temporary directory,
+    not the document's, which may be /dev."""
+
+    def __init__(self):
+        self._spool = tempfile.TemporaryFile()
+        # write-only text: a readable one resets its decoder on every write
+        self._entries = open(self._spool.fileno(), "w", encoding="ascii", closefd=False)
+        self.count = 0  # the entries added
+
+    def __enter__(self) -> "Listing":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._entries.close()
+        self._spool.close()
+
+    def add(self, record) -> None:
+        """Add an entry: a JSON object of the fields of `record`, a dataclass
+        of text and numbers, in their order, leaving out those that are None
+        (at least one must be left). Text is escaped to ASCII, as json.dumps does."""
+        pairs = ",".join([
+            f"\n      {_quote(k)}: {_quote(v) if type(v) is str else json.dumps(v)}"
+            for k, v in vars(record).items() if v is not None
+        ])
+        self._entries.write(f",\n    {{{pairs}\n    }}")
+        self.count += 1
+
+    def write(self, path: Path, document: dict) -> None:
+        """Write `document`, whose last value is an empty list, with the
+        entries in that list, through `write_atomic`."""
+        self._entries.flush()
+        head = json.dumps(document, indent=2)
+
+        def copy(target: Path):
+            with target.open("wb") as out:  # json.dumps and the entries are ASCII
+                if not self.count:
+                    out.write(f"{head}\n".encode())
+                    return
+                out.write(head.removesuffix("]\n}").encode())
+                self._spool.seek(1)  # past the first entry's ','
+                shutil.copyfileobj(self._spool, out)
+                out.write(b"\n  ]\n}\n")
+
+        write_atomic(path, copy)

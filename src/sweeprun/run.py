@@ -8,29 +8,22 @@ the mapping."""
 from __future__ import annotations
 
 import itertools
-import json
-import math
 import os
 import shlex
-import shutil
-import tempfile
 import warnings
-from dataclasses import dataclass, fields
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import files
 from .dispatch import DispatcherConfig, JobRecord, JobSpec, dispatch_all
 from .dispatch import batch_script_path, capture_paths, scheduler_log_path
-from .errors import OutputConflictError, SchedulerError, SweepRunError, UnfilledPlaceholderError
+from .errors import KEPT, OutputConflictError, SchedulerError, SweepRunError, UnfilledPlaceholderError
 from .mapping import CartesianMapping, Mapping, build_mapping, cells, serialize
 from .sweeps import Sweep
 from .templates import _compile, extract_placeholders, render, unused_parameters
 
 SUMMARY_SCHEMA = "sweep-summary/1"
-# the fields of JobRecord after sim_id, command and status, in its order
-_OPTIONAL_FIELDS = tuple(field.name for field in fields(JobRecord))[3:]
 
 
 @dataclass(frozen=True)
@@ -47,7 +40,7 @@ class Plan:
 
 @dataclass(frozen=True)
 class Outcome:
-    """What `run_sweep` wrote, the summary's counts, and the failed records in mapping order."""
+    """What `run_sweep` wrote, the summary's counts, and the first `KEPT` failed records in mapping order."""
 
     mapping: Mapping
     mapping_path: Path
@@ -215,7 +208,7 @@ def materialize(plan: Plan) -> None:
             if nested:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
             files.rewrite(path, render(source, values, sim_id))
-    files.write_atomic(plan.mapping_path, serialize(plan.mapping))
+    files.write_atomic(plan.mapping_path, lambda target: target.write_text(serialize(plan.mapping), encoding="utf-8"))
 
 
 def dispatch(plan: Plan) -> Iterable[JobRecord]:
@@ -234,64 +227,26 @@ def dispatch(plan: Plan) -> Iterable[JobRecord]:
     return dispatch_all(jobs, plan.config)
 
 
-def _json_number(value: float) -> str:
-    """An int or a float spelled as json.dumps spells it."""
-    if type(value) is int or (type(value) is float and math.isfinite(value)):
-        return repr(value)
-    return json.dumps(value)
-
-
-def _summary_entry(record: JobRecord) -> str:
-    """One job's entry in the summary's job list, after the ',\n' that
-    separates it from the one before, laid out as in json.dumps(summary,
-    indent=2): JobRecord's fields in their order, those that are None left
-    out, each on one line at a fixed indent (JSON text never holds a raw
-    newline). Text is escaped as json.dumps escapes it, to ASCII."""
-    quote = encode_basestring_ascii
-    entry = (
-        f',\n    {{\n      "sim_id": {quote(record.sim_id)},\n'
-        f'      "command": {quote(record.command)},\n      "status": {quote(record.status)}'
-    )
-    for field in _OPTIONAL_FIELDS:
-        value = getattr(record, field)
-        if value is not None:
-            entry += f',\n      "{field}": {quote(value) if type(value) is str else _json_number(value)}'
-    return entry + "\n    }"
-
-
 def record(plan: Plan, records: Iterable[JobRecord]) -> Outcome:
     """Write the summary of `records` to `plan.summary_path`, byte for byte
-    as json.dumps(summary, indent=2), in one pass over them: the jobs go to a
-    temporary file while they are counted and the failed ones are kept, then
-    the head with the counts and the jobs are copied into place."""
+    as json.dumps(summary, indent=2), in one pass over them: each job's
+    entry, JobRecord's fields in their order with those that are None left
+    out, goes to a `files.Listing` while the jobs are counted and the first
+    failed ones kept."""
     counts = dict.fromkeys(("total", "succeeded", "failed", "submitted", "dry_run"), 0)
     failed = []
-    with tempfile.TemporaryFile(dir=plan.summary_path.parent) as jobs:
-        # write-only text: a readable one resets its decoder on every write
-        with open(jobs.fileno(), "w", encoding="utf-8", closefd=False) as entries:
-            for job in records:
-                entries.write(_summary_entry(job))
-                counts["total"] += 1
-                counts["succeeded"] += job.succeeded
-                if job.failed:
-                    failed.append(job)
-                counts["submitted"] += job.status == "submitted"
-                counts["dry_run"] += job.status == "dry_run"
-        counts["failed"] = len(failed)
+    with files.Listing() as jobs:
+        for job in records:
+            jobs.add(job)
+            counts["succeeded"] += job.succeeded
+            counts["failed"] += job.failed
+            if job.failed and len(failed) < KEPT:
+                failed.append(job)
+            counts["submitted"] += job.status == "submitted"
+            counts["dry_run"] += job.status == "dry_run"
+        counts["total"] = jobs.count
         summary = {"schema": SUMMARY_SCHEMA, "sweep_name": plan.config.sweep_name, "dispatcher": plan.config.kind}
-        head = json.dumps({**summary, "counts": counts, "jobs": []}, indent=2)
-
-        def write(target: Path):
-            with target.open("wb") as out:  # json.dumps and the entries are ASCII
-                if not counts["total"]:
-                    out.write(f"{head}\n".encode())
-                    return
-                out.write(head.removesuffix("]\n}").encode())
-                jobs.seek(1)  # past the first entry's ','
-                shutil.copyfileobj(jobs, out)
-                out.write(b"\n  ]\n}\n")
-
-        files.write_atomic(plan.summary_path, write)
+        jobs.write(plan.summary_path, {**summary, "counts": counts, "jobs": []})
     return Outcome(plan.mapping, plan.mapping_path, plan.summary_path, counts, failed)
 
 

@@ -44,7 +44,6 @@ def _values_from_spec(name: str, spec) -> list:
             if not isinstance(values, list):
                 raise _spec_error(f"parameter {name!r}: values must be a list")
             return values
-        raise _spec_error(f"parameter {name!r}: expected a value list, 'values', or 'linspace'")
     raise _spec_error(f"parameter {name!r}: expected a value list, 'values', or 'linspace'")
 
 

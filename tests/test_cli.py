@@ -634,6 +634,22 @@ class TestRunPipeline:
         assert main(argv) == 3
         assert capsys.readouterr().err == "  failed: 0 (exit code 2)\n  failed: 2 (exit code 3)\n"
 
+    def test_stderr_lists_only_the_first_failed_jobs(self, workdir, capsys):
+        write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": {"a": list(range(20))}})
+        (workdir / "template.txt").write_text("{a}\n", encoding="utf-8")
+        argv = [
+            "run", "--command", "false {sim_id}", "--config", "c{sim_id}.txt", "--template", "template.txt",
+            "--sweep-file", "sweep.json", "--max-parallel", "2",
+        ]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            *(f"  failed: {k:02d} (exit code 1)" for k in range(5)),
+            "  ... and 15 more, see sweep_summary.json",
+        ]
+        summary = json.loads((workdir / "sweep_summary.json").read_text(encoding="utf-8"))
+        assert summary["counts"]["failed"] == 20
+        assert [job["sim_id"] for job in summary["jobs"]] == [f"{k:02d}" for k in range(20)]
+
     def test_scheduler_dry_run_writes_scripts(self, workdir, tiny_setup):
         argv = list(tiny_setup)
         argv[argv.index("--command") + 1] = "./model {sim_id}"

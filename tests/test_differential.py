@@ -12,7 +12,8 @@ case through one `run_sweep` call instead of `main`; its outcome, mapped to
 an exit code as `main` maps it, and its files are checked against the same
 reference, and its status lines are not. One fixed case always runs a local
 `sh job.sh` command, which starts without the shell, on values that need
-quoting."""
+quoting, and another a local grid whose twelve jobs all fail, so standard
+error lists the first five and counts the rest."""
 
 from __future__ import annotations
 
@@ -189,7 +190,9 @@ def expected_run(case, files: dict[str, bytes], overwrite: bool):
         out += f"submitted {len(jobs)} job(s) via {SUBMIT}\n"
     else:
         out += f"ran {len(jobs)} job(s): {counts['succeeded']} succeeded, {len(failed)} failed\n"
-        err += "".join(f"  failed: {job['sim_id']} (exit code {job['exit_code']})\n" for job in failed)
+        err += "".join(f"  failed: {job['sim_id']} (exit code {job['exit_code']})\n" for job in failed[:5])
+        if len(failed) > 5:
+            err += f"  ... and {len(failed) - 5} more, see {SUMMARY}\n"
     out += f"summary written to {SUMMARY}\n"
     return (3 if failed else 0), {**files, **writes}, summary, out, err
 
@@ -336,6 +339,13 @@ QUOTED_SCRIPT_CASE = {
     "strict": False, "capture": True, "command": "script", "mapping_out": None, "second": "overwrite",
     "through": "main",
 }
+# a local grid whose 12 jobs all fail (n is odd), so stderr lists 5 and counts the rest
+FAILED_GRID = {"n": [1, 3, 5, 7], "x": [0.5, 2.0, -3.25]}
+FAILED_JOBS_CASE = {
+    **QUOTED_SCRIPT_CASE, "spec": {"type": "cartesian", "parameters": FAILED_GRID}, "coords": FAILED_GRID,
+    "sets": [dict(zip(FAILED_GRID, cell)) for cell in itertools.product(*FAILED_GRID.values())],
+    "used": [["n", "x"]], "capture": False, "command": "inline",
+}
 # a submit command that fails at the second job, through `run_sweep`
 FAILED_SUBMIT_CASE = {
     **QUOTED_SCRIPT_CASE, "configs": ["c_{sim_id}.txt", "cfg/{n}_{sim_id}.txt"], "used": [["n"], ["s"]],
@@ -347,6 +357,8 @@ FAILED_SUBMIT_CASE = {
 @given(case=cases())
 @example(case=QUOTED_SCRIPT_CASE)
 @example(case=FAILED_SUBMIT_CASE)
+@example(case=FAILED_JOBS_CASE)
+@example(case={**FAILED_JOBS_CASE, "through": "run_sweep"})
 def test_run_leaves_what_the_reference_predicts(case):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:

@@ -1,10 +1,10 @@
 """Each distinct value of a Cartesian grid is formatted once per pass:
 `collect` and a dry `run` build every cell from per-axis formatted values
 instead of formatting each value again in every cell it appears in. The
-command pass quotes each distinct value for the shell once, too. Each
-simulation ID is made once per run: every pass of `run` reads it from the
-mapping, and `preview` makes only the IDs it lists. Under --overwrite,
-checking the output paths renders none of them."""
+command pass quotes each distinct value for the shell once, too. A grid's
+mapping holds no simulation ID: each pass of `run` that names simulations
+makes each ID once from `mapping.SimIds`, and `preview` makes only the IDs
+it lists. Under --overwrite, checking the output paths renders none of them."""
 
 from __future__ import annotations
 
@@ -67,22 +67,17 @@ def renders(monkeypatch) -> list[str]:
 
 @pytest.fixture
 def id_draws(monkeypatch) -> list[str]:
-    """Every ID read from a `sim_ids` iterator, wherever sweeprun binds the name."""
-    real = mapping.sim_ids
+    """Every ID read from an iterator over `mapping.SimIds`, the computed IDs
+    that `sim_ids` returns and a grid's mapping keeps."""
+    real = mapping.SimIds.__iter__
     drawn: list[str] = []
 
-    def counting(total):
-        for sim_id in real(total):
+    def counting(self):
+        for sim_id in real(self):
             drawn.append(sim_id)
             yield sim_id
 
-    patched = []
-    for module in list(sys.modules.values()):
-        name = getattr(module, "__name__", "")
-        if name.startswith("sweeprun") and getattr(module, "sim_ids", None) is real:
-            monkeypatch.setattr(module, "sim_ids", counting)
-            patched.append(name)
-    assert {"sweeprun.mapping", "sweeprun.cli"} <= set(patched)
+    monkeypatch.setattr(mapping.SimIds, "__iter__", counting)
     return drawn
 
 
@@ -133,9 +128,13 @@ def test_dry_run_formats_each_grid_value_once_per_pass(workdir, monkeypatch, num
 
 
 def test_dry_run_names_each_simulation_once(workdir, monkeypatch, id_draws, capsys):
+    """A dry --overwrite run makes each ID once in each pass that names
+    simulations, the configs pass and the commands pass, and in no other:
+    the mapping's text joins the IDs a thousand at a time, and the repeat
+    check reads each job's ID from its digits."""
     assert main(dry_grid_run(workdir, monkeypatch)) == 0
-    assert len(id_draws) == CELLS, len(id_draws) / CELLS
-    assert id_draws[-1] == "5999"
+    ids = [f"{k:04d}" for k in range(CELLS)]
+    assert id_draws == ids + ids, len(id_draws) / CELLS
 
 
 def test_preview_makes_only_the_ids_it_lists(workdir, id_draws, capsys):

@@ -1,7 +1,7 @@
 """`run`, `preview` and `collect` stream: memory that does not grow with the
-number of simulations, a summary written entry by entry that is
-byte-identical to ``json.dumps(summary, indent=2)``, and a CSV written row by
-row that is byte-identical to ``export_csv``."""
+number of simulations, a summary and a collect report written entry by
+entry that are byte-identical to ``json.dumps(document, indent=2)``, and a
+CSV written row by row that is byte-identical to ``export_csv``."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from sweeprun import files, filters
 from sweeprun.cli import main
-from sweeprun.collect import REPORT_SCHEMA, collect_scalars, export_csv
+from sweeprun.collect import REPORT_SCHEMA, collect_scalars, export_csv, write_results
 from sweeprun.dispatch import DispatcherConfig, JobRecord
 from sweeprun.mapping import build_mapping, read_mapping, serialize, sim_ids
 from sweeprun.run import SUMMARY_SCHEMA, Plan, record
@@ -143,6 +143,20 @@ class TestSummaryWriter:
             assert path.read_bytes() == reference_summary(name, kind, records).encode("utf-8")
         assert counts == json.loads(reference_summary(name, kind, records))["counts"]
         assert failed == [r for r in records if r.failed]
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        kind=st.sampled_from(["dry", "local", "slurm", "pbs"]),
+        records=st.lists(job_records(), max_size=1) | st.lists(job_records(), min_size=12, max_size=40),
+    )
+    def test_summary_of_many_drawn_records_equals_one_dump(self, kind, records):
+        """Zero, one or many records, often more than ten of them failed: the
+        summary lists every record, and the outcome keeps the first ten failed."""
+        with tempfile.TemporaryDirectory() as directory, contextlib.chdir(directory):
+            path, counts, failed = write_summary("many", kind, records)
+            assert path.read_bytes() == reference_summary("many", kind, records).encode("utf-8")
+        assert counts == json.loads(reference_summary("many", kind, records))["counts"]
+        assert failed == [r for r in records if r.failed][:10]
 
     @pytest.mark.parametrize("dispatcher", ["dry", "local"])
     def test_run_summary_is_laid_out_as_one_dump(self, workdir, tiny_setup, dispatcher):
@@ -280,6 +294,52 @@ def test_collect_files_equal_the_library_documents(workdir, sweep, capsys):
     }
     expected = (json.dumps(report, indent=2) + "\n").encode("utf-8")
     assert (workdir / "odd_collect_report.json").read_bytes() == expected
+
+
+# output path text: non-ASCII, quotes, a backslash, blanks and bytes that are not UTF-8
+PATH_TEXT = st.text(st.sampled_from(["a", "é", "☃", '"', "'", "\\", " ", "\t", "\udcff", "\udc80"]), max_size=4)
+OUTPUT_BYTES = st.none() | st.binary(max_size=6) | st.sampled_from(
+    [b"1.5\n", b"nan", b"-inf", b"\xff\xfe 2", b"", b"  \n", b"1_000", "\u0663".encode("utf-8")]
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(name=SWEEP_NAMES, prefix=PATH_TEXT, outputs=st.lists(OUTPUT_BYTES, min_size=1, max_size=30))
+def test_report_of_drawn_issues_equals_one_dump(name, prefix, outputs):
+    """The report `write_results` streams is the one json.dumps wrote of the
+    whole issue list, and its result keeps the first ten issues."""
+    mapping = build_mapping(SetSweep([{"k": k} for k in range(len(outputs))]), sweep_name=name)
+    pattern = prefix + "{sim_id}.txt"
+    with tempfile.TemporaryDirectory() as directory, contextlib.chdir(directory):
+        for sim_id, output in zip(sim_ids(len(outputs)), outputs):
+            if output is not None:
+                Path(pattern.replace("{sim_id}", sim_id)).write_bytes(output)
+        results = write_results(mapping, Path("m.json"), pattern, "r.csv", "report.json")
+        report = Path("report.json").read_bytes()
+        issues = list(collect_scalars(mapping, pattern).issues)
+    old = {"schema": REPORT_SCHEMA, "sweep_name": name, "total": len(outputs), "collected": len(outputs) - len(issues)}
+    old["missing"] = [dataclasses.asdict(issue) for issue in issues]
+    assert report == (json.dumps(old, indent=2) + "\n").encode("utf-8")
+    assert results.counts == {"total": len(outputs), "collected": len(outputs) - len(issues), "missing": len(issues)}
+    assert results.issues == issues[:10]
+
+
+def test_collect_with_no_readable_output_holds_no_issue(workdir):
+    """A 10^5-cell grid whose outputs are all absent, in a directory that is
+    too, so no file is made: the report lists every issue, and
+    `write_results` holds under 2 MB beyond the mapping."""
+    mapping = build_mapping(CartesianSweep({"a": list(range(100)), "b": list(range(1000))}), sweep_name="q")
+    results, peak = traced_peak(lambda: write_results(mapping, Path("m.json"), "absent/out_{sim_id}.txt"))
+    assert peak < 2_000_000, f"{peak} B"
+    assert results.counts == {"total": 100_000, "collected": 0, "missing": 100_000}
+    assert [issue.sim_id for issue in results.issues] == [f"{k:05d}" for k in range(10)]
+    assert sorted(os.listdir()) == ["q_collect_report.json", "q_results.csv"]
+    report = Path("q_collect_report.json").read_text(encoding="utf-8")
+    assert report.count('"sim_id"') == 100_000
+    assert report.endswith(
+        '      "sim_id": "99999",\n      "path": "absent/out_99999.txt",\n'
+        '      "reason": "cannot read output: No such file or directory"\n    }\n  ]\n}\n'
+    )
 
 
 def test_collect_memory_is_flat_in_the_number_of_simulations(workdir, monkeypatch, capsys):
