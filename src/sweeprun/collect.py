@@ -93,6 +93,8 @@ def _read_value(path: str) -> tuple[float | None, str | None]:
         text = files.read_bytes(path).decode("utf-8", "surrogateescape")
     except OSError as exc:
         return None, f"cannot read output: {exc.strerror or exc}"
+    except ValueError as exc:  # a NUL in the path, or a character the file system cannot encode
+        return None, f"cannot read output: {exc}"
     tokens = text.split(maxsplit=1)
     if not tokens:
         return None, "output file is empty"

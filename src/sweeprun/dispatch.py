@@ -2,10 +2,11 @@
 
 A command means what ``/bin/sh -c <command>`` makes of it, so the sweep
 author's command string is honored verbatim (including pipes and
-redirections). A job that exits non-zero is recorded and the sweep
-continues; only a failing submit command (scheduler modes) aborts the whole
-dispatch; the SchedulerError carries the records of the jobs submitted
-before it.
+redirections). Local jobs and scheduler submits go through one runner,
+`_run_jobs`; a submit is a job run at one slot. A job that exits non-zero
+is recorded and the sweep continues; only a failing submit command
+(scheduler modes) aborts the whole dispatch; the SchedulerError carries the
+records of the jobs submitted before it.
 
 A command that is one plain simple command starts without the shell, as
 GNU make starts a recipe line: one process per job instead of two. Plain
@@ -323,71 +324,15 @@ def _parse_scheduler_job_id(stdout: str) -> str | None:
     return None
 
 
-def _dispatch_scheduler(jobs: list[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
-    """Submit each job in turn. Every submit writes its standard output and
-    error to one pair of unlinked files made beside the first batch script,
-    emptied before each submit and read when it exits, as ``text=True``
-    reads a pipe (its encoding, universal newlines) but with U+FFFD for a
-    byte that encoding cannot decode."""
-    import tempfile
-    from contextlib import ExitStack
-
-    records: list[JobRecord] = []
-    submit = config.resolved_submit_command
-    launch = _launcher(jobs)
-    # what text=True decodes with: UTF-8 in Python's UTF-8 mode (which the C
-    # locale turns on, though that locale's own encoding is ASCII), else the locale's
-    encoding = "utf-8" if sys.flags.utf8_mode else "locale"
-    with ExitStack() as stack:
-        outputs = []
-        for job in jobs:
-            script_path = _write_batch_script(job, config)
-            if not outputs:
-                options = {"encoding": encoding, "errors": "replace", "dir": job.workdir}
-                outputs = [stack.enter_context(tempfile.TemporaryFile("w+", **options)) for _ in range(2)]
-            for file in outputs:
-                file.seek(0)
-                file.truncate()
-            started = _now_iso()
-            t0 = time.monotonic()
-            line = f"{submit} {shlex.quote(str(script_path))}"
-            try:
-                proc = launch(line, job.workdir, stdout=outputs[0], stderr=outputs[1])
-            except OSError as exc:
-                raise SchedulerError(job.sim_id, f"could not run {submit!r}: {exc}", records) from exc
-            for file in outputs:
-                file.seek(0)
-            stdout, stderr = (file.read() for file in outputs)
-            if proc.returncode != 0:
-                detail = stderr.strip() or stdout.strip() or "no output"
-                raise SchedulerError(job.sim_id, f"{submit!r} exited with {proc.returncode}: {detail}", records)
-            job_id = _parse_scheduler_job_id(stdout) or "unknown"
-            records.append(_record(job, "submitted", started, t0, scheduler_job_id=job_id))
-    return records
-
-
-def _dry_run(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterator[JobRecord]:
-    """A dry_run record per job as it is read, after its batch script for slurm/pbs."""
-    scripts = config.kind in ("slurm", "pbs")
-    for job in _unique(jobs):
-        if scripts:
-            _write_batch_script(job, config)
-        yield _record(job, "dry_run")
-
-
-def _dispatch_local(jobs: list[JobSpec], config: DispatcherConfig) -> list[JobRecord]:
-    """Run `jobs` on the calling thread and on max_parallel - 1 helper
-    threads (none at max_parallel 1), each taking the next job in order when
-    its last one ends; the records are kept by index. The first exception a
-    job raises, on any thread, stops the handing-out of jobs and is raised
-    here once every helper has ended. On the main thread under Python's own
-    SIGINT handler, a SIGINT stops the handing-out as it arrives, not when
-    the KeyboardInterrupt leaves ``subprocess.run``, which first waits up to
-    0.25 s for its child."""
-    import signal
+def _run_jobs(jobs: list[JobSpec], slots: int, run_job: Callable[[JobSpec], JobRecord]) -> list[JobRecord]:
+    """`run_job` on each of `jobs`, at most `slots` at once; the records by index. At one
+    slot the calling thread runs the jobs in order and starts no thread. At more,
+    min(slots, len(jobs)) helper threads each take the next job when their last one ends,
+    while the calling thread only waits. The first exception a job raises, or the waiting
+    thread gets (a SIGINT's KeyboardInterrupt), stops the handing-out and is raised here
+    once every helper has ended; a SchedulerError gets the records of the jobs before it."""
     import threading
 
-    launch = _launcher(jobs)
     records: list[JobRecord | None] = [None] * len(jobs)
     todo = enumerate(jobs)
     lock = threading.Lock()
@@ -401,32 +346,62 @@ def _dispatch_local(jobs: list[JobSpec], config: DispatcherConfig) -> list[JobRe
                 if item is None:
                     return
                 index, job = item
-                records[index] = _run_local_job(job, config, launch)
+                records[index] = run_job(job)
         except BaseException as exc:
+            if isinstance(exc, SchedulerError):
+                exc.records = tuple(records[:index])
             raised.append(exc)
 
-    def interrupt(signum, frame):  # Python's own SIGINT handler, stopping the handing-out first
-        raised.append(KeyboardInterrupt())
-        raise raised[-1]
-
-    slots = min(config.resolved_max_parallel, len(jobs))
-    helpers = [threading.Thread(target=work) for _ in range(slots - 1)]
-    previous = signal.getsignal(signal.SIGINT)
-    trap = previous is signal.default_int_handler and threading.current_thread() is threading.main_thread()
-    if trap:
-        signal.signal(signal.SIGINT, interrupt)
-    try:
-        for helper in helpers:
-            helper.start()
+    if slots == 1:
         work()
-        for helper in helpers:
-            helper.join()
-    finally:
-        if trap:
-            signal.signal(signal.SIGINT, previous)
+    else:
+        helpers = [threading.Thread(target=work) for _ in range(min(slots, len(jobs)))]
+        try:
+            for helper in helpers:
+                helper.start()
+            for helper in helpers:
+                helper.join()
+        except BaseException as exc:  # a SIGINT's KeyboardInterrupt; no job runs on this thread
+            with lock:
+                raised.append(exc)
+            for helper in filter(threading.Thread.is_alive, helpers):  # a helper not started is not alive
+                helper.join()
     if raised:
         raise raised[0]
     return records
+
+
+def _submit_job(job: JobSpec, config: DispatcherConfig, launch: Callable, outputs) -> JobRecord:
+    """Write `job`'s batch script and submit it through `launch`, its output and error to
+    the pair of files `outputs`, read when it exits; a failed submit raises SchedulerError."""
+    submit = config.resolved_submit_command
+    script_path = _write_batch_script(job, config)
+    for file in outputs:
+        file.seek(0)
+        file.truncate()
+    started = _now_iso()
+    t0 = time.monotonic()
+    try:
+        proc = launch(f"{submit} {shlex.quote(str(script_path))}", job.workdir, stdout=outputs[0], stderr=outputs[1])
+    except OSError as exc:
+        raise SchedulerError(job.sim_id, f"could not run {submit!r}: {exc}") from exc
+    for file in outputs:
+        file.seek(0)
+    stdout, stderr = (file.read() for file in outputs)
+    if proc.returncode != 0:
+        detail = stderr.strip() or stdout.strip() or "no output"
+        raise SchedulerError(job.sim_id, f"{submit!r} exited with {proc.returncode}: {detail}")
+    job_id = _parse_scheduler_job_id(stdout) or "unknown"
+    return _record(job, "submitted", started, t0, scheduler_job_id=job_id)
+
+
+def _dry_run(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterator[JobRecord]:
+    """A dry_run record per job as it is read, after its batch script for slurm/pbs."""
+    scripts = config.kind in ("slurm", "pbs")
+    for job in _unique(jobs):
+        if scripts:
+            _write_batch_script(job, config)
+        yield _record(job, "dry_run")
 
 
 def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[JobRecord]:
@@ -435,9 +410,9 @@ def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[
     All configuration files must already be on disk (rendering and writing
     happen before any dispatch). Batch scripts and capture files are written
     over any file at their paths: `sweeprun.run_sweep` checks for conflicts
-    before its first write. Local jobs run at most max_parallel at once, on
-    the calling thread and max_parallel - 1 helper threads that each wait on
-    one job at a time; job failures are recorded, never raised. A dispatch
+    before its first write. Local jobs run at most max_parallel at once (on
+    the calling thread at one, else on helper threads while it waits), and
+    submits one at a time; job failures are recorded, never raised. A dispatch
     that runs nothing (kind "dry", or dry_run with any kind) returns an
     iterator that reads `jobs` once, as its records are read: it writes each
     job's batch script (slurm/pbs) and makes its record then, and reports a
@@ -449,6 +424,13 @@ def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[
     if config.kind == "dry" or config.dry_run:
         return _dry_run(jobs, config)
     jobs = list(_unique(jobs))
-    if config.kind in ("slurm", "pbs"):
-        return _dispatch_scheduler(jobs, config)
-    return _dispatch_local(jobs, config)
+    launch = _launcher(jobs)
+    if config.kind == "local" or not jobs:  # no submit, no files for its output
+        return _run_jobs(jobs, config.resolved_max_parallel, lambda job: _run_local_job(job, config, launch))
+    import tempfile
+
+    # decoded as text=True decodes a pipe, UTF-8 in Python's UTF-8 mode (which the C locale
+    # turns on) else the locale's encoding, but with U+FFFD for a byte it cannot decode
+    options = {"encoding": "utf-8" if sys.flags.utf8_mode else "locale", "errors": "replace", "dir": jobs[0].workdir}
+    with tempfile.TemporaryFile("w+", **options) as out, tempfile.TemporaryFile("w+", **options) as err:
+        return _run_jobs(jobs, 1, lambda job: _submit_job(job, config, launch, (out, err)))

@@ -63,24 +63,68 @@ class _Replayed:
         return self._items()
 
 
-def _require_path_safe_values(mapping: Mapping, patterns: list[str]):
-    """A text value rendered into a --config path must be a plain name part:
-    not empty, no '/' or NUL, and not '.' or '..', so no config lands outside
-    the directory its pattern names (an empty value at the start of a
-    pattern would leave its '/' leading, an absolute path)."""
-    names = dict.fromkeys(n for p in patterns for n in extract_placeholders(p) if n != "sim_id")
-    if not names:
-        return
+def _argument_problem(value: str) -> str | None:
+    """Why `value` cannot be part of a file name or a process's argument, or None."""
+    if "\0" in value:
+        return "a value there may not contain NUL"
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:
+        return "the file system encoding cannot encode it"
+    return None
+
+
+def _path_part_problem(value: str) -> str | None:
+    """Why `value` cannot be part of a --config path, or None. It must be a
+    plain name part: not empty, no '/' or NUL, and not '.' or '..', so no
+    config lands outside the directory its pattern names (an empty value at
+    the start of a pattern would leave its '/' leading, an absolute path)."""
+    if "/" in value or "\0" in value or value in ("", ".", ".."):
+        return "a value there may not contain '/' or NUL, or be empty, '.' or '..'"
+    return _argument_problem(value)
+
+
+def _text_problem(value: str) -> str | None:
+    """Why `value` cannot be written into a UTF-8 file, or None."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return "it cannot be encoded as UTF-8"
+    return None
+
+
+def _require_safe_values(
+    mapping: Mapping, config: DispatcherConfig, command: str, patterns: list[str], sources: list[str]
+):
+    """Every text value must be writable where the run puts it, so that a bad
+    one stops the run before its first write: in a --config path, in the
+    command of a run that starts local jobs, in a template, and in the
+    command each slurm/pbs batch script holds. Each axis value of a grid is
+    checked once."""
+
+    def named(texts: list[str]) -> dict[str, None]:
+        return dict.fromkeys(name for text in texts for name in extract_placeholders(text) if name != "sim_id")
+
+    rules = [(named(patterns), "a --config path", _path_part_problem)]
+    rules.append((named(sources), "a template", _text_problem))
+    if config.kind in ("slurm", "pbs"):
+        rules.append((named([command]), "a batch script", _text_problem))
+    elif config.kind == "local" and not config.dry_run:
+        rules.append((named([command]), "the --command of a local job", _argument_problem))
+    names = dict.fromkeys(itertools.chain.from_iterable(names for names, _, _ in rules))
     if isinstance(mapping, CartesianMapping):  # every listed value reaches some simulation
         values = ((name, value) for name in names for value in mapping.coords[name])
     else:
         values = ((name, params[name]) for params in mapping.assignments.values() for name in names)
     for name, value in values:
-        if isinstance(value, str) and ("/" in value or "\0" in value or value in ("", ".", "..")):
-            raise SweepRunError(
-                f"parameter {name!r} has the value {value!r}, which cannot be part of a "
-                "--config path: a value there may not contain '/' or NUL, or be empty, '.' or '..'"
-            )
+        if not isinstance(value, str):
+            continue
+        for where_names, where, problem in rules:
+            reason = name in where_names and problem(value)
+            if reason:
+                raise SweepRunError(
+                    f"parameter {name!r} has the value {value!r}, which cannot be part of {where}: {reason}"
+                )
 
 
 def _literal(text: str) -> str:
@@ -185,7 +229,7 @@ def plan(
         if strict:
             raise SweepRunError(message)
         warn(message)
-    _require_path_safe_values(mapping, patterns)
+    _require_safe_values(mapping, config, command, patterns, sources)
     mapping_path = Path(mapping_path or f"{config.sweep_name}_mapping.json")
     summary_path = Path(f"{config.sweep_name}_summary.json")
     outputs = _outputs(config, patterns)

@@ -323,6 +323,55 @@ class TestRunValidation:
         assert main(argv) == 0
         assert (workdir / "ok_0.txt").read_text(encoding="utf-8") == "v=ok n=1\n"
 
+    @pytest.mark.parametrize("kind", ["set", "cartesian"])
+    @pytest.mark.parametrize(
+        "value, options, where",
+        [
+            ("\ud800", ["--config", "{s}_{sim_id}.txt"],
+             "a --config path: the file system encoding cannot encode it"),
+            ("\ud800", ["--template", "uses_s.txt"], "a template: it cannot be encoded as UTF-8"),
+            ("\ud800", ["--command", "touch ran_{sim_id} {s}"],
+             "the --command of a local job: the file system encoding cannot encode it"),
+            ("x\0y", ["--command", "touch ran_{sim_id} {s}"],
+             "the --command of a local job: a value there may not contain NUL"),
+            ("\ud800", ["--command", "true {s} {sim_id}", "--dispatcher", "slurm", "--dry-run"],
+             "a batch script: it cannot be encoded as UTF-8"),
+        ],
+        ids=["config-path", "template", "local-command", "local-command-nul", "batch-script"],
+    )
+    def test_a_text_value_that_cannot_be_written_stops_the_run_first(
+        self, workdir, capsys, kind, value, options, where
+    ):
+        if kind == "set":
+            spec = {"type": "set", "sets": [{"s": "a"}, {"s": value}]}
+        else:
+            spec = {"type": "cartesian", "parameters": {"s": ["a", value]}}
+        write_json(workdir / "sweep.json", spec)
+        (workdir / "template.txt").write_text("{sim_id}\n", encoding="utf-8")
+        (workdir / "uses_s.txt").write_text("s={s}\n", encoding="utf-8")
+        argv = {"--command": "true {sim_id}", "--config": "c_{sim_id}.txt", "--template": "template.txt"}
+        argv.update(zip(options[::2], options[1::2]))
+        before = sorted(workdir.iterdir())
+        assert main(["run", *(word for pair in argv.items() for word in pair), "--sweep-file", "sweep.json"]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: parameter 's' has the value {value!r}, which cannot be part of {where}"
+        ]
+        assert sorted(workdir.iterdir()) == before
+
+    def test_a_value_that_can_be_written_still_runs(self, workdir, capsys):
+        """U+DCFF is the file name byte 0xff, and a dry run starts no process."""
+        sets = [{"s": "a", "t": "\ud800"}, {"s": "\udcff", "t": "b"}]
+        write_json(workdir / "sweep.json", {"type": "set", "sets": sets})
+        (workdir / "template.txt").write_text("{sim_id}\n", encoding="utf-8")
+        argv = ["run", "--config", "{s}_{sim_id}.txt", "--template", "template.txt", "--sweep-file", "sweep.json"]
+        assert main([*argv, "--command", "touch ran_{sim_id} {t}", "--dry-run"]) == 0
+        assert main([*argv, "--command", "touch ran_{sim_id} {s}", "--overwrite"]) == 0
+        assert sorted(os.listdir(b".")) == [
+            b"a", b"a_0.txt", b"ran_0", b"ran_1", b"sweep.json", b"sweep_mapping.json", b"sweep_summary.json",
+            b"template.txt", b"\xff", b"\xff_1.txt",
+        ]
+
 
 class TestRunPipeline:
     def test_writes_configs_mapping_summary(self, workdir, tiny_setup):
@@ -925,6 +974,20 @@ class TestCollectCommand:
         assert csv_text == "a,b,value\n1,10,11.0\n2,10,\n"
         report = json.loads((workdir / "tiny_collect_report.json").read_text())
         assert [m["sim_id"] for m in report["missing"]] == ["1"]
+
+    def test_an_output_path_with_a_nul_is_a_report_entry(self, workdir, capsys):
+        write_json(workdir / "sweep.json", {"type": "set", "sets": [{"s": "a"}, {"s": "x\0y"}]})
+        (workdir / "template.txt").write_text("s={s}\n", encoding="utf-8")
+        argv = ["run", "--command", "true {sim_id}", "--config", "c_{sim_id}.txt", "--template", "template.txt",
+                "--sweep-file", "sweep.json", "--dispatcher", "dry"]
+        assert main(argv) == 0
+        (workdir / "a_0.out").write_text("1.5\n", encoding="utf-8")
+        assert main(["collect", "sweep_mapping.json", "--output-pattern", "{s}_{sim_id}.out"]) == 4
+        assert (workdir / "sweep_results.csv").read_text(encoding="utf-8") == "s,value\na,1.5\nx\0y,\n"
+        report = json.loads((workdir / "sweep_collect_report.json").read_text(encoding="utf-8"))
+        assert report["missing"] == [
+            {"sim_id": "1", "path": "x\0y_1.out", "reason": "cannot read output: embedded null byte"}
+        ]
 
     def test_nan_output_exits_four_with_csv_and_report(self, workdir, tiny_setup, stub, capsys):
         self._run_tiny(workdir, tiny_setup, stub)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -179,13 +180,11 @@ class TestLocalDispatch:
 
     def test_an_error_on_a_helper_thread_reaches_the_caller(self, workdir, monkeypatch):
         """A job that raises something other than OSError (here a NUL in its
-        command) stops the dispatch, whichever thread ran it."""
+        command) stops the dispatch."""
         run_local_job = dispatch._run_local_job
         raised_on = []
 
         def run(job, config, launch):
-            if threading.current_thread() is threading.main_thread():
-                time.sleep(0.2)  # so the helper takes every job after the first
             try:
                 return run_local_job(job, config, launch)
             except ValueError:
@@ -197,6 +196,26 @@ class TestLocalDispatch:
         with pytest.raises(ValueError, match="null byte"):
             dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=2))
         assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+
+    def test_jobs_run_on_helpers_under_the_callers_sigint_handler(self, workdir, monkeypatch):
+        """At two slots the calling thread only waits, so no job runs on it and
+        the dispatch installs no SIGINT handler of its own."""
+        run_local_job = dispatch._run_local_job
+        seen = []
+
+        def run(job, config, launch):
+            seen.append((signal.getsignal(signal.SIGINT), threading.current_thread() is threading.main_thread()))
+            return run_local_job(job, config, launch)
+
+        monkeypatch.setattr(dispatch, "_run_local_job", run)
+        jobs = [_job(str(i), "true", workdir) for i in range(6)]
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            records = dispatch_all(jobs, DispatcherConfig(max_parallel=2))
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert [r.succeeded for r in records] == [True] * 6
+        assert seen == [(signal.default_int_handler, False)] * 6
 
     def test_memory_held_per_job(self, workdir, monkeypatch):
         """A local dispatch holds about a job and a record per simulation."""

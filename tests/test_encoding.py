@@ -66,3 +66,16 @@ def test_submit_output_is_decoded_as_text_mode_decodes_it(sweep_files, monkeypat
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((sweep_files / "slurm_summary.json").read_text(encoding="utf-8"))
     assert [job["scheduler_job_id"] for job in summary["jobs"]] == ["j\xf6b-7", "j\xf6b-7"]
+
+
+def test_tiny_setup_runs_under_strict_encoding_warnings(tiny_setup, workdir):
+    """run (local jobs at two slots), preview and collect each end as they
+    should with EncodingWarning an error."""
+    for argv, code in [
+        ([*tiny_setup, "--max-parallel", "2"], 0),
+        (["preview", "--sweep-file", "sweep.json"], 0),
+        (["collect", "tiny_mapping.json"], 4),  # `true` writes no output
+    ]:
+        proc = run_python([*STRICT, *argv], workdir)
+        assert proc.returncode == code, proc.stderr
+        assert "Warning" not in proc.stderr

@@ -78,3 +78,21 @@ def test_a_traced_run_and_collect_open_every_span(workdir):
     assert reports["local"]["layers"]["dispatch.job"]["calls"] == 4
     assert len(reports["local"]["job_seconds"]) == 4
     assert sorted(path.name for path in workdir.glob("s_*.sh")) == [f"s_{k}.sh" for k in range(4)]
+
+
+def test_a_helper_threads_job_is_no_child_of_another_job(workdir):
+    """At two slots every job runs on a helper thread while the calling
+    thread waits in dispatch_all, so no job's span holds another's and each
+    job's self time is its whole time."""
+    (workdir / "sweep.json").write_text(
+        json.dumps({"type": "cartesian", "parameters": {"a": [1, 2, 3, 4]}}), encoding="utf-8"
+    )
+    (workdir / "template.txt").write_text("a={a}\n", encoding="utf-8")
+    argv = ["run", "--command", "sh -c 'sleep 0.1' {sim_id}", "--config", "c_{sim_id}.txt", "--template",
+            "template.txt", "--sweep-file", "sweep.json", "--max-parallel", "2"]
+    proc = run_python([str(TRACE_CLI), "trace.json", "--", *argv], workdir)
+    report = json.loads((workdir / "trace.json").read_text(encoding="utf-8"))
+    assert report["exit_code"] == 0, proc.stderr
+    job = report["layers"]["dispatch.job"]
+    assert job["calls"] == 4
+    assert job["self_s"] == job["total_s"]
