@@ -49,12 +49,16 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _status(line: str, stream: TextIO | None = None):
     """Print one status line to `stream` (standard output by default) and
-    flush it. If the stream's reader has gone (a closed pipe), the stream is
-    pointed at /dev/null for the rest of the process and the command carries
-    on: its files and exit code do not depend on who reads its output."""
+    flush it; a character the stream cannot encode is written as its
+    backslash escape. If the stream's reader has gone (a closed pipe), the
+    stream is pointed at /dev/null for the rest of the process and the
+    command carries on: its files and exit code do not depend on who reads
+    its output."""
     stream = stream or sys.stdout
     try:
         print(line, file=stream, flush=True)
+    except UnicodeEncodeError as exc:  # nothing of the line was written
+        _status(line.encode(exc.encoding, "backslashreplace").decode(exc.encoding), stream)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())

@@ -208,7 +208,7 @@ def write_results(
 
     with files.Listing() as missing:
         def write_csv(path: Path):
-            with path.open("w", encoding="utf-8") as out:
+            with path.open("w", encoding="utf-8", errors="backslashreplace") as out:
                 writer = _csv_writer(out, mapping.parameter_names)
                 for _sim_id, cell, value, issue in _harvest(mapping, output_pattern, reserved):
                     if issue is not None:

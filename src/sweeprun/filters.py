@@ -4,7 +4,9 @@ A filter is a boolean expression over the swept parameters, e.g.
 ``x > y and not (mode == 'fast')``. This module provides the lexer (one
 regular expression), a precedence-climbing parser over one operator table
 producing an immutable AST, an evaluator that compiles each AST once into a
-tree of closures, and `prune`, the one walk of a filtered grid.
+tree of closures, and `prune`, the one walk of a filtered grid. One table,
+`_OPERATORS`, states which operand types each operator takes: the evaluator
+checks operands against it, and `prune`'s static proof reads it.
 
 Precedence, lowest to highest: ``or`` < ``and`` < ``not`` < comparisons
 (``< <= > >= == !=``, non-associative) < ``+ -`` < ``* /`` < unary minus.
@@ -264,20 +266,18 @@ def free_variables(expr: FilterExpr) -> set[str]:
     return set()
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# the operand types the operator table names, and their names in errors; a
+# value of a subclass of one is checked as that type (bool, a subclass of
+# int, comes first), and any other value as its own type
+_KIND_NAMES = {bool: "boolean", int: "integer", float: "real", str: "text"}
+
+
+def _kind(value: object) -> type:
+    return next((kind for kind in _KIND_NAMES if isinstance(value, kind)), type(value))
 
 
 def _kind_name(value: object) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "real"
-    if isinstance(value, str):
-        return "text"
-    return type(value).__name__
+    return _KIND_NAMES.get(_kind(value)) or type(value).__name__
 
 
 def evaluate(expr: FilterExpr, env: Mapping[str, int | float | str]) -> bool:
@@ -313,32 +313,29 @@ def _cache_program(expr: FilterExpr) -> tuple[FilterExpr, Callable[[Mapping], ob
     return entry
 
 
-# exact types that pass _is_number; subclasses take the full check
-_PLAIN_NUMBERS = frozenset({int, float})
-
-
-def _numbers(a: object, b: object) -> bool:
-    return (type(a) in _PLAIN_NUMBERS and type(b) in _PLAIN_NUMBERS) or (
-        _is_number(a) and _is_number(b)
-    )
-
-
-def _boolean(op: str, value: object) -> bool:
-    if value is True or value is False:
-        return value
-    raise FilterTypeError(f"'{op}' requires boolean operands, got {_kind_name(value)}")
-
-
 def _divide(a, b):
     if b == 0:
         raise FilterArithmeticError("division by zero")
     return a / b
 
 
-_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide}
-_COMPARISONS = {
-    "lt": operator.lt, "le": operator.le, "gt": operator.gt,
-    "ge": operator.ge, "eq": operator.eq, "ne": operator.ne,
+_NUMBERS = {int: {int, float}, float: {int, float}}
+_ORDERED = {**_NUMBERS, str: {str}}  # an integer compares with a real exactly
+_ARITHMETIC_ERROR = "cannot apply arithmetic to {} and {}"
+
+# op -> (the operand type pairs it takes, as a map from each left type to
+# the right types it takes with it, a unary operator's right being None; the
+# error for any others; its function). Evaluation checks each operand against
+# its row, and `_kinds` proves a node from the same row. ``and``/``or`` have
+# no function: they short-circuit.
+_OPERATORS = {
+    "neg": ({int: {None}, float: {None}}, "unary '-' requires a number, got {}", operator.neg),
+    "not": ({bool: {None}}, "'not' requires a boolean, got {}", operator.not_),
+    **{op: ({bool: {bool}}, f"'{op}' requires boolean operands, got {{}}", None) for op in ("and", "or")},
+    **{op: (_ORDERED, "cannot order {} and {}", getattr(operator, op)) for op in ("lt", "le", "gt", "ge")},
+    **{op: (_ORDERED, "cannot compare {} and {} for equality", getattr(operator, op)) for op in ("eq", "ne")},
+    **{op: (_NUMBERS, _ARITHMETIC_ERROR, getattr(operator, op)) for op in ("add", "sub", "mul")},
+    "div": (_NUMBERS, _ARITHMETIC_ERROR, _divide),
 }
 
 
@@ -357,73 +354,52 @@ def _compile(node: FilterExpr) -> Callable[[Mapping], object]:
                 raise UnboundVariableError(name) from None
 
         return variable
+    rights, message, apply = _OPERATORS[node.op]  # a unary operator takes the left types
     if isinstance(node, Unary):
         operand = _compile(node.operand)
-        if node.op == "not":
 
-            def negation(env):
-                value = operand(env)
-                if value is True or value is False:
-                    return not value
-                raise FilterTypeError(f"'not' requires a boolean, got {_kind_name(value)}")
-
-            return negation
-
-        def minus(env):
+        def unary(env):
             value = operand(env)
-            if type(value) in _PLAIN_NUMBERS or _is_number(value):
-                return -value
-            raise FilterTypeError(f"unary '-' requires a number, got {_kind_name(value)}")
+            if type(value) in rights or _kind(value) in rights:
+                return apply(value)
+            raise FilterTypeError(message.format(_kind_name(value)))
 
-        return minus
+        return unary
 
-    op = node.op
     left = _compile(node.left)
     right = _compile(node.right)
-    if op in ("and", "or"):
-        decisive = op == "or"  # the left value that decides the result alone
+    if apply is None:
+        decisive = node.op == "or"  # the left value that decides the result alone
 
         def logical(env):
-            value = _boolean(op, left(env))
-            return value if value is decisive else _boolean(op, right(env))
+            a = left(env)
+            if not (type(a) in rights or _kind(a) in rights):
+                raise FilterTypeError(message.format(_kind_name(a)))
+            if a is decisive:
+                return a
+            b = right(env)
+            if type(b) in rights.get(type(a), ()) or _kind(b) in rights[_kind(a)]:
+                return b
+            raise FilterTypeError(message.format(_kind_name(b)))
 
         return logical
 
-    if op in _COMPARISONS:
-        compare = _COMPARISONS[op]
-        message = "cannot compare {} and {} for equality" if op in ("eq", "ne") else "cannot order {} and {}"
-
-        def comparison(env):
-            a = left(env)
-            b = right(env)
-            if _numbers(a, b) or (isinstance(a, str) and isinstance(b, str)):
-                return compare(a, b)
-            raise FilterTypeError(message.format(_kind_name(a), _kind_name(b)))
-
-        return comparison
-
-    if op not in _ARITHMETIC:
-        raise AssertionError(f"unknown operator {op!r}")
-    apply = _ARITHMETIC[op]
-
-    def arithmetic(env):
+    def binary(env):
         a = left(env)
         b = right(env)
-        if not _numbers(a, b):
-            raise FilterTypeError(f"cannot apply arithmetic to {_kind_name(a)} and {_kind_name(b)}")
-        try:
-            return apply(a, b)
-        except OverflowError as exc:  # an integer too large to mix with reals
-            raise FilterArithmeticError(str(exc)) from None
+        if type(b) in rights.get(type(a), ()) or _kind(b) in rights.get(_kind(a), ()):
+            try:
+                return apply(a, b)
+            except OverflowError as exc:  # an integer too large to mix with reals
+                raise FilterArithmeticError(str(exc)) from None
+        raise FilterTypeError(message.format(_kind_name(a), _kind_name(b)))
 
-    return arithmetic
+    return binary
 
 
 # ---------------------------------------------------------------------------
 # pruning: a filter that cannot raise on a grid is tested conjunct by conjunct
 
-_VALUE_KINDS = frozenset({int, float, str})
-_BOOLEAN = frozenset({bool})
 _INT_LIMIT = 2**1023  # an integer below this becomes a real without overflow
 
 
@@ -433,36 +409,32 @@ class _Unproven(Exception):
 
 def _kinds(node: FilterExpr, axes: Mapping) -> tuple[frozenset, int]:
     """The exact types `node` takes over the grid `axes` (name -> values) and
-    a bound on the magnitude of its integer values. Raises _Unproven where an
-    operator could get an operand it rejects, at a ``/``, and where an integer
-    mixed with a real could reach _INT_LIMIT."""
+    a bound on the magnitude of its integer values. Raises _Unproven where a
+    pair of operand types is not in the operator's `_OPERATORS` row (a
+    subclass is in none), at a ``/``, and where an integer mixed with a real
+    could reach _INT_LIMIT."""
     if isinstance(node, (NumberLit, TextLit, Var)):
         values = axes.get(node.name, ()) if isinstance(node, Var) else (node.value,)
-        kinds = frozenset(map(type, values))
-        if not kinds or not kinds <= _VALUE_KINDS:  # a subclass is not proven
+        if not values:  # an unbound name
             raise _Unproven
-        return kinds, max((abs(v) for v in values if type(v) is int), default=0)
-    if isinstance(node, Unary):
-        kinds, bound = _kinds(node.operand, axes)
-        if kinds <= (_BOOLEAN if node.op == "not" else _PLAIN_NUMBERS):
-            return kinds, bound
+        return frozenset(map(type, values)), max((abs(v) for v in values if type(v) is int), default=0)
+    unary = isinstance(node, Unary)
+    left, left_bound = _kinds(node.operand if unary else node.left, axes)
+    right, right_bound = ((None,), 0) if unary else _kinds(node.right, axes)
+    rights = _OPERATORS[node.op][0]
+    if node.op == "div" or not all(b in rights.get(a, ()) for a in left for b in right):
         raise _Unproven
-    left, left_bound = _kinds(node.left, axes)
-    right, right_bound = _kinds(node.right, axes)
-    both = left | right
-    if node.op in ("and", "or") and both <= _BOOLEAN:
-        return _BOOLEAN, 0
-    if node.op in _COMPARISONS and (both <= _PLAIN_NUMBERS or both == {str}):
-        return _BOOLEAN, 0  # an integer compares with a real exactly
-    if node.op in ("add", "sub", "mul") and both <= _PLAIN_NUMBERS:
-        if (int in left and float in right and left_bound >= _INT_LIMIT) or (
-            float in left and int in right and right_bound >= _INT_LIMIT
-        ):
-            raise _Unproven
-        bound = left_bound * right_bound if node.op == "mul" else left_bound + right_bound
-        kinds = {int} if int in left and int in right else set()
-        return frozenset(kinds | (both & {float})), min(bound, _INT_LIMIT)
-    raise _Unproven
+    if unary:  # '-' keeps its operand's types, 'not' takes booleans only
+        return left, left_bound
+    if node.op not in ("add", "sub", "mul"):
+        return frozenset({bool}), 0
+    if (int in left and float in right and left_bound >= _INT_LIMIT) or (
+        float in left and int in right and right_bound >= _INT_LIMIT
+    ):
+        raise _Unproven
+    bound = left_bound * right_bound if node.op == "mul" else left_bound + right_bound
+    kinds = {int} if int in left and int in right else set()
+    return frozenset(kinds | ((left | right) & {float})), min(bound, _INT_LIMIT)
 
 
 def _conjuncts(expr: FilterExpr) -> list[FilterExpr]:
@@ -477,7 +449,7 @@ def _split(expr: FilterExpr, parameters: Mapping[str, tuple]) -> list[FilterExpr
     proves that `expr` is boolean and no part of it raises on any point of the
     grid `parameters`; else None."""
     try:
-        if _kinds(expr, parameters)[0] == _BOOLEAN:
+        if _kinds(expr, parameters)[0] == {bool}:
             return _conjuncts(expr)
     except (_Unproven, RecursionError):
         pass

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -74,8 +75,10 @@ class SimIds(Sequence):
     def __len__(self) -> int:
         return self.total
 
-    def __getitem__(self, k: int) -> str:
-        return f"{range(self.total)[k]:0{self.width}d}"
+    def __getitem__(self, k):
+        """The ID at `k`; a slice is the tuple of its IDs."""
+        at = range(self.total)[k]
+        return tuple(f"{n:0{self.width}d}" for n in at) if isinstance(k, slice) else f"{at:0{self.width}d}"
 
     def number(self, sim_id) -> int | None:
         """The position of `sim_id`, read from its digits; None if it is not one of these IDs."""
@@ -300,8 +303,8 @@ def cells(
     )
 
 
-def _head(mapping: CartesianMapping) -> str:
-    """What `serialize` writes for `mapping` before its first ID."""
+def _pieces(mapping: CartesianMapping) -> Iterator[str]:
+    """What `serialize` joins for `mapping`: the head, the IDs a run at a time, and the close."""
     doc = {
         "schema": SCHEMA_TAG,
         "kind": "cartesian",
@@ -311,19 +314,19 @@ def _head(mapping: CartesianMapping) -> str:
         "shape": list(mapping.shape),
         "sim_ids": [],
     }
-    return json.dumps(doc, indent=2, allow_nan=False)[: -len(_IDS_EMPTY)] + _IDS_OPEN
+    yield json.dumps(doc, indent=2, allow_nan=False)[: -len(_IDS_EMPTY)] + _IDS_OPEN
+    if isinstance(mapping.sim_ids, SimIds):
+        yield from mapping.sim_ids.joined(_IDS_SEP)
+    else:
+        yield _IDS_SEP.join(json.dumps(sim_id)[1:-1] for sim_id in mapping.sim_ids)
+    yield _IDS_CLOSE
 
 
 def serialize(mapping: Mapping) -> str:
     """Deterministic JSON text for a mapping (trailing newline included), as
     ``json.dumps(indent=2)`` writes it; `sim_ids` are joined a run at a time."""
     if isinstance(mapping, CartesianMapping):
-        ids = mapping.sim_ids
-        if isinstance(ids, SimIds):
-            pieces = ids.joined(_IDS_SEP)
-        else:
-            pieces = [_IDS_SEP.join(json.dumps(sim_id)[1:-1] for sim_id in ids)]
-        return "".join(itertools.chain([_head(mapping)], pieces, [_IDS_CLOSE]))
+        return "".join(_pieces(mapping))
     if not isinstance(mapping, AssociationMapping):
         raise TypeError(f"not a mapping: {mapping!r}")
     doc = {
@@ -331,7 +334,7 @@ def serialize(mapping: Mapping) -> str:
         "kind": "association",
         "sweep_name": mapping.sweep_name,
         "parameter_names": list(mapping.parameter_names),
-        "assignments": {sid: dict(ps) for sid, ps in mapping.assignments.items()},
+        "assignments": mapping.assignments,
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
@@ -362,35 +365,27 @@ def deserialize(text: str) -> Mapping:
 
 
 def _read_formula(text: str) -> CartesianMapping | None:
-    """The mapping in `text` if `text` is what `serialize` writes for a
-    mapping with `sim_ids`, else None: their count follows from the length
-    and the first ID, they are compared a run at a time, and only the head
-    is parsed."""
+    """The mapping holding `sim_ids(N)` whose `serialize` is `text`, else
+    None: only the head is parsed, and what `serialize` writes for it is
+    compared with the text a run at a time."""
     at = text.find(_IDS_OPEN)
-    start, end = at + len(_IDS_OPEN), len(text) - len(_IDS_CLOSE)
-    if at < 0 or start > end or not text.endswith(_IDS_CLOSE):
+    try:
+        mapping = _parse(text[:at] + _IDS_EMPTY, formula=True) if at >= 0 else None
+    except MappingFormatError:
         return None
-    width = text.find('"', start) - start
-    total, spare = divmod(end - start + len(_IDS_SEP), width + len(_IDS_SEP))
-    ids = SimIds(total)
-    if spare or ids.width != width:
+    if not isinstance(mapping, CartesianMapping):
         return None
-    pos = start
-    for piece in ids.joined(_IDS_SEP):
+    pos = 0
+    for piece in _pieces(mapping):
         if not text.startswith(piece, pos):
             return None
         pos += len(piece)
-    try:
-        mapping = _parse(text[:at] + _IDS_EMPTY, ids)
-    except MappingFormatError:
-        return None
-    if isinstance(mapping, CartesianMapping) and _head(mapping) == text[:start]:
-        return mapping
-    return None
+    return mapping if pos == len(text) else None
 
 
-def _parse(text: str, ids: SimIds | None = None) -> Mapping:
-    """`deserialize` by ``json.loads``; with `ids`, those are the sim_ids of a Cartesian document."""
+def _parse(text: str, formula: bool = False) -> Mapping:
+    """`deserialize` by ``json.loads``; with `formula`, a Cartesian document's
+    sim_ids are `sim_ids` of the size its coords give."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -406,7 +401,7 @@ def _parse(text: str, ids: SimIds | None = None) -> Mapping:
         dims = doc.get("dims")
         coords = doc.get("coords")
         shape = doc.get("shape")
-        sim_ids = doc.get("sim_ids") if ids is None else ids
+        sim_ids = doc.get("sim_ids")
         _require(
             isinstance(dims, list) and all(isinstance(d, str) for d in dims),
             "dims must be a list of names",
@@ -421,9 +416,11 @@ def _parse(text: str, ids: SimIds | None = None) -> Mapping:
             "shape must be a list of integers",
         )
         _require(
-            ids is not None or (isinstance(sim_ids, list) and all(isinstance(s, str) for s in sim_ids)),
+            isinstance(sim_ids, list) and all(isinstance(s, str) for s in sim_ids),
             "sim_ids must be a list of text IDs",
         )
+        if formula:  # the head of a document, whose sim_ids are []
+            sim_ids = SimIds(math.prod(map(len, coords.values())))
         mapping = _construct(
             CartesianMapping, sweep_name=sweep_name, dims=dims, coords=coords, sim_ids=sim_ids
         )

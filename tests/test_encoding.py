@@ -79,3 +79,36 @@ def test_tiny_setup_runs_under_strict_encoding_warnings(tiny_setup, workdir):
         proc = run_python([*STRICT, *argv], workdir)
         assert proc.returncode == code, proc.stderr
         assert "Warning" not in proc.stderr
+
+
+def write_sets(workdir, values: list[str]):
+    """A set sweep over `values` of one parameter `s`, and a template that does not use it."""
+    (workdir / "sweep.json").write_text(
+        json.dumps({"type": "set", "sets": [{"s": value} for value in values]}), encoding="utf-8"
+    )
+    (workdir / "template.txt").write_text("{sim_id}\n", encoding="utf-8")
+
+
+def test_preview_writes_a_value_its_output_cannot_encode_as_its_escape(workdir, monkeypatch):
+    write_sets(workdir, ["a", "\ud800"])
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8")
+    proc = run_python(["-m", "sweeprun.cli", "preview", "--sweep-file", "sweep.json"], workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.strip() for line in proc.stdout.splitlines()[1:]] == ["0: s=a", "1: s=\\ud800"]
+
+
+@pytest.mark.parametrize("outputs, code", [(3, 0), (2, 4)])
+def test_collect_writes_a_value_utf8_cannot_encode_as_its_escape(workdir, outputs, code):
+    """The CSV escapes the lone surrogate and holds the other values as
+    UTF-8, and the exit code follows from the outputs."""
+    write_sets(workdir, ["a", "\ud800", "é"])
+    run = ["run", "--command", "true {sim_id}", "--config", "c_{sim_id}.txt", "--template", "template.txt"]
+    dry = run_python(["-m", "sweeprun.cli", *run, "--sweep-file", "sweep.json", "--dispatcher", "dry"], workdir)
+    assert dry.returncode == 0, dry.stderr
+    for k in range(outputs):
+        (workdir / f"results_{k}.txt").write_text(f"{k}.5\n", encoding="utf-8")
+    proc = run_python(["-m", "sweeprun.cli", "collect", "sweep_mapping.json"], workdir)
+    assert proc.returncode == code, proc.stderr
+    last = "2.5" if outputs == 3 else ""
+    expected = f"s,value\na,0.5\n\\ud800,1.5\né,{last}\n".encode()
+    assert (workdir / "sweep_results.csv").read_bytes() == expected

@@ -70,6 +70,13 @@ class TestSimIds:
         with pytest.raises(ValueError):
             ids.index("x")
 
+    @pytest.mark.parametrize("cut", [slice(1, 3), slice(None, None, -1), slice(-2, None)], ids=["1:3", "::-1", "-2:"])
+    def test_a_slice_is_the_tuple_of_its_ids(self, cut):
+        ids = sim_ids(12)
+        assert ids[cut] == tuple(ids)[cut] == tuple(f"{k:02d}" for k in range(12))[cut]
+        assert type(ids[cut]) is tuple
+        assert ids[1:3] == ("01", "02")
+
     def test_deterministic(self):
         assert list(sim_ids(1001)) == list(sim_ids(1001))
 

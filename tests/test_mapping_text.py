@@ -114,6 +114,7 @@ MUTATIONS = {
     "head-indent-one-more": (lambda t: t.replace('\n  "dims"', '\n   "dims"'), None),
     "one-line": (lambda t: json.dumps(json.loads(t)) + "\n", None),
     "no-final-newline": (lambda t: t[:-1], None),
+    "blank-after-the-end": (lambda t: t + " \n", None),
     "crlf": (lambda t: t.replace("\n", "\r\n"), None),
     "real-spelled-otherwise": (lambda t: t.replace("1e+100", "1E100"), None),
     "shape-edited": (lambda t: t.replace("    3,\n    400,", "    400,\n    3,"), "shape [400, 3, 1] does not match"),

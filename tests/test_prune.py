@@ -133,3 +133,83 @@ def test_a_grid_of_no_parameters_is_one_empty_set(source, kept, error, evaluated
         with pytest.raises(error):
             list(filters.prune(expr, {}))
     assert [env for _expr, env in evaluations] == [{}] * evaluated
+
+
+# ---------------------------------------------------------------------------
+# the operator table, row by row: the proof and the evaluator read one row
+
+
+class _Str(str):
+    pass
+
+
+# an operand kind: (its filter text over one axis, the axis values, the type its row is read with, its name)
+OPERANDS = {
+    "int": ("{}", [2, 3], int, "integer"),
+    "float": ("{}", [2.5, 0.5], float, "real"),
+    "str": ("{}", ["p", "q"], str, "text"),
+    "bool": ("({} < 3)", [2, 3], bool, "boolean"),  # True, then False
+    "int-subclass": ("{}", [_Int(2), _Int(3)], int, "integer"),
+    "str-subclass": ("{}", [_Str("p"), _Str("q")], str, "text"),
+}
+# the error messages as the evaluator has always written them
+MESSAGES = {
+    "neg": "unary '-' requires a number, got {}",
+    "not": "'not' requires a boolean, got {}",
+    "and": "'and' requires boolean operands, got {}",
+    "or": "'or' requires boolean operands, got {}",
+    **dict.fromkeys(["lt", "le", "gt", "ge"], "cannot order {} and {}"),
+    **dict.fromkeys(["eq", "ne"], "cannot compare {} and {} for equality"),
+    **dict.fromkeys(["add", "sub", "mul", "div"], "cannot apply arithmetic to {} and {}"),
+}
+SYMBOLS = {op: text for text, (_precedence, op) in filters._BINARY.items()}
+
+
+def test_the_table_covers_every_operator_the_parser_makes():
+    assert set(filters._OPERATORS) == set(SYMBOLS) | {"not", "neg"} == set(MESSAGES)
+
+
+def operator_cases():
+    for op in MESSAGES:
+        for left in OPERANDS:
+            for right in [None] if op in ("neg", "not") else OPERANDS:
+                yield pytest.param(op, left, right, id=f"{op}-{left}-{right}")
+
+
+@pytest.mark.parametrize("op, left, right", operator_cases())
+def test_each_operand_pair_is_proved_and_evaluated_by_its_row(op, left, right):
+    """`evaluate` raises FilterTypeError with the row's message exactly where
+    the row rejects the pair, and `_split` proves a filter only where no
+    point of its grid raises: every accepted pair of exact types but ``/``."""
+    text, values, kind, name = OPERANDS[left]
+    x = text.format("x")
+    parameters = {"x": values}
+    if right is None:
+        source = f"not {x}" if op == "not" else f"-{x} == -{x}"
+        accepted = (kind, None)
+        failing = [name]
+    else:
+        right_text, parameters["y"], right_kind, right_name = OPERANDS[right]
+        y = right_text.format("y")
+        source = f"{x} {SYMBOLS[op]} {y}"
+        if op in ("add", "sub", "mul", "div"):  # a boolean root, the same arithmetic on both sides
+            source = f"({source}) == ({source})"
+        accepted = (kind, right_kind)
+        # ``and``/``or`` name the first operand that is not a boolean; the others name both
+        failing = [name if kind is not bool else right_name] if op in ("and", "or") else [name, right_name]
+    row = filters._OPERATORS[op][0]
+    in_row = accepted[1] in row.get(accepted[0], ())
+    expr = filters.parse(source)
+    errors = []
+    for point in itertools.product(*parameters.values()):
+        try:
+            filters.evaluate(expr, dict(zip(parameters, point)))
+        except FilterTypeError as exc:
+            errors.append(str(exc))
+    if in_row:
+        assert errors == []
+    else:
+        assert errors and set(errors) <= {MESSAGES[op].format(*failing)}
+    proved = filters._split(expr, parameters) is not None
+    exact = all(type(v) in (int, float, str) for axis in parameters.values() for v in axis)
+    assert proved == (in_row and exact and op != "div")
