@@ -6,9 +6,9 @@ template per simulation (``render``), runs one job per set (``dispatch_all``:
 bounded local parallelism, batch-scheduler scripts, or a dry run), and writes
 the mapping and a run summary. A sweep is built in code or loaded from a
 JSON sweep-spec file (``load_sweep_spec``). ``write_results`` harvests one
-scalar output per simulation into a CSV and a report; ``collect_scalars``
-keeps them in memory. The commands ``sweeprun run`` and ``sweeprun collect``
-are one call of each.
+scalar output per simulation into a CSV and a report, as ``harvest`` yields
+them. The commands ``sweeprun run`` and ``sweeprun collect`` are one call of
+each.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import importlib
 # of its names is read (PEP 562), so `import sweeprun` loads no submodule and
 # each command loads only what it runs
 _HOMES = {
-    "collect": ("CollectIssue", "CollectedScalars", "collect_scalars", "export_csv", "write_results"),
+    "collect": ("CollectIssue", "harvest", "write_results"),
     "dispatch": ("DispatcherConfig", "JobRecord", "JobSpec", "dispatch_all", "render_batch_script"),
     "filters": ("evaluate_filter", "free_variables", "parse_filter"),
     "mapping": (

@@ -161,18 +161,22 @@ class DispatcherConfig:
 
 
 def render_batch_script(job: JobSpec, config: DispatcherConfig) -> str:
-    """Batch script text for one job (slurm or pbs), deterministic."""
+    """Batch script text for one job (slurm or pbs), deterministic. PBS, unlike
+    Slurm, starts a job in the home directory and names the submit directory
+    in PBS_O_WORKDIR, so a pbs script changes to it where it is set."""
     tag = f"{config.sweep_name}_{job.sim_id}"
     log = scheduler_log_path(config.sweep_name, job.sim_id)
     if config.kind == "slurm":
         header = [f"#SBATCH --job-name={tag}", f"#SBATCH --output={log}"]
         header += [f"#SBATCH {d}" for d in config.scheduler_directives]
+        start = []
     elif config.kind == "pbs":
         header = [f"#PBS -N {tag}", f"#PBS -o {log}"]
         header += [f"#PBS {d}" for d in config.scheduler_directives]
+        start = ['cd "${PBS_O_WORKDIR:-.}" || exit']
     else:
         raise ValueError(f"batch scripts apply to slurm/pbs, not {config.kind!r}")
-    return "\n".join(["#!/bin/sh", *header, "", job.command]) + "\n"
+    return "\n".join(["#!/bin/sh", *header, "", *start, job.command]) + "\n"
 
 
 def batch_script_path(workdir: Path, sweep_name: str, sim_id: str) -> Path:

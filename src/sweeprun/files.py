@@ -77,12 +77,15 @@ def rewrite(path: str, text: str) -> None:
         os.close(fd)
 
 
-def require_documents(documents: dict[str, Path]) -> dict[str, str]:
+def require_documents(documents: dict[str, Path], *, read: tuple[str, ...] = ()) -> dict[str, str]:
     """Check where each document (option -> path) will be written, following
     links as `write_atomic` does: it must be reachable or absent (a symlink
     loop is neither), in an existing directory (so must a link's target), and
     not a directory, and no two may be one file once links and '..' are
-    resolved. Raises SweepRunError naming the option; returns {resolved: option}."""
+    resolved. Unless its option is in `read` (a document only read) or it is
+    written in place, the temporary file `write_atomic` makes for it must have
+    a name its directory allows. Raises SweepRunError naming the option;
+    returns {resolved: option}."""
     taken: dict[str, str] = {}
     for option, path in documents.items():
         try:
@@ -101,8 +104,33 @@ def require_documents(documents: dict[str, Path]) -> dict[str, str]:
             raise SweepRunError(
                 f"{taken[resolved]} and {option} are the same file, {resolved}; give each its own path"
             )
+        destination = _renamed_onto(path)
+        if option not in read and destination is not None:
+            size = len(os.fsencode(_temporary(destination).name))
+            limit = os.pathconf(destination.parent, "PC_NAME_MAX")
+            if 0 <= limit < size:
+                raise SweepRunError(
+                    f"{option}: {path} is too long a name to write: its temporary file's name "
+                    f"would have {size} bytes, over the {limit} its directory allows"
+                )
         taken[resolved] = option
     return taken
+
+
+def _renamed_onto(path: Path) -> Path | None:
+    """What `write_atomic` renames its temporary file onto: `path`, or a link's final
+    target if that is a regular file or absent; None where it writes in place."""
+    if path.is_symlink() and (path.is_file() or not path.exists()):
+        target = Path(os.path.realpath(path))
+        if target.is_file() or not os.path.lexists(target):  # not a link in a loop
+            return target
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        return None
+    return path
+
+
+def _temporary(path: Path) -> Path:
+    return path.with_name(f".tmp.{os.urandom(4).hex()}.{path.name}")
 
 
 def write_atomic(path: Path, write: Callable[[Path], _T]) -> _T:
@@ -114,26 +142,22 @@ def write_atomic(path: Path, write: Callable[[Path], _T]) -> _T:
     link stays a link; if the target's directory cannot be written, the
     target is written in place. A special file (such as /dev/stdout), or a
     link to one, is written in place, as the rename would replace it or fail.
-    The temporary name ends with the final name. Returns what `write` returns."""
-    linked = False
-    if path.is_symlink() and (path.is_file() or not path.exists()):
-        target = Path(os.path.realpath(path))
-        if target.is_file() or not os.path.lexists(target):  # not a link in a loop
-            path, linked = target, True
-    if path.is_symlink() or (path.exists() and not path.is_file()):
+    Returns what `write` returns."""
+    destination = _renamed_onto(path)
+    if destination is None:
         return write(path)
-    temporary = path.with_name(f".tmp.{os.urandom(4).hex()}.{path.name}")
+    temporary = _temporary(destination)
     try:
         os.close(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     except PermissionError:
-        if not linked:
+        if destination is path:
             raise
-        return write(path)
+        return write(destination)
     try:
-        if path.exists():
-            shutil.copymode(path, temporary)
+        if destination.exists():
+            shutil.copymode(destination, temporary)
         result = write(temporary)
-        os.replace(temporary, path)
+        os.replace(temporary, destination)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise

@@ -18,7 +18,7 @@ from stubmodel import read_high_water, stub_command, write_stub_model
 from sweeprun.cli import main
 from sweeprun.dispatch import DispatcherConfig, JobSpec, dispatch_all
 from sweeprun.errors import EmptySweepError
-from sweeprun.collect import collect_scalars
+from sweeprun.collect import harvest
 from sweeprun.mapping import (
     CartesianMapping,
     build_mapping,
@@ -205,8 +205,9 @@ def test_criterion_4_harvest_identity(reference_run, monkeypatch):
     bench = reference_run["dir"]
     monkeypatch.chdir(bench)
     mapping = read_mapping(bench / "bench_mapping.json")
-    collected = collect_scalars(mapping, "results_{sim_id}.txt")
-    assert collected.complete
+    harvested = list(harvest(mapping, "results_{sim_id}.txt"))
+    assert [issue for _, _, _, issue in harvested] == [None] * 300
+    values = {sim_id: value for sim_id, _, value, _ in harvested}
     betas = linspace(2, 4, 3)
     sigmas = linspace(2, 20, 10)
     rhos = linspace(2, 30, 10)
@@ -215,7 +216,7 @@ def test_criterion_4_harvest_identity(reference_run, monkeypatch):
         for j, sigma in enumerate(sigmas):
             for k, rho in enumerate(rhos):
                 expected = beta + sigma + rho  # oracle straight from the coordinates
-                got = collected.value_at(i, j, k)
+                got = values[mapping.sim_ids[mapping.flat_index((i, j, k))]]
                 assert got == expected, (i, j, k, got, expected)
 
 
@@ -381,6 +382,7 @@ def test_criterion_8_scheduler_dry_run_golden(tmp_path):
                     f"#PBS -N {tag}\n"
                     f"#PBS -o {tag}.out\n"
                     "\n"
+                    'cd "${PBS_O_WORKDIR:-.}" || exit\n'
                     f"./model {i:03d}\n"
                 )
             assert script == expected.encode("utf-8")

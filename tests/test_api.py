@@ -73,7 +73,12 @@ def test_readme_library_use_runs(workdir, monkeypatch, capfd):
         Path("template.txt").write_text("x = {x}\ny = {y}\n", encoding="utf-8")
         Path("sweep.json").write_text('{"type": "cartesian", "parameters": {"x": [1, 2, 3], "y": [0.1, 0.2]}}')
         if directory == "library":
-            exec(compile(code, "README.md", "exec"), {})  # ./model does not exist: every job fails
+            namespace: dict = {}
+            exec(compile(code, "README.md", "exec"), namespace)  # ./model does not exist: every job fails
+            # what replaces value_for and value_at: the dict harvest makes, indexed by sim_id
+            assert namespace["values"] == dict.fromkeys(["0", "1", "2", "3", "4", "5"])
+            assert namespace["corner"] == "5"  # x=3, y=0.2: the last of the 3 x 2 grid
+            assert namespace["values"][namespace["corner"]] is None
         else:
             run = ["--command", "./model {sim_id}", "--config", "params_{sim_id}.nml", "--template", "template.txt"]
             assert main(["run", *run, "--sweep-file", "sweep.json", "--name", "demo", "--max-parallel", "4"]) == 3

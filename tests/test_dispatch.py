@@ -26,6 +26,7 @@ from sweeprun.dispatch import (
     dispatch_all,
     render_batch_script,
 )
+from sweeprun.cli import main
 from sweeprun.errors import SchedulerError
 
 
@@ -53,6 +54,7 @@ class TestBatchScripts:
             "#PBS -N ocean_000\n"
             "#PBS -o ocean_000.out\n"
             "\n"
+            'cd "${PBS_O_WORKDIR:-.}" || exit\n'
             "./ocean 000\n"
         )
 
@@ -67,6 +69,23 @@ class TestBatchScripts:
 
     def test_script_path_convention(self):
         assert batch_script_path(Path("/w"), "ocean", "007") == Path("/w/ocean_007.sh")
+
+    def test_pbs_job_runs_beside_its_configs(self, workdir, tiny_setup, tmp_path_factory, capsys):
+        """PBS Pro and Torque start a batch job in the user's home directory
+        and name the directory qsub ran in in PBS_O_WORKDIR. Each script is
+        run with sh as PBS starts it, and then as a plain script where it is."""
+        run = [*tiny_setup, "--command", "cp conf_{sim_id}.txt r_{sim_id}.txt", "--dispatcher", "pbs", "--dry-run"]
+        assert main(run) == 0
+        home = tmp_path_factory.mktemp("home")
+        env = {key: value for key, value in os.environ.items() if key != "PBS_O_WORKDIR"}
+        as_pbs = subprocess.run(["sh", str(workdir / "tiny_0.sh")], cwd=home, capture_output=True, text=True,
+                                env={**env, "HOME": str(home), "PBS_O_WORKDIR": str(workdir)})
+        assert as_pbs.returncode == 0, as_pbs.stderr
+        outside = subprocess.run(["sh", "tiny_1.sh"], cwd=workdir, capture_output=True, text=True, env=env)
+        assert outside.returncode == 0, outside.stderr
+        for sim_id in ("0", "1"):
+            assert (workdir / f"r_{sim_id}.txt").read_bytes() == (workdir / f"conf_{sim_id}.txt").read_bytes()
+        assert list(home.iterdir()) == []
 
 
 class TestDefaultParallelism:

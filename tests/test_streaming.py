@@ -1,13 +1,16 @@
 """`run`, `preview` and `collect` stream: memory that does not grow with the
 number of simulations, a summary and a collect report written entry by
 entry that are byte-identical to ``json.dumps(document, indent=2)``, and a
-CSV written row by row that is byte-identical to ``export_csv``."""
+CSV written row by row that is byte-identical to the one ``csv.writer``
+writes of what ``harvest`` yields."""
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import errno
+import io
 import json
 import os
 import sys
@@ -21,11 +24,12 @@ from hypothesis import strategies as st
 
 from sweeprun import files, filters
 from sweeprun.cli import main
-from sweeprun.collect import REPORT_SCHEMA, collect_scalars, export_csv, write_results
+from sweeprun.collect import REPORT_SCHEMA, harvest, write_results
 from sweeprun.dispatch import DispatcherConfig, JobRecord
 from sweeprun.mapping import build_mapping, read_mapping, serialize, sim_ids
 from sweeprun.run import SUMMARY_SCHEMA, Plan, record
 from sweeprun.sweeps import CartesianSweep, SetSweep
+from sweeprun.templates import format_value
 
 
 def write_json(path: Path, doc) -> Path:
@@ -279,17 +283,23 @@ def test_collect_files_equal_the_library_documents(workdir, sweep, capsys):
     assert main(["collect", "m.json", "--output-pattern", "out_{sim_id}.txt"]) == 4
     capsys.readouterr()
 
-    collected = collect_scalars(read_mapping("m.json"), "out_{sim_id}.txt")
-    assert len(collected.issues) > len(ids) / 2
-    assert (workdir / "odd_results.csv").read_bytes() == export_csv(collected).encode("utf-8")
+    mapping = read_mapping("m.json")
+    harvested = list(harvest(mapping, "out_{sim_id}.txt"))
+    issues = [issue for _, _, _, issue in harvested if issue is not None]
+    assert len(issues) > len(ids) / 2
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    writer.writerow([*mapping.parameter_names, "value"])
+    writer.writerows([*cell.values(), "" if value is None else format_value(value)] for _, cell, value, _ in harvested)
+    assert (workdir / "odd_results.csv").read_bytes() == rows.getvalue().encode("utf-8")
     report = {
         "schema": REPORT_SCHEMA,
         "sweep_name": "odd",
-        "total": len(collected.values),
-        "collected": sum(v is not None for v in collected.values.values()),
+        "total": len(harvested),
+        "collected": sum(value is not None for _, _, value, _ in harvested),
         "missing": [
             {"sim_id": issue.sim_id, "path": issue.path, "reason": issue.reason}
-            for issue in collected.issues
+            for issue in issues
         ],
     }
     expected = (json.dumps(report, indent=2) + "\n").encode("utf-8")
@@ -316,7 +326,7 @@ def test_report_of_drawn_issues_equals_one_dump(name, prefix, outputs):
                 Path(pattern.replace("{sim_id}", sim_id)).write_bytes(output)
         results = write_results(mapping, Path("m.json"), pattern, "r.csv", "report.json")
         report = Path("report.json").read_bytes()
-        issues = list(collect_scalars(mapping, pattern).issues)
+        issues = [issue for _, _, _, issue in harvest(mapping, pattern) if issue is not None]
     old = {"schema": REPORT_SCHEMA, "sweep_name": name, "total": len(outputs), "collected": len(outputs) - len(issues)}
     old["missing"] = [dataclasses.asdict(issue) for issue in issues]
     assert report == (json.dumps(old, indent=2) + "\n").encode("utf-8")

@@ -14,15 +14,14 @@ from conftest import run_python
 
 TRACE_CLI = Path(__file__).resolve().parents[1] / "bench" / "trace_cli.py"
 
-# modules whose patch points are gone on purpose, with the reason
+# patch points that are gone on purpose, spelled "module:attribute path" as
+# the tracer's "absent" list spells them, with the reason
 GONE = {
-    "sweeprun.naming": "deleted: build_mapping numbers the simulations, "
+    "sweeprun.naming:SequentialNamer.next_id": "deleted: build_mapping numbers the simulations, "
     "so ID formatting is counted in mapping.build_mapping",
+    "sweeprun.collect:collect_scalars": "deleted",
+    "sweeprun.collect:export_csv": "deleted",
 }
-
-# spans that `sweeprun collect` does not open: it writes the CSV row by row
-# through collect.write_results, not through collect_scalars and export_csv
-NOT_ON_THE_CLI = {"collect.collect_scalars", "collect.export_csv"}
 
 
 def load_trace_cli():
@@ -35,7 +34,9 @@ def load_trace_cli():
 def test_every_patch_point_resolves():
     trace_cli = load_trace_cli()
     unresolved = {
-        module for module, path, _span in trace_cli.FUNCTION_SPANS if trace_cli._resolve(module, path) is None
+        f"{module}:{path}"
+        for module, path, _span in trace_cli.FUNCTION_SPANS
+        if trace_cli._resolve(module, path) is None
     }
     assert unresolved == set(GONE)
 
@@ -62,12 +63,12 @@ def test_a_traced_run_and_collect_open_every_span(workdir):
         proc = run_python([str(TRACE_CLI), f"{command}.json", "--", *argv], workdir)
         report = reports[command] = json.loads((workdir / f"{command}.json").read_text(encoding="utf-8"))
         assert report["exit_code"] == {"run": 0, "collect": 4, "slurm": 0, "local": 0}[command], proc.stderr
-        assert {point.split(":")[0] for point in report["absent"]} == set(GONE)
+        assert set(report["absent"]) == set(GONE)
         for span, layer in report["layers"].items():
             opened[span] = opened.get(span, 0) + layer["calls"]
     trace_cli = load_trace_cli()
-    gone = {span for module, _path, span in trace_cli.FUNCTION_SPANS if module in GONE}
-    expected = {span for _module, _path, span in trace_cli.FUNCTION_SPANS} - gone - NOT_ON_THE_CLI
+    gone = {span for module, path, span in trace_cli.FUNCTION_SPANS if f"{module}:{path}" in GONE}
+    expected = {span for _module, _path, span in trace_cli.FUNCTION_SPANS} - gone
     assert {span for span in expected if not opened.get(span)} == set()
     assert opened["cli.spec_load"] == 3
     assert opened["mapping.build_mapping"] == 3
