@@ -238,8 +238,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except SchedulerError as exc:  # raised by `run` once the summary of exc.records is written
-        _status(f"summary of {len(exc.records)} submitted job(s) written to {exc.summary_path}", sys.stderr)
+    except SchedulerError as exc:  # raised by `run` once the summary of the jobs submitted before it is written
+        _status(f"summary of {exc.submitted} submitted job(s) written to {exc.summary_path}", sys.stderr)
         _status(f"error: {exc}", sys.stderr)
         return 2
     except (SweepRunError, ValueError, OSError) as exc:

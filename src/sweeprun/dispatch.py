@@ -2,11 +2,12 @@
 
 A command means what ``/bin/sh -c <command>`` makes of it, so the sweep
 author's command string is honored verbatim (including pipes and
-redirections). Local jobs and scheduler submits go through one runner,
-`_run_jobs`; a submit is a job run at one slot. A job that exits non-zero
-is recorded and the sweep continues; only a failing submit command
-(scheduler modes) aborts the whole dispatch; the SchedulerError carries the
-records of the jobs submitted before it.
+redirections). Every dispatch goes through one runner, `_run_jobs`, which
+passes each job's record on in input order as it is made: a submit, or a
+dry run's record, is a job run at one slot. A job that exits non-zero is
+recorded and the sweep continues; only a failing submit command (scheduler
+modes) aborts the whole dispatch, after the records of the jobs submitted
+before it have been passed on.
 
 A command that is one plain simple command starts without the shell, as
 GNU make starts a recipe line: one process per job instead of two. Plain
@@ -44,14 +45,15 @@ output that a process it left running writes later is not part of it; it is
 decoded as ``text=True`` decodes a pipe, with U+FFFD for a byte the
 encoding cannot decode.
 
-A dry run (kind "dry", or dry_run with any kind) is one generator: it
-writes each batch script (slurm/pbs) and makes each record as it is read.
-``subprocess`` is imported where a dispatch starts its first process, so a
-dry run does not load it.
+A dry run (kind "dry", or dry_run with any kind) writes each batch script
+(slurm/pbs) and makes each record as its job is read. ``subprocess`` is
+imported where a dispatch may start a process, so a dry run does not load
+it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
@@ -274,26 +276,24 @@ def _child_env(workdir: Path) -> dict[str, str] | None:
     return {**os.environ, "PWD": os.path.realpath(workdir)}
 
 
-def _launcher(jobs: list[JobSpec]) -> Callable:
-    """``launch(command, cwd, **kwargs)`` for the processes of `jobs`:
+def _launcher() -> Callable:
+    """``launch(command, cwd, **kwargs)`` for a dispatch's processes:
     ``subprocess.run`` on a plain command's argv, with the shell's exit code
     for a signal death, and on anything else, or a plain command that could
-    not start, through the shell. The environment of each job's directory is
-    made here, once."""
+    not start, through the shell. The environment of a job's directory is
+    made when the first job runs there."""
     import subprocess
 
     run = subprocess.run
     # without PATH, the shell searches its own default list, not Python's
-    if "PATH" not in os.environ or any(name.startswith("BASH_FUNC_") for name in os.environ):
-        envs = {}
-    else:
-        envs = {workdir: _child_env(workdir) for workdir in {job.workdir for job in jobs}}
+    plain = "PATH" in os.environ and not any(name.startswith("BASH_FUNC_") for name in os.environ)
+    child_env = functools.cache(_child_env)
 
     def launch(command: str, cwd: Path, **kwargs):
-        argv = _plain_argv(command) if cwd in envs else None
+        argv = _plain_argv(command) if plain else None
         if argv is not None:
             try:
-                proc = run(argv, cwd=cwd, env=envs[cwd], **kwargs)
+                proc = run(argv, cwd=cwd, env=child_env(cwd), **kwargs)
             except OSError:  # nothing ran; the shell reports it as it always has
                 pass
             else:
@@ -328,21 +328,31 @@ def _parse_scheduler_job_id(stdout: str) -> str | None:
     return None
 
 
-def _run_jobs(jobs: list[JobSpec], slots: int, run_job: Callable[[JobSpec], JobRecord]) -> list[JobRecord]:
-    """`run_job` on each of `jobs`, at most `slots` at once; the records by index. At one
-    slot the calling thread runs the jobs in order and starts no thread. At more,
-    min(slots, len(jobs)) helper threads each take the next job when their last one ends,
-    while the calling thread only waits. The first exception a job raises, or the waiting
-    thread gets (a SIGINT's KeyboardInterrupt), stops the handing-out and is raised here
-    once every helper has ended; a SchedulerError gets the records of the jobs before it."""
+def _run_jobs(
+    jobs: Iterable[JobSpec], slots: int, run_job: Callable[[JobSpec], JobRecord], record: Callable[[JobRecord], object]
+) -> None:
+    """`run_job` on each of `jobs` (read once, through `_unique`), at most `slots` at once, and
+    `record` on each record in input order, one call at a time. At one slot the calling thread
+    runs the jobs and starts no thread. At more, `slots` helper threads each take the next job
+    when their last one ends (one that finds none ends at once), while the calling thread only
+    waits; a record that ends ahead of an earlier job's is held by its index, and the helper
+    that ends the last earlier job passes it on, under the lock. The first exception a job or
+    `record` raises, or the waiting thread gets (a SIGINT's KeyboardInterrupt), stops the
+    handing-out and the recording, and is raised here once every helper has ended."""
+    if slots == 1:
+        for job in _unique(jobs):
+            record(run_job(job))
+        return
     import threading
 
-    records: list[JobRecord | None] = [None] * len(jobs)
-    todo = enumerate(jobs)
+    todo = enumerate(_unique(jobs))
     lock = threading.Lock()
     raised: list[BaseException] = []  # nonempty once the handing-out has stopped
+    ended: dict[int, JobRecord] = {}  # records not yet passed on, by index
+    passed = 0  # the index of the next record to pass on
 
     def work() -> None:
+        nonlocal passed
         try:
             while True:
                 with lock:
@@ -350,29 +360,28 @@ def _run_jobs(jobs: list[JobSpec], slots: int, run_job: Callable[[JobSpec], JobR
                 if item is None:
                     return
                 index, job = item
-                records[index] = run_job(job)
+                result = run_job(job)
+                with lock:
+                    ended[index] = result
+                    while passed in ended and not raised:
+                        record(ended.pop(passed))
+                        passed += 1
         except BaseException as exc:
-            if isinstance(exc, SchedulerError):
-                exc.records = tuple(records[:index])
             raised.append(exc)
 
-    if slots == 1:
-        work()
-    else:
-        helpers = [threading.Thread(target=work) for _ in range(min(slots, len(jobs)))]
-        try:
-            for helper in helpers:
-                helper.start()
-            for helper in helpers:
-                helper.join()
-        except BaseException as exc:  # a SIGINT's KeyboardInterrupt; no job runs on this thread
-            with lock:
-                raised.append(exc)
-            for helper in filter(threading.Thread.is_alive, helpers):  # a helper not started is not alive
-                helper.join()
+    helpers = [threading.Thread(target=work) for _ in range(slots)]
+    try:
+        for helper in helpers:
+            helper.start()
+        for helper in helpers:
+            helper.join()
+    except BaseException as exc:  # a SIGINT's KeyboardInterrupt; no job runs on this thread
+        with lock:
+            raised.append(exc)
+        for helper in filter(threading.Thread.is_alive, helpers):  # a helper not started is not alive
+            helper.join()
     if raised:
         raise raised[0]
-    return records
 
 
 def _submit_job(job: JobSpec, config: DispatcherConfig, launch: Callable, outputs) -> JobRecord:
@@ -399,42 +408,44 @@ def _submit_job(job: JobSpec, config: DispatcherConfig, launch: Callable, output
     return _record(job, "submitted", started, t0, scheduler_job_id=job_id)
 
 
-def _dry_run(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterator[JobRecord]:
-    """A dry_run record per job as it is read, after its batch script for slurm/pbs."""
-    scripts = config.kind in ("slurm", "pbs")
-    for job in _unique(jobs):
-        if scripts:
-            _write_batch_script(job, config)
-        yield _record(job, "dry_run")
+def _dry_job(job: JobSpec, config: DispatcherConfig) -> JobRecord:
+    """A dry_run record, after the job's batch script for slurm/pbs."""
+    if config.kind in ("slurm", "pbs"):
+        _write_batch_script(job, config)
+    return _record(job, "dry_run")
 
 
-def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig) -> Iterable[JobRecord]:
-    """Execute or submit every job; one record per job, input order preserved.
+def dispatch_all(jobs: Iterable[JobSpec], config: DispatcherConfig, record: Callable[[JobRecord], object]) -> None:
+    """Execute or submit every job, and call `record` with each job's record.
+
+    `jobs` is read once, as its jobs are handed out, and a repeated sim_id
+    raises ValueError when it is reached; the check keeps no sim_id while
+    they are those of `mapping.sim_ids`, in order. Records are passed in
+    input order, never two at once, and dispatch_all returns only after the
+    last: a record is passed on the calling thread at one slot, and on a
+    helper thread at more (see `_run_jobs`). What `record` raises stops the
+    dispatch and is raised here. A record that ends ahead of a slower,
+    earlier job's is held until that one ends; nothing else is held per job.
 
     All configuration files must already be on disk (rendering and writing
     happen before any dispatch). Batch scripts and capture files are written
     over any file at their paths: `sweeprun.run_sweep` checks for conflicts
     before its first write. Local jobs run at most max_parallel at once (on
     the calling thread at one, else on helper threads while it waits), and
-    submits one at a time; job failures are recorded, never raised. A dispatch
-    that runs nothing (kind "dry", or dry_run with any kind) returns an
-    iterator that reads `jobs` once, as its records are read: it writes each
-    job's batch script (slurm/pbs) and makes its record then, and reports a
-    repeated sim_id when it reaches it, so it holds no record per job and has
-    no len or index. Every other dispatch reads `jobs` once, checks every
-    sim_id before its first job and returns a list. The repeat check keeps
-    no sim_id while they are those of `mapping.sim_ids`, in order.
+    submits one at a time; job failures are recorded, never raised. A
+    dispatch that runs nothing (kind "dry", or dry_run with any kind) writes
+    each job's batch script (slurm/pbs) and makes its record as it is read.
     """
     if config.kind == "dry" or config.dry_run:
-        return _dry_run(jobs, config)
-    jobs = list(_unique(jobs))
-    launch = _launcher(jobs)
-    if config.kind == "local" or not jobs:  # no submit, no files for its output
-        return _run_jobs(jobs, config.resolved_max_parallel, lambda job: _run_local_job(job, config, launch))
+        return _run_jobs(jobs, 1, lambda job: _dry_job(job, config), record)
+    launch = _launcher()
+    if config.kind == "local":
+        return _run_jobs(jobs, config.resolved_max_parallel, lambda job: _run_local_job(job, config, launch), record)
     import tempfile
 
-    # decoded as text=True decodes a pipe, UTF-8 in Python's UTF-8 mode (which the C locale
-    # turns on) else the locale's encoding, but with U+FFFD for a byte it cannot decode
-    options = {"encoding": "utf-8" if sys.flags.utf8_mode else "locale", "errors": "replace", "dir": jobs[0].workdir}
+    # decoded as text=True decodes a pipe, UTF-8 in Python's UTF-8 mode (which the C locale turns on)
+    # else the locale's encoding, but with U+FFFD for a byte it cannot decode; made where tempfile
+    # makes its files, as the summary's spool is
+    options = {"encoding": "utf-8" if sys.flags.utf8_mode else "locale", "errors": "replace"}
     with tempfile.TemporaryFile("w+", **options) as out, tempfile.TemporaryFile("w+", **options) as err:
-        return _run_jobs(jobs, 1, lambda job: _submit_job(job, config, launch, (out, err)))
+        _run_jobs(jobs, 1, lambda job: _submit_job(job, config, launch, (out, err)), record)

@@ -73,13 +73,15 @@ class UnfilledPlaceholderError(TemplateError):
 
 class SchedulerError(SweepRunError):
     """A batch-scheduler submit command failed; the sweep cannot continue.
-    `records` holds the records of the jobs submitted before the failure."""
+    The records of the jobs submitted before the failure were passed on
+    before it was raised; `run_sweep` writes their summary to `summary_path`
+    and counts them in `submitted` before raising it again."""
 
-    def __init__(self, sim_id: str, message: str, records=()):
+    def __init__(self, sim_id: str, message: str):
         super().__init__(f"submission failed for simulation {sim_id!r}: {message}")
         self.sim_id = sim_id
-        self.records = tuple(records)
-        self.summary_path = None  # the summary of `records`, which run_sweep writes before raising this again
+        self.summary_path = None
+        self.submitted = None
 
 
 class OutputConflictError(SweepRunError):

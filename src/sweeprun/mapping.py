@@ -343,6 +343,17 @@ def _reject_constant(text: str):
     raise MappingFormatError(f"non-finite number {text!r} is not allowed in a mapping")
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object of a mapping document; a key it repeats, of which
+    json.loads would keep only the last value, is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise MappingFormatError(f"an object repeats the key {key!r}")
+    return obj
+
+
 def _require(condition: bool, message: str):
     if not condition:
         raise MappingFormatError(message)
@@ -387,7 +398,7 @@ def _parse(text: str, formula: bool = False) -> Mapping:
     """`deserialize` by ``json.loads``; with `formula`, a Cartesian document's
     sim_ids are `sim_ids` of the size its coords give."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, object_pairs_hook=_object, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise MappingFormatError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")

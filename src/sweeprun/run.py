@@ -1,9 +1,9 @@
 """`run_sweep` runs a sweep (``sweeprun run`` is one call of it) in four
 stages: `plan` builds the mapping and makes every check before any write;
 `materialize` writes the configs, then the mapping; `dispatch` runs one job
-per simulation; `record` writes <name>_summary.json from the job records, or
-from those a SchedulerError carries. Every pass takes its simulations from
-the mapping."""
+per simulation; `record` passes it the function that adds each job's record
+to <name>_summary.json, and writes the summary once the dispatch ends or a
+submit fails. Every pass takes its simulations from the mapping."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import shlex
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import files
 from .dispatch import DispatcherConfig, JobRecord, JobSpec, dispatch_all
@@ -147,16 +147,21 @@ def _outputs(config: DispatcherConfig, patterns: list[str]) -> list[tuple[str, s
 
 
 def _require_distinct_outputs(
-    fixed: dict[str, Path], outputs: list[tuple[str, str]], mapping: Mapping, overwrite: bool
+    fixed: dict[str, Path], outputs: list[tuple[str, str]], mapping: Mapping, overwrite: bool, read: dict[str, Path]
 ):
-    """No two files the run writes may be one os.path.abspath, with or
-    without --overwrite, and without it none may exist. Made absolute with
-    '.' and '..' applied, each template must still hold {sim_id}. If that is
-    its only placeholder, two templates whose text before the first or after
-    the last placeholder differs (neither is a prefix, or a suffix, of the
-    other) never render one path; if every two do, none is compared."""
+    """No two files the run writes may be one os.path.abspath, and no
+    per-simulation one may be a template it reads (`read`, keyed by
+    os.path.realpath), with or without --overwrite; without it none may
+    exist, but a document that is a template is left for
+    `files.require_documents` to report. Made absolute with '.' and '..'
+    applied, each path template must still hold {sim_id}. If that is its
+    only placeholder, two path templates or paths whose text before the
+    first or after the last placeholder differs (neither is a prefix, or a
+    suffix, of the other) never render one path; if every two do, none is
+    compared."""
     here = _literal(os.getcwd())
-    ends = [(name, name) for name in map(os.path.abspath, fixed.values())]  # (head, tail)
+    inputs = {os.path.abspath(path): f"the --template {path}" for path in read.values()}
+    ends = [(name, name) for name in [*map(os.path.abspath, fixed.values()), *inputs]]  # (head, tail)
     proved = True
     for what, template in outputs:
         chunks = _compile(os.path.normpath(os.path.join(here, template)))
@@ -180,6 +185,7 @@ def _require_distinct_outputs(
         if name in seen:
             raise SweepRunError(f"{seen[name]} is also the {role}; give each its own path")
         seen[name] = f"the {role} {path}"
+    seen.update(() if proved else inputs)
 
     def existing() -> Iterator[str | Path]:
         for sim_id, values in cells(mapping):
@@ -195,7 +201,7 @@ def _require_distinct_outputs(
                     seen[name] = f"{path}, which {what} writes for simulation {sim_id}"
                 if not overwrite and os.path.exists(path):
                     yield path
-        yield from (path for path in fixed.values() if not overwrite and path.exists())
+        yield from (p for p in fixed.values() if not overwrite and p.exists() and os.path.realpath(p) not in read)
 
     found = existing()
     for path in found:  # the error counts the rest, and the same-file check goes on meanwhile
@@ -212,9 +218,16 @@ def plan(
     be fillable; a parameter no template uses is passed to `warn`, or is an
     error if `strict`. Every file the run writes (the mapping at
     `mapping_path`, by default <name>_mapping.json) must be distinct, absent
-    unless `overwrite`, and have a directory to be written in."""
+    unless `overwrite`, not a template, and have a directory to be written
+    in. A slurm/pbs name or directive must not hold a line break, which
+    would end its line of each batch script's header."""
     if "sim_id" not in extract_placeholders(command):
         raise SweepRunError(f"--command must contain the {{sim_id}} placeholder: {command!r}")
+    if config.kind in ("slurm", "pbs"):
+        header = [("--name", config.sweep_name), *(("--directive", text) for text in config.scheduler_directives)]
+        for option, value in header:
+            if "\n" in value:
+                raise SweepRunError(f"{option} {value!r} holds a line break, which would end its batch script line")
     mapping = build_mapping(sweep, sweep_name=config.sweep_name)
     patterns = [pattern for pattern, _ in configs]
     sources = [Path(template).read_text(encoding="utf-8") for _, template in configs]
@@ -233,9 +246,13 @@ def plan(
     mapping_path = Path(mapping_path or f"{config.sweep_name}_mapping.json")
     summary_path = Path(f"{config.sweep_name}_summary.json")
     outputs = _outputs(config, patterns)
-    _require_distinct_outputs({"mapping": mapping_path, "summary": summary_path}, outputs, mapping, overwrite)
+    # each template is only read, by any number of --template options, and no output may be one
+    read = {os.path.realpath(template): Path(template) for _, template in configs}
+    fixed = {"mapping": mapping_path, "summary": summary_path}
+    _require_distinct_outputs(fixed, outputs, mapping, overwrite, read)
     # the summary, batch scripts and captured output are made in --name's directory
-    files.require_documents({"--name": summary_path, "--mapping-out": mapping_path})
+    templates = {f"--template {path}": path for path in read.values()}
+    files.require_documents({"--name": summary_path, "--mapping-out": mapping_path, **templates}, read=tuple(templates))
     # zip stops after the configs, each spelled as Path spells it
     written = [(pattern, source) for (_, pattern), source in zip(outputs, sources)]
     return Plan(mapping, config, command, written, mapping_path, summary_path)
@@ -255,11 +272,12 @@ def materialize(plan: Plan) -> None:
     files.write_atomic(plan.mapping_path, lambda target: target.write_text(serialize(plan.mapping), encoding="utf-8"))
 
 
-def dispatch(plan: Plan) -> Iterable[JobRecord]:
-    """One job per simulation, in mapping order, through `dispatch_all`; its
-    records, as `dispatch_all` returns them. Each job is made when it is read,
-    not held; the jobs stay sized (a `_Replayed`) because the benchmark's
-    tracer, bench/trace_cli.py, counts len(jobs) after `dispatch_all` returns."""
+def dispatch(plan: Plan, record: Callable[[JobRecord], object]) -> None:
+    """One job per simulation, in mapping order, through `dispatch_all`,
+    which passes each job's record to `record`. Each job is made when it is
+    read, not held; the jobs stay sized (a `_Replayed`) because the
+    benchmark's tracer, bench/trace_cli.py, counts len(jobs) after
+    `dispatch_all` returns."""
     workdir = Path.cwd()
     jobs = _Replayed(
         len(plan.mapping),
@@ -268,19 +286,24 @@ def dispatch(plan: Plan) -> Iterable[JobRecord]:
             for sim_id, words in cells(plan.mapping, shlex.quote)  # each value reaches the shell as one word
         ),
     )
-    return dispatch_all(jobs, plan.config)
+    dispatch_all(jobs, plan.config, record)
 
 
-def record(plan: Plan, records: Iterable[JobRecord]) -> Outcome:
-    """Write the summary of `records` to `plan.summary_path`, byte for byte
-    as json.dumps(summary, indent=2), in one pass over them: each job's
-    entry, JobRecord's fields in their order with those that are None left
-    out, goes to a `files.Listing` while the jobs are counted and the first
-    failed ones kept."""
+def record(plan: Plan, dispatched: Callable[[Callable[[JobRecord], None]], object]) -> Outcome:
+    """Call `dispatched` with a function that adds a job's record to the
+    summary, then write the summary of what it was passed to
+    `plan.summary_path`, byte for byte as json.dumps(summary, indent=2): each
+    job's entry, JobRecord's fields in their order with those that are None
+    left out, goes to a `files.Listing` as it comes, while the jobs are
+    counted and the first failed ones kept. A SchedulerError from
+    `dispatched` is raised again once the summary of the jobs passed before
+    it is written, with its `summary_path` and `submitted` set."""
     counts = dict.fromkeys(("total", "succeeded", "failed", "submitted", "dry_run"), 0)
     failed = []
+    error = None
     with files.Listing() as jobs:
-        for job in records:
+
+        def add(job: JobRecord) -> None:
             jobs.add(job)
             counts["succeeded"] += job.succeeded
             counts["failed"] += job.failed
@@ -288,9 +311,16 @@ def record(plan: Plan, records: Iterable[JobRecord]) -> Outcome:
                 failed.append(job)
             counts["submitted"] += job.status == "submitted"
             counts["dry_run"] += job.status == "dry_run"
+
+        try:
+            dispatched(add)
+        except SchedulerError as exc:  # raised again below, once the summary is written
+            error, exc.summary_path, exc.submitted = exc, plan.summary_path, jobs.count
         counts["total"] = jobs.count
         summary = {"schema": SUMMARY_SCHEMA, "sweep_name": plan.config.sweep_name, "dispatcher": plan.config.kind}
         jobs.write(plan.summary_path, {**summary, "counts": counts, "jobs": []})
+    if error is not None:
+        raise error
     return Outcome(plan.mapping, plan.mapping_path, plan.summary_path, counts, failed)
 
 
@@ -306,9 +336,4 @@ def run_sweep(
     checked = plan(sweep, dispatcher, command, configs, mapping_out, overwrite=overwrite, strict=strict, warn=warn)
     materialize(checked)
     written(len(checked.mapping) * len(checked.configs), checked.mapping_path)
-    try:
-        records = dispatch(checked)
-    except SchedulerError as exc:
-        exc.summary_path = record(checked, exc.records).summary_path
-        raise
-    return record(checked, records)
+    return record(checked, lambda add: dispatch(checked, add))

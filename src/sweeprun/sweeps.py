@@ -350,14 +350,6 @@ class FilteredCartesianSweep(CartesianSweep):
                 f"filter rejected all {super().length()} parameter sets; nothing to run"
             )
 
-    def generate(self) -> list[ParameterSet]:
-        """The surviving sets; raises EmptySweepError if the filter kept none.
-
-        This restates `CartesianSweep.generate` because the benchmark's tracer
-        (``bench/trace_cli.py``) times each class's own ``generate`` attribute,
-        and ``tests/test_trace_points.py`` checks that this one resolves."""
-        return list(self.iter_sets())
-
 
 class SetSweep:
     """Exactly the parameter sets given by the user, in the given order.

@@ -293,9 +293,8 @@ def test_criterion_6_concurrency_bound(tmp_path, monkeypatch):
             counter.mkdir()
             monkeypatch.setenv("STUB_COUNTER_DIR", str(counter))
             started = time.monotonic()
-            records = dispatch_all(
-                jobs, DispatcherConfig(kind="local", max_parallel=max_parallel)
-            )
+            records = []
+            dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=max_parallel), records.append)
             elapsed = time.monotonic() - started
             assert all(r.succeeded for r in records)
             high = read_high_water(counter)
@@ -362,7 +361,8 @@ def test_criterion_8_scheduler_dry_run_golden(tmp_path):
             dry_run=True,
             scheduler_directives=("--time=00:10:00",) if kind == "slurm" else (),
         )
-        records = dispatch_all(jobs, config)
+        records = []
+        dispatch_all(jobs, config, records.append)
         assert [r.status for r in records] == ["dry_run"] * 3
         for i in range(3):
             tag = f"golden_{i:03d}"

@@ -486,6 +486,42 @@ class TestRunPipeline:
         )
         assert sorted(workdir.iterdir()) == before
 
+    @pytest.mark.parametrize("overwrite", [[], ["--overwrite"]], ids=["new", "overwrite"])
+    def test_a_config_that_is_its_own_template_blocks_every_write(self, workdir, tiny_setup, overwrite, capsys):
+        """Simulation 0's config would replace the template every config is rendered from."""
+        (workdir / "c_0.txt").write_text("a={a} b={b}\n", encoding="utf-8")
+        argv = list(tiny_setup)
+        argv[argv.index("--config") + 1] = "c_{sim_id}.txt"
+        argv[argv.index("--template") + 1] = "c_0.txt"
+        before = {path: path.read_bytes() for path in workdir.iterdir()}
+        assert main(argv + overwrite) == 1
+        assert capsys.readouterr().err == (
+            "error: --config 'c_{sim_id}.txt' writes c_0.txt for simulation 0, the same file as "
+            "the --template c_0.txt; give each its own path\n"
+        )
+        assert {path: path.read_bytes() for path in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("overwrite", [[], ["--overwrite"]], ids=["new", "overwrite"])
+    @pytest.mark.parametrize("mapping", ["template.txt", "link.json"], ids=["template", "link-to-template"])
+    def test_a_mapping_on_the_template_blocks_every_write(self, workdir, tiny_setup, mapping, overwrite, capsys):
+        """The template is a file no document may be, with links followed, and
+        it is never reported as an existing file in the way."""
+        os.symlink("template.txt", workdir / "link.json")
+        before = {path: path.read_bytes() for path in workdir.iterdir()}
+        assert main([*tiny_setup, "--mapping-out", mapping, *overwrite]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --mapping-out and --template template.txt are the same file, "
+            f"{workdir.resolve() / 'template.txt'}; give each its own path\n"
+        )
+        assert {path: path.read_bytes() for path in workdir.iterdir()} == before
+
+    def test_two_templates_may_be_one_file(self, workdir, tiny_setup, capsys):
+        argv = [*tiny_setup, "--config", "d_{sim_id}.txt", "--template", "./template.txt"]
+        assert main(argv) == 0
+        for sim_id in ("0", "1"):
+            assert (workdir / f"d_{sim_id}.txt").read_bytes() == (workdir / f"conf_{sim_id}.txt").read_bytes()
+        assert (workdir / "template.txt").read_text(encoding="utf-8") == "a={a} b={b} id={sim_id}\n"
+
     def test_fixed_name_no_simulation_renders_is_kept(self, workdir, tiny_setup):
         """The pattern could render the mapping's name, but no value set does."""
         argv = list(tiny_setup)
@@ -668,12 +704,7 @@ class TestRunPipeline:
         }
         assert [j["exit_code"] for j in summary["jobs"]] == [0, 1, 0]
 
-    def test_failed_lines_come_from_the_pass_that_writes_the_summary(self, workdir, monkeypatch, capsys):
-        from sweeprun import run
-
-        dispatch_all = run.dispatch_all
-        # the real records, as a generator: a second pass over them finds none
-        monkeypatch.setattr(run, "dispatch_all", lambda jobs, config: (r for r in dispatch_all(jobs, config)))
+    def test_failed_lines_come_from_the_pass_that_writes_the_summary(self, workdir, capsys):
         write_json(workdir / "sweep.json", {"type": "set", "sets": [{"code": 2}, {"code": 0}, {"code": 3}]})
         (workdir / "template.txt").write_text("code={code}\n", encoding="utf-8")
         argv = [
@@ -712,6 +743,29 @@ class TestRunPipeline:
             "\n"
             "./model 0\n"
         )
+
+    @pytest.mark.parametrize("dispatch", [["--dry-run"], ["--submit-command", "echo 7"]], ids=["dry-run", "submit"])
+    @pytest.mark.parametrize("kind", ["slurm", "pbs"])
+    @pytest.mark.parametrize(
+        "option, value", [("--name", "q\nr"), ("--directive", "--time=1\ntouch pwned")], ids=["name", "directive"]
+    )
+    def test_a_line_break_cannot_split_a_batch_script(
+        self, workdir, tiny_setup, option, value, kind, dispatch, capsys
+    ):
+        """A batch script's header ends at its first line that is not a
+        directive, so a line break in a directive or in the name would make
+        what follows it a command, or leave the log option unread."""
+        before = sorted(workdir.iterdir())
+        assert main([*tiny_setup, "--dispatcher", kind, *dispatch, f"{option}={value}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {option} {value!r} holds a line break, which would end its batch script line\n"
+        )
+        assert sorted(workdir.iterdir()) == before
+
+    @pytest.mark.parametrize("dispatch", [["--dispatcher", "dry"], []], ids=["dry", "local"])
+    def test_a_line_break_in_a_name_without_batch_scripts(self, workdir, tiny_setup, dispatch, capsys):
+        assert main([*tiny_setup, *dispatch, "--name=q\nr", "--directive=--time=1\nx"]) == 0
+        assert json.loads((workdir / "q\nr_summary.json").read_text(encoding="utf-8"))["counts"]["total"] == 2
 
     def test_scheduler_submit_failure_exits_two(self, workdir, tiny_setup, capsys):
         argv = list(tiny_setup)
@@ -770,7 +824,7 @@ class TestRunPipeline:
         configs = [("conf_{sim_id}.txt", "template.txt")]
         with pytest.raises(SchedulerError, match="queue full") as failure:
             run_sweep(load_sweep_spec("sweep.json"), "./model {sim_id}", configs, config)
-        assert [record.sim_id for record in failure.value.records] == ["0", "1"]
+        assert failure.value.submitted == 2
         assert failure.value.summary_path == Path("tiny_summary.json")
         self.assert_summary_lists_jobs_0_and_1(workdir)
 
@@ -1256,6 +1310,26 @@ class TestAtomicWrites:
         assert target.read_text(encoding="utf-8") == previous
         json.loads(previous)
         assert not list(workdir.glob(".tmp.*"))
+
+    def test_a_summary_entry_that_cannot_be_spooled_stops_the_dispatch(self, workdir, tiny_setup, monkeypatch, capsys):
+        """Each job's summary entry is spooled as the job ends, so a spool write
+        that fails (a full temporary directory) stops the run there: exit 1, no
+        summary, and no job starts after it."""
+        write_json(workdir / "sweep.json", {"type": "cartesian", "parameters": {"a": [1, 2, 3, 4], "b": [10]}})
+        add = files.Listing.add
+
+        def failing(listing, record):
+            if listing.count == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            add(listing, record)
+
+        monkeypatch.setattr(files.Listing, "add", failing)
+        argv = list(tiny_setup)
+        argv[argv.index("--command") + 1] = "touch ran_{sim_id}"
+        assert main([*argv, "--max-parallel", "1"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert sorted(path.name for path in workdir.glob("ran_*")) == ["ran_0", "ran_1"]
+        assert not (workdir / "tiny_summary.json").exists()
 
     @pytest.mark.parametrize("suffix", ["_results.csv", "_collect_report.json"])
     def test_collect_outputs(self, workdir, tiny_setup, fail_halfway, suffix, capsys):

@@ -238,9 +238,26 @@ def test_stub_end_to_end_identity_for_every_sweep_type(workdir, stub, sweep_fact
     jobs = [
         JobSpec(sim_id=i, command=command.replace("{sim_id}", i), workdir=workdir) for i in ids
     ]
-    records = dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=4))
-    assert all(r.succeeded for r in records)
+    records = []
+    dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=4), records.append)
+    assert len(records) == len(ids) and all(r.succeeded for r in records)
     values, issues = harvested(mapping, "results_{sim_id}.txt")
     assert not issues
     for params, sim_id in zip(sets, ids):
         assert values[sim_id] == params["a"] + params["b"]
+
+
+def test_collect_refuses_a_mapping_that_repeats_a_sim_id(workdir, capsys):
+    """A hand-edited association mapping that lists simulation 0 twice: json
+    would keep the second set, and 0's output would be paired with it."""
+    from sweeprun.cli import main
+
+    (workdir / "m.json").write_text(
+        '{"schema": "sweep-mapping/1", "kind": "association", "sweep_name": "h", "parameter_names": ["a"], '
+        '"assignments": {"0": {"a": 1}, "1": {"a": 2}, "0": {"a": 3}}}\n',
+        encoding="utf-8",
+    )
+    (workdir / "results_0.txt").write_text("5\n", encoding="utf-8")
+    assert main(["collect", "m.json"]) == 1
+    assert capsys.readouterr().err == "error: an object repeats the key '0'\n"
+    assert sorted(path.name for path in workdir.iterdir()) == ["m.json", "results_0.txt"]

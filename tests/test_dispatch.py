@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import itertools
 import os
 import signal
 import subprocess
@@ -28,10 +30,18 @@ from sweeprun.dispatch import (
 )
 from sweeprun.cli import main
 from sweeprun.errors import SchedulerError
+from sweeprun.mapping import sim_ids
 
 
 def _job(sim_id, command, workdir):
     return JobSpec(sim_id=sim_id, command=command, workdir=workdir)
+
+
+def _records(jobs, config) -> list[JobRecord]:
+    """The records `dispatch_all` passes on, in the order it passes them."""
+    records = []
+    dispatch_all(jobs, config, records.append)
+    return records
 
 
 class TestBatchScripts:
@@ -106,13 +116,13 @@ class TestDefaultParallelism:
 
 class TestLocalDispatch:
     def test_exit_code_passthrough(self, workdir):
-        records = dispatch_all([_job("0", "exit 3", workdir)], DispatcherConfig(kind="local"))
+        records = _records([_job("0", "exit 3", workdir)], DispatcherConfig(kind="local"))
         assert records[0].status == "completed"
         assert records[0].exit_code == 3
 
     def test_one_record_per_job_in_order(self, workdir):
         jobs = [_job(str(i), "true", workdir) for i in range(5)]
-        records = dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=3))
+        records = _records(jobs, DispatcherConfig(kind="local", max_parallel=3))
         assert [r.sim_id for r in records] == [str(i) for i in range(5)]
         assert all(r.succeeded for r in records)
 
@@ -122,7 +132,7 @@ class TestLocalDispatch:
             _job("b", "exit 1", workdir),
             _job("c", "touch ok_c", workdir),
         ]
-        records = dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=1))
+        records = _records(jobs, DispatcherConfig(kind="local", max_parallel=1))
         assert len(records) == 3
         assert records[0].succeeded
         assert records[1].failed and records[1].exit_code == 1
@@ -130,7 +140,7 @@ class TestLocalDispatch:
         assert (workdir / "ok_a").exists() and (workdir / "ok_c").exists()
 
     def test_command_not_found_is_recorded_not_raised(self, workdir):
-        records = dispatch_all(
+        records = _records(
             [_job("0", "definitely-not-a-command-xyz", workdir)],
             DispatcherConfig(kind="local"),
         )
@@ -149,20 +159,20 @@ class TestLocalDispatch:
         jobs = [_job(str(i), command.replace("{sim_id}", str(i)), workdir) for i in range(8)]
         config = DispatcherConfig(kind="local", max_parallel=4)
         t0 = time.monotonic()
-        records = dispatch_all(jobs, config)
+        records = _records(jobs, config)
         elapsed = time.monotonic() - t0
         assert all(r.succeeded for r in records)
         assert elapsed >= 0.4  # 8 jobs of 0.2 s through 4 slots needs 2 waves
         assert read_high_water(counter) <= 4
 
     def test_duration_and_timestamps_recorded(self, workdir):
-        record = dispatch_all([_job("0", "sleep 0.05", workdir)], DispatcherConfig())[0]
+        record = _records([_job("0", "sleep 0.05", workdir)], DispatcherConfig())[0]
         assert record.duration >= 0.05
         assert record.started_at and record.finished_at
 
     def test_capture_redirects_output(self, workdir):
         config = DispatcherConfig(kind="local", capture=True, sweep_name="cap")
-        records = dispatch_all(
+        records = _records(
             [_job("0", "echo oot; echo err >&2", workdir)], config
         )
         assert records[0].succeeded
@@ -172,7 +182,7 @@ class TestLocalDispatch:
     def test_duplicate_sim_ids_rejected(self, workdir):
         jobs = [_job("0", "true", workdir), _job("0", "true", workdir)]
         with pytest.raises(ValueError, match="duplicate"):
-            dispatch_all(jobs, DispatcherConfig())
+            _records(jobs, DispatcherConfig())
 
     def test_every_job_runs_once_under_thread_switches(self, workdir):
         """More slots than CPUs and a thread switch every microsecond: each
@@ -181,12 +191,26 @@ class TestLocalDispatch:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            records = dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=8))
+            records = _records(jobs, DispatcherConfig(kind="local", max_parallel=8))
         finally:
             sys.setswitchinterval(interval)
         assert [r.sim_id for r in records] == [str(i) for i in range(200)]
         assert all(r.succeeded for r in records)
         assert sorted(map(int, (workdir / "ran").read_text().split())) == list(range(200))
+
+    def test_a_record_that_ends_early_waits_for_the_earlier_ones(self, workdir):
+        """Jobs 1-5 end while job 0 still runs: their records are held, then
+        passed on in order after job 0's, by the helper that ended job 0."""
+        jobs = [_job("0", "sleep 0.5", workdir)] + [_job(str(k), "true", workdir) for k in range(1, 6)]
+        passed = []
+
+        def record(job_record):
+            passed.append((job_record.sim_id, threading.current_thread()))
+
+        dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=2), record)
+        assert [sim_id for sim_id, _ in passed] == [str(k) for k in range(6)]
+        threads = {thread for _, thread in passed}
+        assert len(threads) == 1 and threading.main_thread() not in threads
 
     def test_one_slot_starts_no_thread(self, workdir, monkeypatch):
         def start(thread):
@@ -194,7 +218,7 @@ class TestLocalDispatch:
 
         monkeypatch.setattr(threading.Thread, "start", start)
         jobs = [_job(str(i), "true", workdir) for i in range(3)]
-        records = dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=1))
+        records = _records(jobs, DispatcherConfig(kind="local", max_parallel=1))
         assert [r.succeeded for r in records] == [True] * 3
 
     def test_an_error_on_a_helper_thread_reaches_the_caller(self, workdir, monkeypatch):
@@ -213,7 +237,7 @@ class TestLocalDispatch:
         monkeypatch.setattr(dispatch, "_run_local_job", run)
         jobs = [_job(str(i), "true", workdir) for i in range(9)] + [_job("9", "true \0", workdir)]
         with pytest.raises(ValueError, match="null byte"):
-            dispatch_all(jobs, DispatcherConfig(kind="local", max_parallel=2))
+            _records(jobs, DispatcherConfig(kind="local", max_parallel=2))
         assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
 
     def test_jobs_run_on_helpers_under_the_callers_sigint_handler(self, workdir, monkeypatch):
@@ -230,7 +254,7 @@ class TestLocalDispatch:
         jobs = [_job(str(i), "true", workdir) for i in range(6)]
         previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
-            records = dispatch_all(jobs, DispatcherConfig(max_parallel=2))
+            records = _records(jobs, DispatcherConfig(max_parallel=2))
         finally:
             signal.signal(signal.SIGINT, previous)
         assert [r.succeeded for r in records] == [True] * 6
@@ -243,10 +267,11 @@ class TestLocalDispatch:
 
         def peak(count: int) -> int:
             jobs = [_job(str(i), "/bin/true", workdir) for i in range(count)]
+            passed = []
             tracemalloc.start()
             try:
-                records = dispatch_all(jobs, config)
-                assert len(records) == count
+                dispatch_all(jobs, config, lambda record: passed.append(record.sim_id))
+                assert passed == [job.sim_id for job in jobs]
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -254,6 +279,56 @@ class TestLocalDispatch:
         peak(2)  # imports and first-use caches
         per_job = (peak(1000) - peak(100)) / 900
         assert per_job < 1024, f"{per_job:.0f} B per job"
+
+
+@pytest.mark.parametrize("kind, slots", [("local", 1), ("local", 2), ("slurm", 1)])
+def test_a_record_that_raises_stops_the_dispatch(workdir, kind, slots):
+    """What `record` raises reaches the caller once every job that was
+    running has ended, and no job starts, and no record is passed, after it."""
+    jobs = [_job(str(k), f"echo {k} >> ran", workdir) for k in range(8)]
+    (workdir / "submit.sh").write_text('sh "$1"; echo "Submitted batch job 7"\n', encoding="utf-8")
+    config = DispatcherConfig(kind=kind, max_parallel=slots, submit_command="sh submit.sh")
+    passed = []
+
+    def record(job_record):
+        passed.append(job_record.sim_id)
+        if len(passed) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        dispatch_all(jobs, config, record)
+    assert passed == ["0", "1"]
+    ran = sorted(map(int, (workdir / "ran").read_text(encoding="utf-8").split()))
+    assert ran == list(range(len(ran))) and len(ran) <= 2 + slots - 1
+
+
+@pytest.mark.parametrize("kind, slots", [("local", 2), ("slurm", 1)])
+def test_dispatch_holds_nothing_per_job(workdir, monkeypatch, kind, slots):
+    """Local jobs at two slots, and submits, with a launch that starts no
+    process and batch scripts written nowhere: what a dispatch holds at its
+    peak does not grow with the number of jobs, of which it reads each once."""
+    done = subprocess.CompletedProcess((), 0)
+    monkeypatch.setattr(dispatch, "_launcher", lambda: lambda command, cwd, **kwargs: done)
+    monkeypatch.setattr(dispatch.files, "rewrite", lambda path, text: None)
+    config = DispatcherConfig(kind=kind, max_parallel=slots, submit_command="true")
+
+    def peak(count: int) -> int:
+        jobs = (_job(sim_id, "true", workdir) for sim_id in sim_ids(count))
+        passed = itertools.count()
+        tracemalloc.start()
+        try:
+            dispatch_all(jobs, config, lambda record: next(passed))
+            assert next(passed) == count
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # imports and first-use caches
+    # pathlib interns each batch script's name, and the interpreter's one table of interned text is
+    # made anew now and then as names come and go; names held from here on keep that table out of it
+    held = [sys.intern(f"sweep_{sim_id}.sh") for sim_id in sim_ids(10_000)]
+    per_job = (peak(10_000) - peak(2_000)) / 8_000
+    assert per_job < 0.05 * 1024, f"{per_job:.1f} B per job"
 
 
 @pytest.fixture
@@ -276,7 +351,7 @@ class TestSchedulerDispatch:
         submit, log = fake_scheduler
         jobs = [_job(f"{i:03d}", f"./model {i:03d}", workdir) for i in range(3)]
         config = DispatcherConfig(kind="slurm", submit_command=submit, sweep_name="demo")
-        records = dispatch_all(jobs, config)
+        records = _records(jobs, config)
         assert [r.status for r in records] == ["submitted"] * 3
         assert {r.scheduler_job_id for r in records} == {"4242"}
         assert len(log.read_text().splitlines()) == 3
@@ -288,9 +363,10 @@ class TestSchedulerDispatch:
     def test_failing_submit_aborts(self, workdir):
         jobs = [_job("000", "./model", workdir)]
         config = DispatcherConfig(kind="slurm", submit_command="exit 9", sweep_name="demo")
-        with pytest.raises(SchedulerError, match="000") as failure:
-            dispatch_all(jobs, config)
-        assert failure.value.records == ()
+        records = []
+        with pytest.raises(SchedulerError, match="000"):
+            dispatch_all(jobs, config, records.append)
+        assert records == []
 
     def test_failing_submit_carries_the_records_already_submitted(self, workdir):
         fake = workdir / "fake_sbatch.sh"
@@ -300,9 +376,10 @@ class TestSchedulerDispatch:
         )
         jobs = [_job(f"{i:03d}", f"./model {i:03d}", workdir) for i in range(4)]
         config = DispatcherConfig(kind="slurm", submit_command=f"sh {fake}", sweep_name="demo")
-        with pytest.raises(SchedulerError, match="002") as failure:
-            dispatch_all(jobs, config)
-        assert [(r.sim_id, r.status) for r in failure.value.records] == [
+        records = []
+        with pytest.raises(SchedulerError, match="002"):
+            dispatch_all(jobs, config, records.append)
+        assert [(r.sim_id, r.status) for r in records] == [
             ("000", "submitted"),
             ("001", "submitted"),
         ]
@@ -313,7 +390,7 @@ class TestSchedulerDispatch:
         home.mkdir()
         (home / "fake.sh").write_text('echo "Submitted batch job 7$#"; test -f "$1"\n', encoding="utf-8")
         config = DispatcherConfig(kind="slurm", submit_command="sh fake.sh", sweep_name="demo")
-        records = dispatch_all([_job("000", "./model", home)], config)
+        records = _records([_job("000", "./model", home)], config)
         assert [(r.status, r.scheduler_job_id) for r in records] == [("submitted", "71")]
 
     @pytest.mark.parametrize(
@@ -327,7 +404,7 @@ class TestSchedulerDispatch:
     def test_submit_output_reads_as_text_mode_reads_it(self, workdir, output):
         (workdir / "submit.sh").write_text(f"printf '{output}'\n", encoding="utf-8")
         config = DispatcherConfig(kind="slurm", submit_command="sh submit.sh", sweep_name="demo")
-        [record] = dispatch_all([_job("000", "./model", workdir)], config)
+        [record] = _records([_job("000", "./model", workdir)], config)
         piped = subprocess.run(["sh", "submit.sh", "demo_000.sh"], cwd=workdir, capture_output=True, text=True)
         assert record.scheduler_job_id == _parse_scheduler_job_id(piped.stdout)
         assert sorted(path.name for path in workdir.iterdir()) == ["demo_000.sh", "submit.sh"]
@@ -345,11 +422,11 @@ class TestSchedulerDispatch:
         (workdir / "submit.sh").write_text(script + "\n", encoding="utf-8")
         config = DispatcherConfig(kind="slurm", submit_command="sh submit.sh", sweep_name="demo")
         with pytest.raises(SchedulerError) as failure:
-            dispatch_all([_job("000", "./model", workdir)], config)
+            _records([_job("000", "./model", workdir)], config)
         piped = subprocess.run(["sh", "submit.sh", "demo_000.sh"], cwd=workdir, capture_output=True, text=True)
         detail = piped.stderr.strip() or piped.stdout.strip() or "no output"
         assert str(failure.value) == str(
-            SchedulerError("000", f"'sh submit.sh' exited with {piped.returncode}: {detail}", ())
+            SchedulerError("000", f"'sh submit.sh' exited with {piped.returncode}: {detail}")
         )
 
     def test_each_submit_reads_only_its_own_output(self, workdir):
@@ -358,7 +435,7 @@ class TestSchedulerDispatch:
             encoding="utf-8",
         )
         config = DispatcherConfig(kind="slurm", submit_command="sh submit.sh", sweep_name="demo")
-        records = dispatch_all([_job("000", "./model", workdir), _job("001", "./model", workdir)], config)
+        records = _records([_job("000", "./model", workdir), _job("001", "./model", workdir)], config)
         assert [r.scheduler_job_id for r in records] == ["1234567", "unknown"]
 
     def test_dry_run_writes_scripts_but_never_submits(self, workdir, fake_scheduler):
@@ -367,18 +444,17 @@ class TestSchedulerDispatch:
         config = DispatcherConfig(
             kind="pbs", submit_command=submit, sweep_name="demo", dry_run=True
         )
-        records = dispatch_all(jobs, config)
-        assert not (workdir / "demo_000.sh").exists()  # written as its record is read
-        assert [r.status for r in records] == ["dry_run"]
-        assert (workdir / "demo_000.sh").exists()
+        written = []  # whether the script is there as its record is passed on
+        dispatch_all(jobs, config, lambda record: written.append((record.status, (workdir / "demo_000.sh").exists())))
+        assert written == [("dry_run", True)]
         assert not log.exists()
 
 
 class TestDryDispatch:
     def test_dry_kind_touches_nothing(self, workdir):
         jobs = [_job("000", "./ocean 000", workdir)]
-        records = dispatch_all(jobs, DispatcherConfig(kind="dry"))
-        assert list(records) == [JobRecord(sim_id="000", command="./ocean 000", status="dry_run")]
+        records = _records(jobs, DispatcherConfig(kind="dry"))
+        assert records == [JobRecord(sim_id="000", command="./ocean 000", status="dry_run")]
         assert list(workdir.iterdir()) == []
 
     def test_dry_records_are_made_as_they_are_read(self, workdir):
@@ -393,24 +469,26 @@ class TestDryDispatch:
                     made.append(k)
                     yield _job(str(k), f"./ocean {k}", workdir)
 
-        records = dispatch_all(Jobs(), DispatcherConfig(kind="dry"))
-        assert made == []
-        assert [(r.sim_id, r.command, r.status) for r in records] == [
-            ("0", "./ocean 0", "dry_run"), ("1", "./ocean 1", "dry_run"), ("2", "./ocean 2", "dry_run"),
+        records = []  # each record, with the jobs made when it was passed on
+        dispatch_all(Jobs(), DispatcherConfig(kind="dry"), lambda r: records.append((list(made), r)))
+        assert [(made, r.sim_id, r.command, r.status) for made, r in records] == [
+            ([0], "0", "./ocean 0", "dry_run"), ([0, 1], "1", "./ocean 1", "dry_run"),
+            ([0, 1, 2], "2", "./ocean 2", "dry_run"),
         ]
         assert made == [0, 1, 2]
 
     def test_dry_duplicate_sim_id_is_reported_when_read(self, workdir):
         jobs = [_job("0", "true", workdir), _job("0", "true", workdir)]
-        records = dispatch_all(jobs, DispatcherConfig(kind="dry"))
+        records = []
         with pytest.raises(ValueError, match="duplicate"):
-            list(records)
+            dispatch_all(jobs, DispatcherConfig(kind="dry"), records.append)
+        assert [r.sim_id for r in records] == ["0"]
 
     def test_dry_repeat_check_of_sim_ids_that_are_not_text(self, workdir):
-        records = dispatch_all([_job(k, "true", workdir) for k in (0, 1, 0)], DispatcherConfig(kind="dry"))
-        assert next(records).sim_id == 0 and next(records).sim_id == 1
+        jobs, records = [_job(k, "true", workdir) for k in (0, 1, 0)], []
         with pytest.raises(ValueError, match="duplicate"):
-            next(records)
+            dispatch_all(jobs, DispatcherConfig(kind="dry"), records.append)
+        assert [r.sim_id for r in records] == [0, 1]
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -427,25 +505,26 @@ class TestDryDispatch:
                 repeat = k
                 break
             seen.add(sim_id)
-        records = dispatch_all((_job(sim_id, "true", Path(".")) for sim_id in ids), DispatcherConfig(kind="dry"))
+        jobs = (_job(sim_id, "true", Path(".")) for sim_id in ids)
         read = []
         if repeat is None:
-            read = [record.sim_id for record in records]
+            dispatch_all(jobs, DispatcherConfig(kind="dry"), lambda record: read.append(record.sim_id))
         else:
             with pytest.raises(ValueError, match="duplicate"):
-                for record in records:
-                    read.append(record.sim_id)
+                dispatch_all(jobs, DispatcherConfig(kind="dry"), lambda record: read.append(record.sim_id))
         assert read == ids[:repeat]
 
     def test_local_dry_run_flag(self, workdir):
         jobs = [_job("0", "touch should_not_exist", workdir)]
-        records = dispatch_all(jobs, DispatcherConfig(kind="local", dry_run=True))
-        assert next(iter(records)).status == "dry_run"
+        records = _records(jobs, DispatcherConfig(kind="local", dry_run=True))
+        assert records[0].status == "dry_run"
         assert not (workdir / "should_not_exist").exists()
 
 
 @pytest.mark.parametrize("kind, dry_run", [("dry", False), ("local", True), ("slurm", True), ("pbs", True)])
-def test_run_dispatch_of_nothing_is_an_iterator_in_mapping_order(workdir, kind, dry_run):
+def test_run_dispatch_of_nothing_is_an_iterator_in_mapping_order(workdir, monkeypatch, kind, dry_run):
+    """Each record is passed on as soon as its job is made, before the next
+    job is made, as a generator of the records would yield it."""
     from sweeprun import run
     from sweeprun.sweeps import CartesianSweep
 
@@ -456,9 +535,12 @@ def test_run_dispatch_of_nothing_is_an_iterator_in_mapping_order(workdir, kind, 
         Path("it_mapping.json"), overwrite=False, strict=True, warn=print,
     )
     run.materialize(plan)
-    records = run.dispatch(plan)
-    assert iter(records) is records
-    assert [(r.sim_id, r.status) for r in records] == [(sim_id, "dry_run") for sim_id, _ in plan.mapping.items()]
+    made = []
+    monkeypatch.setattr(run, "JobSpec", lambda **fields: made.append(fields["sim_id"]) or JobSpec(**fields))
+    records = []
+    run.dispatch(plan, lambda r: records.append((list(made), r.sim_id, r.status)))
+    ids = [sim_id for sim_id, _ in plan.mapping.items()]
+    assert records == [(ids[: k + 1], sim_id, "dry_run") for k, sim_id in enumerate(ids)]
 
 
 class TestRecordInvariants:

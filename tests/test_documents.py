@@ -53,9 +53,10 @@ def documents(monkeypatch) -> tuple[list[str], list[str]]:
 def test_run_writes_no_document_it_did_not_check(workdir, tiny_setup, documents, options, code, capsys):
     checked, written = documents
     assert main(tiny_setup + options) == code
-    mapping, summary = (str(workdir.resolve() / name) for name in ("tiny_mapping.json", "tiny_summary.json"))
+    here = workdir.resolve()
+    mapping, summary = (str(here / name) for name in ("tiny_mapping.json", "tiny_summary.json"))
     assert written == [mapping, summary]
-    assert set(checked) == {mapping, summary}
+    assert set(checked) == {mapping, summary, str(here / "template.txt")}  # the template is checked, not written
 
 
 def test_collect_writes_no_document_it_did_not_check(workdir, tiny_setup, documents, capsys):

@@ -312,6 +312,25 @@ class TestSerialization:
         with pytest.raises(MappingFormatError, match="duplicate"):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "head, assignments, key",
+        [
+            ('"kind": "association"', '"0": {"a": 1}, "1": {"a": 2}, "0": {"a": 3}', "0"),
+            ('"kind": "association"', '"0": {"a": 1, "a": 2}', "a"),
+            ('"kind": "association", "kind": "association"', '"0": {"a": 1}', "kind"),
+        ],
+        ids=["sim_id", "parameter", "field"],
+    )
+    def test_a_repeated_key_is_refused(self, head, assignments, key):
+        """json.loads keeps the last of two equal keys, which would lose a set
+        or a value without a word."""
+        doc = (
+            f'{{"schema": "sweep-mapping/1", {head}, "sweep_name": "x", "parameter_names": ["a"], '
+            f'"assignments": {{{assignments}}}}}'
+        )
+        with pytest.raises(MappingFormatError, match=f"an object repeats the key '{key}'"):
+            deserialize(doc)
+
     @pytest.mark.parametrize("sim_ids", [["0", "1", "0"], ["7", "10", "2", "10"]])
     def test_repeats_that_are_not_neighbours_rejected(self, sim_ids):
         coords = {"a": list(range(len(sim_ids)))}

@@ -57,8 +57,9 @@ def starts(workdir, monkeypatch) -> list[str]:
 
 
 def dispatched(command: str, workdir) -> tuple[int, str, str]:
-    config = DispatcherConfig(capture=True, sweep_name="p")
-    [record] = dispatch_all([JobSpec(sim_id="0", command=command, workdir=workdir)], config)
+    config, records = DispatcherConfig(capture=True, sweep_name="p"), []
+    dispatch_all([JobSpec(sim_id="0", command=command, workdir=workdir)], config, records.append)
+    [record] = records
     assert record.status == "completed"
     out, err = (workdir / "p_0.out").read_text(), (workdir / "p_0.err").read_text()
     return record.exit_code, out, err
@@ -88,7 +89,9 @@ ENV_DUMPS = (
     "import json, subprocess\n"
     "from pathlib import Path\n"
     "from sweeprun.dispatch import DispatcherConfig, JobSpec, dispatch_all\n"
-    "[record] = dispatch_all([JobSpec('0', 'env', Path.cwd())], DispatcherConfig(capture=True, sweep_name='p'))\n"
+    "records = []\n"
+    "dispatch_all([JobSpec('0', 'env', Path.cwd())], DispatcherConfig(capture=True, sweep_name='p'), records.append)\n"
+    "[record] = records\n"
     "shell = subprocess.run('env', shell=True, capture_output=True, text=True).stdout\n"
     "print(json.dumps([record.exit_code, Path('p_0.out').read_text(), shell]))\n"
 )
@@ -125,7 +128,8 @@ def test_an_environment_that_keeps_every_command_in_the_shell(workdir, starts, m
 
 def test_a_submit_command_starts_directly(workdir, starts):
     (workdir / "submit.sh").write_text('echo "Submitted batch job 7$#"\n', encoding="utf-8")
-    config = DispatcherConfig(kind="slurm", submit_command="sh submit.sh", sweep_name="p")
-    [record] = dispatch_all([JobSpec(sim_id="0", command="true", workdir=workdir)], config)
+    config, records = DispatcherConfig(kind="slurm", submit_command="sh submit.sh", sweep_name="p"), []
+    dispatch_all([JobSpec(sim_id="0", command="true", workdir=workdir)], config, records.append)
+    [record] = records
     assert (record.status, record.scheduler_job_id) == ("submitted", "71")
     assert starts == ["direct"]

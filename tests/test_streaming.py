@@ -48,10 +48,11 @@ def traced_peak(call) -> tuple[object, int]:
 
 
 def write_summary(name: str, kind: str, records) -> tuple[Path, dict, list]:
-    """`run.record` of `records` for sweep `name`: (summary path, counts, failed records)."""
+    """`run.record` of `records`, passed on one at a time, for sweep `name`:
+    (summary path, counts, failed records)."""
     path = Path(f"{name}_summary.json")
     config = DispatcherConfig(kind=kind, sweep_name=name)
-    outcome = record(Plan(None, config, "", [], Path(f"{name}_mapping.json"), path), iter(records))
+    outcome = record(Plan(None, config, "", [], Path(f"{name}_mapping.json"), path), lambda add: [*map(add, records)])
     return path, outcome.counts, outcome.failed
 
 

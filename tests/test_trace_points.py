@@ -21,6 +21,8 @@ GONE = {
     "so ID formatting is counted in mapping.build_mapping",
     "sweeprun.collect:collect_scalars": "deleted",
     "sweeprun.collect:export_csv": "deleted",
+    "sweeprun.sweeps:FilteredCartesianSweep.generate": "inherited: the tracer's wrapper on "
+    "CartesianSweep.generate times it",
 }
 
 
@@ -67,8 +69,8 @@ def test_a_traced_run_and_collect_open_every_span(workdir):
         for span, layer in report["layers"].items():
             opened[span] = opened.get(span, 0) + layer["calls"]
     trace_cli = load_trace_cli()
-    gone = {span for module, path, span in trace_cli.FUNCTION_SPANS if f"{module}:{path}" in GONE}
-    expected = {span for _module, _path, span in trace_cli.FUNCTION_SPANS} - gone
+    # a span must open while any of its patch points is left
+    expected = {span for module, path, span in trace_cli.FUNCTION_SPANS if f"{module}:{path}" not in GONE}
     assert {span for span in expected if not opened.get(span)} == set()
     assert opened["cli.spec_load"] == 3
     assert opened["mapping.build_mapping"] == 3
@@ -79,6 +81,10 @@ def test_a_traced_run_and_collect_open_every_span(workdir):
     assert reports["local"]["layers"]["dispatch.job"]["calls"] == 4
     assert len(reports["local"]["job_seconds"]) == 4
     assert sorted(path.name for path in workdir.glob("s_*.sh")) == [f"s_{k}.sh" for k in range(4)]
+    # a dry dispatch makes its records, and renders its jobs' commands, inside dispatch_all
+    for command in ("run", "slurm"):
+        layer = reports[command]["layers"]["dispatch.dispatch_all"]
+        assert layer["total_s"] > layer["self_s"], layer
 
 
 def test_a_helper_threads_job_is_no_child_of_another_job(workdir):
