@@ -96,7 +96,7 @@ def _cmd_run(args) -> int:
     outcome = run_sweep(
         load_sweep_spec(args.sweep_file, seed_override=args.seed), args.command,
         list(zip(args.config, args.template)), config, mapping_out=args.mapping_out,
-        overwrite=args.overwrite, strict=args.strict,
+        overwrite=args.overwrite, strict=args.strict, sweep_file=args.sweep_file,
         warn=lambda message: _status(f"warning: {message}", sys.stderr),
         written=lambda count, path: _status(f"wrote {count} config file(s) and mapping {path}"),
     )

@@ -333,12 +333,13 @@ def _run_jobs(
 ) -> None:
     """`run_job` on each of `jobs` (read once, through `_unique`), at most `slots` at once, and
     `record` on each record in input order, one call at a time. At one slot the calling thread
-    runs the jobs and starts no thread. At more, `slots` helper threads each take the next job
-    when their last one ends (one that finds none ends at once), while the calling thread only
-    waits; a record that ends ahead of an earlier job's is held by its index, and the helper
-    that ends the last earlier job passes it on, under the lock. The first exception a job or
-    `record` raises, or the waiting thread gets (a SIGINT's KeyboardInterrupt), stops the
-    handing-out and the recording, and is raised here once every helper has ended."""
+    runs the jobs and starts no thread. At more, helper threads each take the next job when
+    their last one ends, while the calling thread only waits: it starts one helper, and a helper
+    that takes a job starts another until `slots` have started, so at most min(slots, jobs + 1)
+    start. A record that ends ahead of an earlier job's is held by its index, and the helper that
+    ends the last earlier job passes it on, under the lock. The first exception a job or `record`
+    raises, or the waiting thread gets (a SIGINT's KeyboardInterrupt), stops the handing-out and
+    the recording, and is raised here once every helper has ended."""
     if slots == 1:
         for job in _unique(jobs):
             record(run_job(job))
@@ -350,6 +351,12 @@ def _run_jobs(
     raised: list[BaseException] = []  # nonempty once the handing-out has stopped
     ended: dict[int, JobRecord] = {}  # records not yet passed on, by index
     passed = 0  # the index of the next record to pass on
+    helpers: list[threading.Thread] = []  # each appended, under the lock, before the one that started it ends
+
+    def start() -> None:
+        helper = threading.Thread(target=work)
+        helper.start()
+        helpers.append(helper)
 
     def work() -> None:
         nonlocal passed
@@ -357,6 +364,8 @@ def _run_jobs(
             while True:
                 with lock:
                     item = None if raised else next(todo, None)
+                    if item is not None and len(helpers) < slots:
+                        start()
                 if item is None:
                     return
                 index, job = item
@@ -369,16 +378,15 @@ def _run_jobs(
         except BaseException as exc:
             raised.append(exc)
 
-    helpers = [threading.Thread(target=work) for _ in range(slots)]
     try:
-        for helper in helpers:
-            helper.start()
-        for helper in helpers:
+        with lock:
+            start()
+        for helper in helpers:  # reaches the helpers appended while it runs
             helper.join()
     except BaseException as exc:  # a SIGINT's KeyboardInterrupt; no job runs on this thread
         with lock:
-            raised.append(exc)
-        for helper in filter(threading.Thread.is_alive, helpers):  # a helper not started is not alive
+            raised.append(exc)  # no helper starts after this
+        for helper in helpers:
             helper.join()
     if raised:
         raise raised[0]

@@ -38,13 +38,11 @@ import shutil
 import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable
 
 from .errors import SweepRunError
 
 _CHUNK = 1 << 16
-
-_T = TypeVar("_T")
 
 
 def read_bytes(path: str) -> bytes:
@@ -133,7 +131,7 @@ def _temporary(path: Path) -> Path:
     return path.with_name(f".tmp.{os.urandom(4).hex()}.{path.name}")
 
 
-def write_atomic(path: Path, write: Callable[[Path], _T]) -> _T:
+def write_atomic(path: Path, write: Callable[[Path], object]) -> None:
     """Call `write` on a new temporary sibling of `path`, then rename it onto
     `path`, so a process that fails or dies halfway leaves the previous
     document (or none), never a truncated one. Nothing is fsynced, so an OS
@@ -141,27 +139,27 @@ def write_atomic(path: Path, write: Callable[[Path], _T]) -> _T:
     file or absent is followed, and the rename replaces that target, so the
     link stays a link; if the target's directory cannot be written, the
     target is written in place. A special file (such as /dev/stdout), or a
-    link to one, is written in place, as the rename would replace it or fail.
-    Returns what `write` returns."""
+    link to one, is written in place, as the rename would replace it or fail."""
     destination = _renamed_onto(path)
     if destination is None:
-        return write(path)
+        write(path)
+        return
     temporary = _temporary(destination)
     try:
         os.close(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     except PermissionError:
         if destination is path:
             raise
-        return write(destination)
+        write(destination)
+        return
     try:
         if destination.exists():
             shutil.copymode(destination, temporary)
-        result = write(temporary)
+        write(temporary)
         os.replace(temporary, destination)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
-    return result
 
 
 class Listing:

@@ -135,8 +135,6 @@ class CartesianMapping:
             raise ValueError(f"dims {list(self.dims)} do not match coords keys {list(self.coords)}")
         grid = CartesianSweep({d: self.coords[d] for d in self.dims})
         object.__setattr__(self, "coords", grid.parameters)
-        # kept, not derived per call: multi_index reads it once per simulation
-        object.__setattr__(self, "_shape", tuple(len(v) for v in grid.parameters.values()))
         if grid.length() != len(self.sim_ids):
             raise ValueError(
                 f"{len(self.sim_ids)} sim_ids do not fill shape {list(self.shape)} "
@@ -149,7 +147,7 @@ class CartesianMapping:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return getattr(self, "_shape")
+        return tuple(map(len, self.coords.values()))
 
     @property
     def parameter_names(self) -> tuple[str, ...]:
@@ -274,14 +272,14 @@ def sim_ids(total: int) -> SimIds:
 def build_mapping(sweep: Sweep, *, sweep_name: str = "sweep") -> Mapping:
     """Number the sweep's parameter sets in generation order. A Cartesian
     sweep gets the labeled-array form and is sized, never listed; every other
-    kind (filtered Cartesian, set, random) is generated once and gets the
+    kind (filtered Cartesian, set, random) is enumerated once and gets the
     association form."""
     if isinstance(sweep, CartesianSweep) and not isinstance(sweep, FilteredCartesianSweep):
         grid = sweep.parameters
         return CartesianMapping(
             sweep_name=sweep_name, dims=tuple(grid), coords=grid, sim_ids=sim_ids(sweep.length())
         )
-    sets = sweep.generate()
+    sets = list(sweep.iter_sets())
     return AssociationMapping(sweep_name=sweep_name, assignments=dict(zip(sim_ids(len(sets)), sets)))
 
 
@@ -458,4 +456,8 @@ def _parse(text: str, formula: bool = False) -> Mapping:
 
 
 def read_mapping(path: Path | str) -> Mapping:
-    return deserialize(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MappingFormatError(f"MAPPING {path} is not UTF-8 text: {exc}") from None
+    return deserialize(text)

@@ -147,12 +147,13 @@ def _outputs(config: DispatcherConfig, patterns: list[str]) -> list[tuple[str, s
 
 
 def _require_distinct_outputs(
-    fixed: dict[str, Path], outputs: list[tuple[str, str]], mapping: Mapping, overwrite: bool, read: dict[str, Path]
+    fixed: dict[str, Path], outputs: list[tuple[str, str]], mapping: Mapping, overwrite: bool,
+    read: dict[str, tuple[str, Path]],
 ):
     """No two files the run writes may be one os.path.abspath, and no
-    per-simulation one may be a template it reads (`read`, keyed by
-    os.path.realpath), with or without --overwrite; without it none may
-    exist, but a document that is a template is left for
+    per-simulation one may be a file it reads (`read`: the option and path
+    of each, keyed by os.path.realpath), with or without --overwrite; without
+    it none may exist, but a document that is a file it reads is left for
     `files.require_documents` to report. Made absolute with '.' and '..'
     applied, each path template must still hold {sim_id}. If that is its
     only placeholder, two path templates or paths whose text before the
@@ -160,7 +161,7 @@ def _require_distinct_outputs(
     suffix, of the other) never render one path; if every two do, none is
     compared."""
     here = _literal(os.getcwd())
-    inputs = {os.path.abspath(path): f"the --template {path}" for path in read.values()}
+    inputs = {os.path.abspath(path): f"the {option}" for option, path in read.values()}
     ends = [(name, name) for name in [*map(os.path.abspath, fixed.values()), *inputs]]  # (head, tail)
     proved = True
     for what, template in outputs:
@@ -211,6 +212,7 @@ def _require_distinct_outputs(
 def plan(
     sweep: Sweep, config: DispatcherConfig, command: str, configs: Sequence[tuple[str, str]],
     mapping_path: str | Path | None, *, overwrite: bool, strict: bool, warn: Callable[[str], None],
+    sweep_file: str | Path | None = None,
 ) -> Plan:
     """Number the sweep's simulations and check the run before anything is
     written. Every placeholder of the command, the config path patterns and
@@ -218,9 +220,10 @@ def plan(
     be fillable; a parameter no template uses is passed to `warn`, or is an
     error if `strict`. Every file the run writes (the mapping at
     `mapping_path`, by default <name>_mapping.json) must be distinct, absent
-    unless `overwrite`, not a template, and have a directory to be written
-    in. A slurm/pbs name or directive must not hold a line break, which
-    would end its line of each batch script's header."""
+    unless `overwrite`, not a template or the `sweep_file` the sweep was read
+    from, and have a directory to be written in. A slurm/pbs name or
+    directive must not hold a line break, which would end its line of each
+    batch script's header."""
     if "sim_id" not in extract_placeholders(command):
         raise SweepRunError(f"--command must contain the {{sim_id}} placeholder: {command!r}")
     if config.kind in ("slurm", "pbs"):
@@ -230,7 +233,12 @@ def plan(
                 raise SweepRunError(f"{option} {value!r} holds a line break, which would end its batch script line")
     mapping = build_mapping(sweep, sweep_name=config.sweep_name)
     patterns = [pattern for pattern, _ in configs]
-    sources = [Path(template).read_text(encoding="utf-8") for _, template in configs]
+    sources = []
+    for _, template in configs:
+        try:
+            sources.append(Path(template).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise SweepRunError(f"--template {template} is not UTF-8 text: {exc}") from None
     allowed = set(mapping.parameter_names) | {"sim_id"}
     for source in [*sources, command, *patterns]:
         for placeholder in extract_placeholders(source):
@@ -246,13 +254,15 @@ def plan(
     mapping_path = Path(mapping_path or f"{config.sweep_name}_mapping.json")
     summary_path = Path(f"{config.sweep_name}_summary.json")
     outputs = _outputs(config, patterns)
-    # each template is only read, by any number of --template options, and no output may be one
-    read = {os.path.realpath(template): Path(template) for _, template in configs}
+    # each input is only read, under any number of options, and no output may be one
+    inputs = [("--sweep-file", Path(sweep_file))] if sweep_file is not None else []
+    inputs += [("--template", Path(template)) for _, template in configs]
+    read = {os.path.realpath(path): (f"{option} {path}", path) for option, path in inputs}
     fixed = {"mapping": mapping_path, "summary": summary_path}
     _require_distinct_outputs(fixed, outputs, mapping, overwrite, read)
     # the summary, batch scripts and captured output are made in --name's directory
-    templates = {f"--template {path}": path for path in read.values()}
-    files.require_documents({"--name": summary_path, "--mapping-out": mapping_path, **templates}, read=tuple(templates))
+    documents = dict(read.values())
+    files.require_documents({"--name": summary_path, "--mapping-out": mapping_path, **documents}, read=tuple(documents))
     # zip stops after the configs, each spelled as Path spells it
     written = [(pattern, source) for (_, pattern), source in zip(outputs, sources)]
     return Plan(mapping, config, command, written, mapping_path, summary_path)
@@ -328,12 +338,17 @@ def run_sweep(
     sweep: Sweep, command: str, configs: Sequence[tuple[str, str]], dispatcher: DispatcherConfig, *,
     mapping_out: str | Path | None = None, overwrite: bool = False, strict: bool = False,
     warn: Callable[[str], None] = warnings.warn, written: Callable[[int, Path], None] = lambda count, path: None,
+    sweep_file: str | Path | None = None,
 ) -> Outcome:
     """Run one job of `command` per simulation of `sweep`, named `dispatcher.sweep_name`, after
     writing its configs (`configs` pairs each path pattern with its template file) and mapping,
-    then `written(config count, mapping path)`; `warn` gets a parameter no template uses. A
-    SchedulerError is raised again once the summary of the jobs submitted before it is written."""
-    checked = plan(sweep, dispatcher, command, configs, mapping_out, overwrite=overwrite, strict=strict, warn=warn)
+    then `written(config count, mapping path)`; `warn` gets a parameter no template uses, and no
+    file the run writes may be `sweep_file`, the file `sweep` was read from. A SchedulerError is
+    raised again once the summary of the jobs submitted before it is written."""
+    checked = plan(
+        sweep, dispatcher, command, configs, mapping_out, overwrite=overwrite, strict=strict, warn=warn,
+        sweep_file=sweep_file,
+    )
     materialize(checked)
     written(len(checked.mapping) * len(checked.configs), checked.mapping_path)
     return record(checked, lambda add: dispatch(checked, add))

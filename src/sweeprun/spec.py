@@ -81,6 +81,8 @@ def load_sweep_spec(path: Path | str, seed_override: int | None = None) -> Sweep
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise _spec_error(f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _spec_error(f"--sweep-file {path} is not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
         raise _spec_error("top level must be an object")
     sweep_type = doc.get("type")

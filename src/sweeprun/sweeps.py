@@ -300,9 +300,6 @@ class CartesianSweep:
         for combo in itertools.product(*self.parameters.values()):
             yield dict(zip(names, combo))
 
-    def generate(self) -> list[ParameterSet]:
-        return list(self.iter_sets())
-
 
 class FilteredCartesianSweep(CartesianSweep):
     """Cartesian sweep restricted to sets satisfying a filter expression.
@@ -389,9 +386,6 @@ class SetSweep:
     def iter_sets(self) -> Iterator[ParameterSet]:
         return (dict(s) for s in self.sets)
 
-    def generate(self) -> list[ParameterSet]:
-        return list(self.iter_sets())
-
 
 class RandomSweep:
     """`count` sets with each parameter sampled independently from its distribution.
@@ -434,9 +428,6 @@ class RandomSweep:
         rng = random.Random(self.seed)
         for _ in range(self.count):
             yield {name: dist.sample(rng) for name, dist in self.distributions.items()}
-
-    def generate(self) -> list[ParameterSet]:
-        return list(self.iter_sets())
 
 
 Sweep = Union[CartesianSweep, FilteredCartesianSweep, SetSweep, RandomSweep]

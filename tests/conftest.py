@@ -1,4 +1,4 @@
-"""Shared fixtures: an isolated working directory and the stub model."""
+"""Shared fixtures: an isolated working directory, the stub model, and a check that no test leaves a thread running."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,15 @@ REFERENCE_GRID_SPEC = {
         "rho": {"linspace": [2, 30, 10]},
     },
 }
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test after which a thread it started is still alive."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

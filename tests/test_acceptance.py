@@ -192,10 +192,10 @@ def test_criterion_3_filtered_oracle_equivalence():
         expected = [s for s in everything if eval(source, {"__builtins__": {}}, dict(s))]
         sweep = FilteredCartesianSweep(grid, filter=source)
         if expected:
-            assert sweep.generate() == expected
+            assert list(sweep.iter_sets()) == expected
         else:
             with pytest.raises(EmptySweepError):
-                sweep.generate()
+                list(sweep.iter_sets())
         checked += 1
     assert checked >= 20
 
@@ -256,7 +256,7 @@ def test_criterion_5_mapping_bijection_and_round_trip():
     rng = random.Random(50505)
     for _ in range(100):
         sweep = _random_sweep(rng)
-        sets = sweep.generate()
+        sets = list(sweep.iter_sets())
         mapping = build_mapping(sweep, sweep_name="prop")
         for params in sets:
             round_tripped = mapping.lookup_by_id(mapping.lookup_by_params(params))
@@ -310,7 +310,7 @@ def test_criterion_6_concurrency_bound(tmp_path, monkeypatch):
 @criterion(7, "uniform mean within 11 +/- 0.3; legal discrete values; byte-identical replay")
 def test_criterion_7_random_sweep_statistics():
     sweep = RandomSweep(count=10_000, distributions={"x": Uniform(2, 20)}, seed=777)
-    samples = [s["x"] for s in sweep.generate()]
+    samples = [s["x"] for s in sweep.iter_sets()]
     mean = sum(samples) / len(samples)
     assert abs(mean - 11.0) < 0.3  # 5 standard errors of Uniform(2,20)/sqrt(10000)
     assert all(2 <= x < 20 for x in samples)
@@ -320,7 +320,7 @@ def test_criterion_7_random_sweep_statistics():
         distributions={"n": IntegerUniform(-2, 3), "c": Choice(["a", "b", 4, 2.5])},
         seed=778,
     )
-    sets = discrete.generate()
+    sets = list(discrete.iter_sets())
     assert all(isinstance(s["n"], int) and -2 <= s["n"] <= 3 for s in sets)
     assert all(any(values_equal(s["c"], o) for o in ("a", "b", 4, 2.5)) for s in sets)
 

@@ -47,11 +47,11 @@ class TestSweepSpecLoading:
             {"type": "cartesian", "parameters": {"x": [1, 2], "y": [1, 2]}, "filter": "x > y"},
         )
         sweep = load_sweep_spec(path)
-        assert sweep.generate() == [{"x": 2, "y": 1}]
+        assert list(sweep.iter_sets()) == [{"x": 2, "y": 1}]
 
     def test_set_spec(self, workdir):
         path = write_json(workdir / "s.json", {"type": "set", "sets": [{"x": 1}, {"x": 2}]})
-        assert load_sweep_spec(path).generate() == [{"x": 1}, {"x": 2}]
+        assert list(load_sweep_spec(path).iter_sets()) == [{"x": 1}, {"x": 2}]
 
     def test_random_spec_all_distributions(self, workdir):
         path = write_json(
@@ -76,7 +76,7 @@ class TestSweepSpecLoading:
         assert isinstance(sweep.distributions["m"], Normal)
         assert isinstance(sweep.distributions["s"], Choice)
         assert isinstance(sweep.distributions["r"], LogUniform)
-        assert len(sweep.generate()) == 4
+        assert len(list(sweep.iter_sets())) == 4
 
     def test_seed_override(self, workdir):
         doc = {
@@ -86,14 +86,14 @@ class TestSweepSpecLoading:
             "distributions": {"x": {"uniform": [0, 1]}},
         }
         path = write_json(workdir / "s.json", doc)
-        assert load_sweep_spec(path).generate() != load_sweep_spec(path, seed_override=2).generate()
+        assert list(load_sweep_spec(path).iter_sets()) != list(load_sweep_spec(path, seed_override=2).iter_sets())
 
     def test_missing_seed_needs_override(self, workdir):
         doc = {"type": "random", "count": 3, "distributions": {"x": {"uniform": [0, 1]}}}
         path = write_json(workdir / "s.json", doc)
         with pytest.raises(ValueError, match="seed"):
             load_sweep_spec(path)
-        assert len(load_sweep_spec(path, seed_override=7).generate()) == 3
+        assert len(list(load_sweep_spec(path, seed_override=7).iter_sets())) == 3
 
     @pytest.mark.parametrize(
         "doc",
@@ -129,7 +129,7 @@ class TestSweepSpecLoading:
 
     def test_same_number_of_another_kind_is_not_a_repeated_set(self, workdir):
         path = write_json(workdir / "s.json", {"type": "set", "sets": [{"v": 1}, {"v": 1.0}]})
-        assert load_sweep_spec(path).generate() == [{"v": 1}, {"v": 1.0}]
+        assert list(load_sweep_spec(path).iter_sets()) == [{"v": 1}, {"v": 1.0}]
 
 
 class TestPreview:
@@ -514,6 +514,43 @@ class TestRunPipeline:
             f"{workdir.resolve() / 'template.txt'}; give each its own path\n"
         )
         assert {path: path.read_bytes() for path in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("overwrite", [[], ["--overwrite"]], ids=["new", "overwrite"])
+    def test_a_mapping_on_the_sweep_file_blocks_every_write(self, workdir, tiny_setup, overwrite, capsys):
+        """The sweep file is only read: a mapping written over it would make the next run fail."""
+        before = {path: path.read_bytes() for path in workdir.iterdir()}
+        assert main([*tiny_setup, "--mapping-out", "sweep.json", *overwrite]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --mapping-out and --sweep-file sweep.json are the same file, "
+            f"{workdir.resolve() / 'sweep.json'}; give each its own path\n"
+        )
+        assert {path: path.read_bytes() for path in workdir.iterdir()} == before
+        assert main(tiny_setup) == 0
+
+    @pytest.mark.parametrize("overwrite", [[], ["--overwrite"]], ids=["new", "overwrite"])
+    def test_a_config_on_the_sweep_file_blocks_every_write(self, workdir, tiny_setup, overwrite, capsys):
+        (workdir / "c_0.txt").write_bytes((workdir / "sweep.json").read_bytes())
+        argv = list(tiny_setup)
+        argv[argv.index("--config") + 1] = "c_{sim_id}.txt"
+        argv[argv.index("--sweep-file") + 1] = "c_0.txt"
+        before = {path: path.read_bytes() for path in workdir.iterdir()}
+        assert main(argv + overwrite) == 1
+        assert capsys.readouterr().err == (
+            "error: --config 'c_{sim_id}.txt' writes c_0.txt for simulation 0, the same file as "
+            "the --sweep-file c_0.txt; give each its own path\n"
+        )
+        assert {path: path.read_bytes() for path in workdir.iterdir()} == before
+
+    def test_the_sweep_file_may_be_a_template(self, workdir, tiny_setup):
+        from sweeprun import CartesianSweep, DispatcherConfig, run_sweep
+
+        config = DispatcherConfig(kind="dry", sweep_name="both")
+        outcome = run_sweep(
+            CartesianSweep({"a": [1], "b": [2]}), "true {sim_id}", [("c_{sim_id}.txt", "template.txt")], config,
+            sweep_file="./template.txt",
+        )
+        assert outcome.counts["dry_run"] == 1
+        assert (workdir / "c_0.txt").read_text(encoding="utf-8") == "a=1 b=2 id=0\n"
 
     def test_two_templates_may_be_one_file(self, workdir, tiny_setup, capsys):
         argv = [*tiny_setup, "--config", "d_{sim_id}.txt", "--template", "./template.txt"]

@@ -64,7 +64,7 @@ def test_csv_matches_a_per_cell_reference(workdir):
             "s": ["plain", "a,b", 'say "hi"', "résumé ∂"],
         }
     )
-    sets = sweep.generate()
+    sets = list(sweep.iter_sets())
     ids = list(sim_ids(len(sets)))
     mapping = build_mapping(sweep, sweep_name="kinds")
     for k, sim_id in enumerate(ids):
@@ -228,7 +228,7 @@ def test_stub_end_to_end_identity_for_every_sweep_type(workdir, stub, sweep_fact
     # oracle: the stub writes a + b, recomputed here from the generated sets
     _script, command = stub
     sweep = sweep_factory()
-    sets = sweep.generate()
+    sets = list(sweep.iter_sets())
     ids = list(sim_ids(len(sets)))
     mapping = build_mapping(sweep, sweep_name="e2e")
     for params, sim_id in zip(sets, ids):

@@ -221,6 +221,22 @@ class TestLocalDispatch:
         records = _records(jobs, DispatcherConfig(kind="local", max_parallel=1))
         assert [r.succeeded for r in records] == [True] * 3
 
+    @pytest.mark.parametrize("given", [list, iter], ids=["list", "generator"])
+    def test_a_helper_starts_only_when_a_job_is_handed_out(self, workdir, monkeypatch, given):
+        """3 jobs at 16 slots start at most 4 helpers: one per job, and one that finds none."""
+        start = threading.Thread.start
+        started = []
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        jobs = [_job(str(i), "true", workdir) for i in range(3)]
+        records = _records(given(jobs), DispatcherConfig(kind="local", max_parallel=16))
+        assert [r.succeeded for r in records] == [True] * 3
+        assert 1 <= len(started) <= 4
+
     def test_an_error_on_a_helper_thread_reaches_the_caller(self, workdir, monkeypatch):
         """A job that raises something other than OSError (here a NUL in its
         command) stops the dispatch."""

@@ -56,7 +56,8 @@ def test_run_writes_no_document_it_did_not_check(workdir, tiny_setup, documents,
     here = workdir.resolve()
     mapping, summary = (str(here / name) for name in ("tiny_mapping.json", "tiny_summary.json"))
     assert written == [mapping, summary]
-    assert set(checked) == {mapping, summary, str(here / "template.txt")}  # the template is checked, not written
+    # the template and the sweep file are checked, not written
+    assert set(checked) == {mapping, summary, str(here / "template.txt"), str(here / "sweep.json")}
 
 
 def test_collect_writes_no_document_it_did_not_check(workdir, tiny_setup, documents, capsys):

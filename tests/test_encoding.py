@@ -11,6 +11,9 @@ import os
 import pytest
 
 from conftest import run_python
+from sweeprun.cli import main
+from sweeprun.errors import MappingFormatError
+from sweeprun.mapping import read_mapping
 
 STRICT = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "sweeprun.cli"]
 RUN = [
@@ -112,3 +115,29 @@ def test_collect_writes_a_value_utf8_cannot_encode_as_its_escape(workdir, output
     last = "2.5" if outputs == 3 else ""
     expected = f"s,value\na,0.5\n\\ud800,1.5\né,{last}\n".encode()
     assert (workdir / "sweep_results.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("option", ["--template", "--sweep-file"])
+def test_run_names_an_input_that_is_not_utf8(tiny_setup, workdir, option, capsys):
+    path = workdir / tiny_setup[tiny_setup.index(option) + 1]
+    data = path.read_bytes()
+    path.write_bytes(data[:2] + b"\xff" + data[2:])
+    before = sorted(workdir.iterdir())
+    assert main(tiny_setup) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{option} {path.name} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err
+    assert sorted(workdir.iterdir()) == before
+
+
+def test_collect_names_a_mapping_that_is_not_utf8(tiny_setup, workdir, capsys):
+    assert main(tiny_setup) == 0
+    mapping = workdir / "tiny_mapping.json"
+    mapping.write_bytes(mapping.read_bytes().replace(b"tiny", b"t\xffny"))
+    capsys.readouterr()
+    assert main(["collect", str(mapping)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"MAPPING {mapping} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err
+    with pytest.raises(MappingFormatError, match="is not UTF-8 text"):
+        read_mapping(mapping)

@@ -188,7 +188,7 @@ def test_format_grid_agrees_with_formatting_each_set(parameters):
     ]
     assert list(format_grid(sweep.parameters)) == expected
     grid = build_mapping(sweep)
-    for mapping in (grid, AssociationMapping("s", dict(zip(grid.sim_ids, sweep.generate())))):
+    for mapping in (grid, AssociationMapping("s", dict(zip(grid.sim_ids, list(sweep.iter_sets()))))):
         assert list(cells(mapping)) == [
             (sim_id, {name: format_value(value) for name, value in params.items()})
             for sim_id, params in mapping.items()
@@ -428,7 +428,7 @@ def test_pruned_sweep_agrees_with_testing_every_point(expr, data):
     real_evaluate = filters.evaluate
     filters.evaluate = lambda expr, env: calls.append((expr, repr(env))) or real_evaluate(expr, env)
     try:
-        assert _evaluation(lambda sweep, _: sweep.generate(), sweep, None) == expected
+        assert _evaluation(lambda sweep, _: list(sweep.iter_sets()), sweep, None) == expected
     finally:
         filters.evaluate = real_evaluate
     if refused:  # tested whole at every grid point

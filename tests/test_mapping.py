@@ -33,7 +33,7 @@ from sweeprun.sweeps import (
 
 
 def _mapping_for(sweep, name="sweep"):
-    sets = sweep.generate()
+    sets = list(sweep.iter_sets())
     return build_mapping(sweep, sweep_name=name), sets, list(sim_ids(len(sets)))
 
 
@@ -103,11 +103,31 @@ class TestSimIds:
         ids = [sim_id for sim_id, _ in mapping.items()]
         assert ids == list(sim_ids(total))
         assert {len(sim_id) for sim_id in ids} == {len(str(total - 1))}
-        assert [params for _, params in mapping.items()] == sweep.generate()
+        assert [params for _, params in mapping.items()] == list(sweep.iter_sets())
         assert build_mapping(sweep) == mapping
 
 
 class TestBuildMapping:
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            FilteredCartesianSweep({"a": [1, 2, 3], "b": [0.5, 1.5]}, filter="a > 1"),
+            SetSweep([{"a": 1}, {"a": 2}]),
+            RandomSweep(count=3, distributions={"u": Uniform(0, 1)}, seed=5),
+        ],
+        ids=["filtered", "set", "random"],
+    )
+    def test_a_listed_sweep_is_enumerated_once(self, sweep, monkeypatch):
+        calls = []
+        for name in ("iter_sets", "length"):
+            method = getattr(type(sweep), name)
+            monkeypatch.setattr(
+                type(sweep), name, lambda self, method=method, name=name: calls.append(name) or method(self)
+            )
+        mapping = build_mapping(sweep)
+        assert calls == ["iter_sets"]
+        assert [params for _, params in mapping.items()] == list(sweep.iter_sets())
+
     def test_two_by_one_grid(self):
         sweep = CartesianSweep({"a": [1, 2], "b": [10]})
         mapping, _sets, _ids = _mapping_for(sweep)
@@ -462,7 +482,7 @@ def test_bijection_and_round_trip_over_randomized_sweeps():
     rng = random.Random(424242)
     for _ in range(100):
         sweep = _random_sweep(rng)
-        sets = sweep.generate()
+        sets = list(sweep.iter_sets())
         ids = list(sim_ids(len(sets)))
         mapping = build_mapping(sweep, sweep_name="prop")
         for params, sim_id in zip(sets, ids):

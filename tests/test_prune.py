@@ -42,7 +42,7 @@ def evaluations(monkeypatch) -> list:
 
 
 def test_filtered_slurm_pays_per_kept_simulation(evaluations):
-    kept = FilteredCartesianSweep(SLURM_AXES, SLURM_FILTER).generate()
+    kept = list(FilteredCartesianSweep(SLURM_AXES, SLURM_FILTER).iter_sets())
     assert kept == [p for p in CartesianSweep(SLURM_AXES).iter_sets() if slurm_keep(p)]
     assert len(kept) == 656
     # rho > 27 once per rho value (50), the rest once per (beta, sigma, kept rho): 10 * 100 * 6
@@ -64,7 +64,7 @@ def test_preview_of_a_million_grid_points(workdir, evaluations, capsys):
 def test_an_axis_emptied_by_a_conjunct_is_the_full_grid_error(evaluations):
     sweep = FilteredCartesianSweep({"a": [1, 2, 3], "b": [0.5, 1.5]}, "a * b > 0 and b > 9")
     with pytest.raises(EmptySweepError) as failure:
-        sweep.generate()
+        list(sweep.iter_sets())
     assert str(failure.value) == "filter rejected all 6 parameter sets; nothing to run"
     assert len(evaluations) == 2  # b > 9 on each b; a * b > 0 is never reached
 
@@ -82,7 +82,7 @@ def test_filters_the_check_clears_are_pruned(parameters, source, evaluations):
     sweep = FilteredCartesianSweep(parameters, source)
     conjuncts = filters._split(sweep.filter, sweep.parameters)
     assert conjuncts is not None
-    kept = sweep.generate()
+    kept = list(sweep.iter_sets())
     assert evaluations and all(any(expr is c for c in conjuncts) for expr, _env in evaluations)
     assert kept == [p for p in CartesianSweep(parameters).iter_sets() if filters.evaluate(sweep.filter, p)]
 
@@ -103,10 +103,10 @@ def test_filters_the_check_refuses_are_tested_per_point(parameters, source, erro
     sweep = FilteredCartesianSweep(parameters, source)
     assert filters._split(sweep.filter, sweep.parameters) is None
     if error is None:
-        assert sweep.generate() == [{"a": 2, "b": 1.5}]
+        assert list(sweep.iter_sets()) == [{"a": 2, "b": 1.5}]
     else:
         with pytest.raises(error):
-            sweep.generate()
+            list(sweep.iter_sets())
     # the whole filter at each grid point in row-major order, up to the first that raises
     tested = list(CartesianSweep(parameters).iter_sets())[:points]
     assert evaluations == [(sweep.filter, params) for params in tested]

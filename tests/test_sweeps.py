@@ -89,20 +89,20 @@ class TestParameterValues:
 class TestCartesian:
     def test_two_by_one(self):
         sweep = CartesianSweep({"a": [1, 2], "b": [10]})
-        assert sweep.generate() == [{"a": 1, "b": 10}, {"a": 2, "b": 10}]
+        assert list(sweep.iter_sets()) == [{"a": 1, "b": 10}, {"a": 2, "b": 10}]
 
     def test_reference_grid_count_and_first_set(self):
         sweep = CartesianSweep(
             {"beta": linspace(2, 4, 3), "sigma": linspace(2, 20, 10), "rho": linspace(2, 30, 10)}
         )
         assert sweep.length() == 300
-        sets = sweep.generate()
+        sets = list(sweep.iter_sets())
         assert len(sets) == 300
         assert sets[0] == {"beta": 2.0, "sigma": 2.0, "rho": 2.0}
 
     def test_last_parameter_varies_fastest(self):
         sweep = CartesianSweep({"a": [1, 2], "b": ["x", "y", "z"]})
-        sets = sweep.generate()
+        sets = list(sweep.iter_sets())
         assert [s["b"] for s in sets[:3]] == ["x", "y", "z"]
         assert [s["a"] for s in sets] == [1, 1, 1, 2, 2, 2]
 
@@ -114,7 +114,7 @@ class TestCartesian:
             for b in grids["b"]:
                 for c in grids["c"]:
                     expected.append({"a": a, "b": b, "c": c})
-        assert CartesianSweep(grids).generate() == expected
+        assert list(CartesianSweep(grids).iter_sets()) == expected
 
     def test_every_combination_appears_exactly_once(self):
         rng = random.Random(7)
@@ -123,20 +123,20 @@ class TestCartesian:
                 name: rng.sample(range(100), rng.randint(1, 5))
                 for name in ["p", "q", "r"][: rng.randint(1, 3)]
             }
-            sets = CartesianSweep(grids).generate()
+            sets = list(CartesianSweep(grids).iter_sets())
             assert len(sets) == math.prod(len(v) for v in grids.values())
             seen = {tuple(s.items()) for s in sets}
             assert len(seen) == len(sets)
 
     def test_name_order_matches_declaration(self):
         sweep = CartesianSweep({"z": [1], "a": [2], "m": [3]})
-        assert list(sweep.generate()[0]) == ["z", "a", "m"]
+        assert list(next(sweep.iter_sets())) == ["z", "a", "m"]
 
     def test_repeated_calls_identical_and_input_unmutated(self):
         values = {"a": [1, 2], "b": [3]}
         sweep = CartesianSweep(values)
-        first = sweep.generate()
-        assert sweep.generate() == first
+        first = list(sweep.iter_sets())
+        assert list(sweep.iter_sets()) == first
         assert values == {"a": [1, 2], "b": [3]}
 
     def test_empty_parameter_map_rejected(self):
@@ -156,29 +156,29 @@ class TestCartesian:
             FilteredCartesianSweep({"a": [1], "b": values}, filter="a > 0")
 
     def test_same_number_of_another_kind_is_not_a_duplicate(self):
-        assert CartesianSweep({"a": [1, 1.0, "1"]}).generate() == [{"a": 1}, {"a": 1.0}, {"a": "1"}]
+        assert list(CartesianSweep({"a": [1, 1.0, "1"]}).iter_sets()) == [{"a": 1}, {"a": 1.0}, {"a": "1"}]
 
 
 class TestFilteredCartesian:
     def test_single_survivor(self):
         sweep = FilteredCartesianSweep({"x": [1, 2], "y": [1, 2]}, filter="x > y")
         assert sweep.length() == 1
-        assert sweep.generate() == [{"x": 2, "y": 1}]
+        assert list(sweep.iter_sets()) == [{"x": 2, "y": 1}]
 
     def test_equals_enumerate_then_filter(self):
         grid = {"x": [1, 2, 3], "y": [1, 2, 3]}
         sweep = FilteredCartesianSweep(grid, filter="x + y > 3")
         from sweeprun.filters import evaluate, parse
 
-        everything = CartesianSweep(grid).generate()
+        everything = list(CartesianSweep(grid).iter_sets())
         expected = [s for s in everything if evaluate(parse("x + y > 3"), s)]
-        assert sweep.generate() == expected
+        assert list(sweep.iter_sets()) == expected
 
     def test_all_rejected_is_an_error(self):
         sweep = FilteredCartesianSweep({"x": [1, 2]}, filter="x > 99")
         assert sweep.length() == 0
         with pytest.raises(EmptySweepError):
-            sweep.generate()
+            list(sweep.iter_sets())
 
     def test_undeclared_filter_variable_rejected(self):
         with pytest.raises(ValueError, match="undeclared"):
@@ -189,7 +189,7 @@ class TestFilteredCartesian:
         sweep = FilteredCartesianSweep({"a": range(500), "b": range(400)}, filter="a == 7 and b < 100")
         tracemalloc.start()
         try:
-            kept = sweep.generate()
+            kept = list(sweep.iter_sets())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -199,7 +199,7 @@ class TestFilteredCartesian:
     @pytest.mark.parametrize("source", ["x > y", "x + y > 3 or y == 1", "x * y != 4", "x > 0"])
     def test_length_counts_the_generated_sets(self, source):
         sweep = FilteredCartesianSweep({"x": [0, 1, 2, 3], "y": [1, 2, 3.0]}, filter=source)
-        assert sweep.length() == len(sweep.generate())
+        assert sweep.length() == len(list(sweep.iter_sets()))
 
 
 class TestSetSweep:
@@ -207,7 +207,7 @@ class TestSetSweep:
         sets = [{"x": 2, "y": 1}, {"x": 1, "y": 2}]
         sweep = SetSweep(sets)
         assert sweep.length() == 2
-        assert sweep.generate() == sets
+        assert list(sweep.iter_sets()) == sets
 
     def test_singleton(self):
         assert SetSweep([{"x": 1}]).length() == 1
@@ -231,7 +231,7 @@ class TestSetSweep:
 class TestRandomSweep:
     def test_uniform_bounds(self):
         sweep = RandomSweep(count=5, distributions={"x": Uniform(0, 1)}, seed=42)
-        sets = sweep.generate()
+        sets = list(sweep.iter_sets())
         assert len(sets) == 5
         assert all(0 <= s["x"] < 1 for s in sets)
 
@@ -249,8 +249,8 @@ class TestRandomSweep:
                 seed=20260809,
             )
 
-        first = build().generate()
-        second = build().generate()
+        first = list(build().iter_sets())
+        second = list(build().iter_sets())
         assert first == second
         for a, b in zip(first, second):
             for name in a:
@@ -260,13 +260,13 @@ class TestRandomSweep:
         outputs = []
         for seed in (1, 2, 3):
             sweep = RandomSweep(count=10, distributions={"x": Uniform(0, 1)}, seed=seed)
-            outputs.append(tuple(s["x"] for s in sweep.generate()))
+            outputs.append(tuple(s["x"] for s in sweep.iter_sets()))
         assert len(set(outputs)) == 3
 
     def test_log_uniform_bounds_and_log_uniformity(self):
         low, high = 0.001, 10.0
         sweep = RandomSweep(count=10_000, distributions={"x": LogUniform(low, high)}, seed=99)
-        samples = [s["x"] for s in sweep.generate()]
+        samples = [s["x"] for s in sweep.iter_sets()]
         assert all(low <= x < high for x in samples)
         # KS statistic of log(samples) against the uniform CDF on [log low, log high)
         logs = sorted(math.log(x) for x in samples)
@@ -280,19 +280,19 @@ class TestRandomSweep:
 
     def test_integer_uniform_bounds(self):
         sweep = RandomSweep(count=2000, distributions={"n": IntegerUniform(-3, 4)}, seed=5)
-        samples = [s["n"] for s in sweep.generate()]
+        samples = [s["n"] for s in sweep.iter_sets()]
         assert all(isinstance(v, int) and -3 <= v <= 4 for v in samples)
         assert set(samples) == set(range(-3, 5))  # every value reachable at this size
 
     def test_choice_members_only(self):
         options = ["fast", 3, 2.5]
         sweep = RandomSweep(count=500, distributions={"c": Choice(options)}, seed=8)
-        samples = [s["c"] for s in sweep.generate()]
+        samples = [s["c"] for s in sweep.iter_sets()]
         assert all(any(values_equal(v, o) for o in options) for v in samples)
 
     def test_normal_stays_near_mean(self):
         sweep = RandomSweep(count=10_000, distributions={"g": Normal(5, 2)}, seed=11)
-        samples = [s["g"] for s in sweep.generate()]
+        samples = [s["g"] for s in sweep.iter_sets()]
         mean = sum(samples) / len(samples)
         assert abs(mean - 5) < 5 * 2 / math.sqrt(len(samples))
 
@@ -300,7 +300,7 @@ class TestRandomSweep:
         sweep = RandomSweep(
             count=1, distributions={"b": Uniform(0, 1), "a": Uniform(0, 1)}, seed=1
         )
-        assert list(sweep.generate()[0]) == ["b", "a"]
+        assert list(next(sweep.iter_sets())) == ["b", "a"]
 
     @pytest.mark.parametrize(
         "bad",
@@ -332,4 +332,4 @@ class TestRandomSweep:
 
     def test_int_uniform_single_value_span(self):
         sweep = RandomSweep(count=20, distributions={"n": IntegerUniform(7, 7)}, seed=3)
-        assert all(s["n"] == 7 for s in sweep.generate())
+        assert all(s["n"] == 7 for s in sweep.iter_sets())

@@ -23,6 +23,7 @@ GONE = {
     "sweeprun.collect:export_csv": "deleted",
     "sweeprun.sweeps:FilteredCartesianSweep.generate": "inherited: the tracer's wrapper on "
     "CartesianSweep.generate times it",
+    "sweeprun.sweeps:CartesianSweep.generate": "deleted: build_mapping reads iter_sets() once",
 }
 
 
